@@ -35,7 +35,6 @@ from .smoothers import (
 from .penalty import (
     ConditionsReport,
     PenaltyInequalityReport,
-    PenaltyRow,
     PenaltyTable,
     build_penalty_table,
     check_conditions,

@@ -78,14 +78,13 @@ class RiskProfile:
 
 def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
     """Evaluate the exact and penalized risks on every grid row."""
-    risks = np.empty(len(table.rows))
-    penalized = np.empty(len(table.rows))
+    risks = np.empty(table.alphas.size)
+    penalized = np.empty(table.alphas.size)
     degenerate = []
-    for i, row in enumerate(table.rows):
-        h = table.h_rows[i]
+    for i, h in enumerate(table.h_rows):
         risks[i] = exact_risk(model, h)
-        if row.one_minus_h_norm2 > 0.0:
-            penalized[i] = penalized_risk(model, h, row.pen_total, row.q_plus, table.gamma)
+        if table.one_minus_h_norm2[i] > 0.0:
+            penalized[i] = penalized_risk(model, h, table.pen_total[i], table.q_plus[i], table.gamma)
         else:
             penalized[i] = np.inf
             degenerate.append(i)
@@ -155,13 +154,11 @@ def excess_sup_stat(
     """
     if not float(gamma) > 0.0:
         raise ValueError("invalid input: gamma must be positive")
-    lam = spectrum.retained
     if xi is None:
-        xi = rng.standard_normal(lam.size)
+        xi = rng.standard_normal(spectrum.retained.size)
     xi = np.asarray(xi, dtype=float)
     z = xi * xi - 1.0
-    eta = (table.h_rows * (2.0 - table.h_rows) / lam) @ z
-    excess = eta - (1.0 + gamma) * table.column("q_plus")
+    excess = table.noise_weights @ z - (1.0 + gamma) * table.q_plus
     return float(max(np.max(excess), 0.0))
 
 
@@ -251,7 +248,6 @@ def mc_run(
     profile = risk_profile(model, table)
     beta = model.coefficients
     known_sigma2 = model.sigma ** 2 if sigma2 is None else float(sigma2)
-    resid_dof = np.sum((1.0 - table.h_rows) ** 2, axis=1)
 
     losses = np.empty(replications)
     indices = np.empty(replications, dtype=int)
@@ -269,10 +265,10 @@ def mc_run(
         indices[i] = sel.alpha_hat_index
         if sel.sigma_hat2 is not None:
             sigma2s[i] = sel.sigma_hat2
-        elif resid_dof[sel.alpha_hat_index] > 0.0:
-            resid2 = (1.0 - table.h_rows[sel.alpha_hat_index]) ** 2
+        elif table.resid_dof[sel.alpha_hat_index] > 0.0:
+            resid2 = table.resid2[sel.alpha_hat_index]
             spectral_ss = float((model.spectrum.retained * resid2) @ (data.y * data.y))
-            sigma2s[i] = spectral_ss / resid_dof[sel.alpha_hat_index]
+            sigma2s[i] = spectral_ss / table.resid_dof[sel.alpha_hat_index]
         else:
             sigma2s[i] = np.nan
         excesses[i] = excess_sup_stat(model.spectrum, table, gamma, rng)

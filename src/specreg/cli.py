@@ -42,7 +42,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 _TABLE_COLUMNS = (
-    ("alpha", "alpha"),
+    ("alpha", "alphas"),
     ("pen_u", "pen_u"),
     ("pen_cv", "pen_cv"),
     ("D", "d"),
@@ -258,8 +258,8 @@ def _cmd_penalty_table(args) -> int:
     grid = _grid(config, family, spectrum)
     table = build_penalty_table(family, grid, spectrum, _gamma(config))
     lines = [",".join(name for name, _ in _TABLE_COLUMNS)]
-    for row in table.rows:
-        lines.append(",".join(_fmt(getattr(row, attr)) for _, attr in _TABLE_COLUMNS))
+    for row in zip(*(getattr(table, attr) for _, attr in _TABLE_COLUMNS)):
+        lines.append(",".join(_fmt(value) for value in row))
     _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Spectrum
-from .smoothers import AlphaGrid, SmootherFamily, h_values
+from .smoothers import AlphaGrid, SmootherFamily, check_ordered, h_values
 
 __all__ = [
     "pen_u",
@@ -32,7 +32,6 @@ __all__ = [
     "solve_mu",
     "q_plus",
     "total_penalty",
-    "PenaltyRow",
     "PenaltyTable",
     "build_penalty_table",
     "variance_span",
@@ -182,45 +181,36 @@ def total_penalty(h, spectrum: Spectrum, gamma: float, d_ref: float) -> float:
 
 
 @dataclass(frozen=True)
-class PenaltyRow:
-    """All per-alpha penalty quantities for one grid point."""
-
-    alpha: float
-    pen_u: float
-    pen_cv: float
-    d: float
-    mu: float
-    q_plus: float
-    pen_total: float
-    h_lambda_norm2: float
-    one_minus_h_norm2: float
-    one_minus_h_sq_norm2: float
-    max_h_over_lambda: float
-
-
-@dataclass(frozen=True)
 class PenaltyTable:
-    """Per-grid-point penalty quantities plus the grid-wide scalars.
+    """Per-grid-point penalty quantities as read-only columns, entry i for
+    grid point ``alphas[i]``, plus the grid-wide scalars.
 
-    ``h_rows`` caches the damping factors, row i matching ``rows[i].alpha``,
-    so selection and benchmarking never recompute the family.
+    The row matrices hold the damping factors ``h_rows`` and the kernels
+    that selection and benchmarking reuse on every replication: the noise
+    weights (2h - h^2) / lambda, the squared residual factors (1 - h)^2 and
+    their row sums ``resid_dof``.
     """
 
     gamma: float
-    rows: tuple[PenaltyRow, ...]
     psi: float
+    alphas: np.ndarray
+    pen_u: np.ndarray
+    pen_cv: np.ndarray
+    d: np.ndarray
+    mu: np.ndarray
+    q_plus: np.ndarray
+    pen_total: np.ndarray
+    h_lambda_norm2: np.ndarray
+    one_minus_h_norm2: np.ndarray
+    max_h_over_lambda: np.ndarray
     h_rows: np.ndarray
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([row.alpha for row in self.rows])
+    noise_weights: np.ndarray
+    resid2: np.ndarray
+    resid_dof: np.ndarray
 
     @property
     def d_ref(self) -> float:
-        return self.rows[-1].d
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(row, name) for row in self.rows])
+        return float(self.d[-1])
 
 
 def build_penalty_table(
@@ -235,12 +225,12 @@ def build_penalty_table(
     (the smoothest model), so q_plus vanishes there exactly.  Requires the
     noise scale to be nonincreasing along the grid, which holds for every
     ordered family; user-supplied table families are additionally run
-    through the full ordering check before anything is computed.
+    through the full ordering check before anything is computed.  Raises
+    ArithmeticError when a column is not finite, e.g. when an eigenvalue is
+    so small that h / lambda overflows.
     """
     gamma = _check_gamma(gamma)
     if family.kind == "table":
-        from .smoothers import check_ordered
-
         report = check_ordered(family, grid, spectrum)
         if not report.ok:
             raise ValueError(f"invalid input: table family is not ordered ({report.violation})")
@@ -262,40 +252,42 @@ def build_penalty_table(
     q = np.where(mu == 0.0, 0.0, q)
 
     pen_u_col = 2.0 * np.sum(h_rows / lam, axis=1)
-    pen_cv_col = 2.0 * np.sum(h_rows, axis=1)
-    pen_total_col = pen_u_col + (1.0 + gamma) * q
     resid = 1.0 - h_rows
-    h_lambda = np.sum(h_rows * h_rows / lam, axis=1)
-    one_minus = np.einsum("ij,ij->i", resid, resid)
-    one_minus_sq = np.sum(resid ** 4, axis=1)
-    max_h_over_lam = np.max(h_rows / lam, axis=1)
+    resid2 = resid ** 2
+    # one_minus_h_norm2 and resid_dof add the same squares in different
+    # orders (einsum vs pairwise sum) and differ in the last bit on some
+    # rows.  Each feeds outputs that are fixed byte for byte: the first the
+    # CSV column, psi and the risk profile, the second the variance
+    # estimate of the selector.
+    columns = {
+        "alphas": grid.values,
+        "pen_u": pen_u_col,
+        "pen_cv": 2.0 * np.sum(h_rows, axis=1),
+        "d": d,
+        "mu": mu,
+        "q_plus": q,
+        "pen_total": pen_u_col + (1.0 + gamma) * q,
+        "h_lambda_norm2": np.sum(h_rows * h_rows / lam, axis=1),
+        "one_minus_h_norm2": np.einsum("ij,ij->i", resid, resid),
+        "max_h_over_lambda": np.max(h_rows / lam, axis=1),
+    }
+    for name, column in columns.items():
+        if not np.all(np.isfinite(column)):
+            raise ArithmeticError(f"non-finite {name} in the penalty table "
+                                  "(eigenvalues outside the floating-point range?)")
+    columns.update(h_rows=h_rows, noise_weights=t, resid2=resid2, resid_dof=np.sum(resid2, axis=1))
+    for column in columns.values():
+        column.setflags(write=False)
+    one_minus = columns["one_minus_h_norm2"]
+    psi = _span(one_minus, columns["pen_total"]) if one_minus[0] > 0.0 else float("nan")
+    return PenaltyTable(gamma=gamma, psi=psi, **columns)
 
-    rows = tuple(
-        PenaltyRow(
-            alpha=float(grid.values[i]),
-            pen_u=float(pen_u_col[i]),
-            pen_cv=float(pen_cv_col[i]),
-            d=float(d[i]),
-            mu=float(mu[i]),
-            q_plus=float(q[i]),
-            pen_total=float(pen_total_col[i]),
-            h_lambda_norm2=float(h_lambda[i]),
-            one_minus_h_norm2=float(one_minus[i]),
-            one_minus_h_sq_norm2=float(one_minus_sq[i]),
-            max_h_over_lambda=float(max_h_over_lam[i]),
-        )
-        for i in range(len(grid.values))
-    )
-    h_rows.setflags(write=False)
-    psi = _span_from_rows(rows[0], rows[-1]) if rows[0].one_minus_h_norm2 > 0.0 else float("nan")
-    return PenaltyTable(gamma=gamma, rows=rows, psi=psi, h_rows=h_rows)
 
-
-def _span_from_rows(first: PenaltyRow, last: PenaltyRow) -> float:
-    ratio = last.one_minus_h_norm2 / first.one_minus_h_norm2
-    envelope = np.sqrt(max(np.log(np.log1p(ratio)), 0.0))
-    span = np.log1p(first.pen_total / last.pen_total)
-    return float((envelope + span) / np.sqrt(first.one_minus_h_norm2))
+def _span(one_minus_h_norm2: np.ndarray, pen_total: np.ndarray) -> float:
+    first = one_minus_h_norm2[0]
+    envelope = np.sqrt(max(np.log(np.log1p(one_minus_h_norm2[-1] / first)), 0.0))
+    span = np.log1p(pen_total[0] / pen_total[-1])
+    return float((envelope + span) / np.sqrt(first))
 
 
 def variance_span(table: PenaltyTable) -> float:
@@ -307,10 +299,9 @@ def variance_span(table: PenaltyTable) -> float:
     is exactly when plugging in the variance estimate is harmless.  The
     loglog term is clipped at zero, which only binds for very narrow grids.
     """
-    first = table.rows[0]
-    if first.one_minus_h_norm2 <= 0.0:
+    if table.one_minus_h_norm2[0] <= 0.0:
         raise ValueError("variance estimation impossible at the grid floor: h is identically 1")
-    return _span_from_rows(first, table.rows[-1])
+    return _span(table.one_minus_h_norm2, table.pen_total)
 
 
 @dataclass(frozen=True)
@@ -330,14 +321,12 @@ def check_conditions(table: PenaltyTable) -> ConditionsReport:
     The second ratio treats the zero log at the reference row as +inf, so
     that row binds only through the first ratio.
     """
-    h_lambda = table.column("h_lambda_norm2")
-    pen_u_col = table.column("pen_u")
-    d = table.column("d")
-    max_h = table.column("max_h_over_lambda")
+    h_lambda = table.h_lambda_norm2
+    d = table.d
     log_ratio = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
-    ratio1 = h_lambda / (0.5 * pen_u_col)
+    ratio1 = h_lambda / (0.5 * table.pen_u)
     with np.errstate(divide="ignore"):
-        ratio2 = (np.where(log_ratio > 0.0, h_lambda / log_ratio, np.inf) + max_h) / d
+        ratio2 = (np.where(log_ratio > 0.0, h_lambda / log_ratio, np.inf) + table.max_h_over_lambda) / d
     c2_hat = float(min(np.min(ratio1), np.min(ratio2)))
     return ConditionsReport(ok=c2_hat > 0.0, c2_hat=c2_hat, ratio_unbiased=ratio1, ratio_scale=ratio2)
 
@@ -369,9 +358,8 @@ def verify_penalty_inequalities(table: PenaltyTable, rtol: float = 1e-9) -> Pena
     dominating the ratio of noise scales.  Both are reported as found.
     All comparisons carry the relative slack ``rtol``.
     """
-    d = table.column("d")
-    mu = table.column("mu")
-    q = table.column("q_plus")
+    d, mu, q = table.d, table.mu, table.q_plus
+    alphas = table.alphas.tolist()  # Python floats, whose repr the messages print
     log_r = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
     violations: list[str] = []
     total = 0
@@ -387,21 +375,21 @@ def verify_penalty_inequalities(table: PenaltyTable, rtol: float = 1e-9) -> Pena
     bound = d * np.maximum(np.sqrt(log_r), per_mu)
     slack = rtol * np.maximum(np.maximum(np.abs(bound), np.abs(q)), 1.0)
     for i in np.nonzero(q < bound - slack)[0]:
-        note(f"q_plus below its lower bound at alpha={table.rows[i].alpha!r}")
+        note(f"q_plus below its lower bound at alpha={alphas[i]!r}")
 
     mu_bound = np.minimum(0.5 * np.sqrt(log_r), 0.25)
     for i in np.nonzero(mu < mu_bound - rtol * np.maximum(mu_bound, 1.0))[0]:
-        note(f"mu below its lower bound at alpha={table.rows[i].alpha!r}")
+        note(f"mu below its lower bound at alpha={alphas[i]!r}")
 
     separated = d >= np.exp(2.0) * d[-1]
     for i in np.nonzero(separated)[0]:
         inner = mu[i] * q[i] / d[-1]
         if inner <= 1.0:
-            note(f"degenerate log bound at alpha={table.rows[i].alpha!r}")
+            note(f"degenerate log bound at alpha={alphas[i]!r}")
             continue
         rhs = mu[i] * q[i] / np.log(inner)
         if d[i] < rhs - rtol * max(abs(rhs), abs(d[i]), 1.0):
-            note(f"noise scale below the log bound at alpha={table.rows[i].alpha!r}")
+            note(f"noise scale below the log bound at alpha={alphas[i]!r}")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_d = np.log(d)
@@ -413,7 +401,7 @@ def verify_penalty_inequalities(table: PenaltyTable, rtol: float = 1e-9) -> Pena
     for i, j in zip(i_idx, j_idx):
         note(
             "noise scale ratio exceeds the adaptive penalty ratio for "
-            f"alphas ({table.rows[i].alpha!r}, {table.rows[j].alpha!r})"
+            f"alphas ({alphas[i]!r}, {alphas[j]!r})"
         )
 
     return PenaltyInequalityReport(ok=total == 0, violations=tuple(violations), total_violations=total)

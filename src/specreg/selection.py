@@ -100,9 +100,10 @@ def select_alpha(
     per-alpha variance estimate, which requires every grid row to keep some
     residual degrees of freedom.  ``penalty`` picks the table column:
     "total" (default) or "unbiased".  Ties are broken toward the largest
-    alpha, i.e. the smoothest of the tied models.
+    alpha, i.e. the smoothest of the tied models.  Raises ArithmeticError
+    when a contrast is not finite.
     """
-    if len(grid) == 0 or not table.rows:
+    if len(grid) == 0 or table.alphas.size == 0:
         raise ValueError("empty grid")
     if not np.array_equal(grid.values, table.alphas):
         raise ValueError("dimension error: grid and penalty table are misaligned")
@@ -110,28 +111,29 @@ def select_alpha(
     if h_rows.shape[1] != data.y.size:
         raise ValueError("dimension error: table and data spectra differ")
     try:
-        pens = table.column(_PENALTY_COLUMNS[penalty])
+        pens = getattr(table, _PENALTY_COLUMNS[penalty])
     except KeyError:
         raise ValueError(f"invalid input: unknown penalty choice {penalty!r}") from None
 
     y2 = data.y * data.y
-    resid2 = (1.0 - h_rows) ** 2
-    base = resid2 @ y2
+    base = table.resid2 @ y2
     s2 = None
     if mode == "known":
         if sigma2 is None or not float(sigma2) >= 0.0:
             raise ValueError("invalid input: known-sigma mode requires sigma2 >= 0")
         contrasts = base + float(sigma2) * pens
     elif mode == "unknown":
-        denom = np.sum(resid2, axis=1) + float(extra_dof)
+        denom = table.resid_dof + float(extra_dof)
         if np.any(denom <= 0.0):
             raise ValueError(
                 "variance estimation impossible: a grid row has no residual degrees of freedom"
             )
-        s2 = (resid2 @ (data.spectrum.retained * y2) + float(extra_ss)) / denom
+        s2 = (table.resid2 @ (data.spectrum.retained * y2) + float(extra_ss)) / denom
         contrasts = base + s2 * pens
     else:
         raise ValueError("invalid input: mode must be 'known' or 'unknown'")
+    if not np.all(np.isfinite(contrasts)):
+        raise ArithmeticError("non-finite contrast (observations too large for floating point?)")
 
     index = contrasts.size - 1 - int(np.argmin(contrasts[::-1]))
     return SelectionResult(

@@ -116,7 +116,7 @@ def _penalty_structure(table, rtol: float):
     Every comparison carries the verifier's relative slack
     ``rtol * max(|lhs|, |rhs|, 1)``.
     """
-    d, mu, q = (table.column(name) for name in ("d", "mu", "q_plus"))
+    d, mu, q = table.d, table.mu, table.q_plus
     log_r = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
     failures = []
 
@@ -218,16 +218,16 @@ def test_criterion_03_root_solver():
     rows = 0
     for (_, _, _), (spectrum, table) in _criterion2_tables().items():
         lam = spectrum.retained
-        d_ref = table.rows[-1].d
-        for i, row in enumerate(table.rows):
-            h = table.h_rows[i]
-            log_ratio = max(math.log(row.d) - math.log(d_ref), 0.0)
-            rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / row.d
-            resid = abs(float(np.sum(cramer_term(row.mu * rho))) - log_ratio)
+        d_ref = table.d_ref
+        for i, h in enumerate(table.h_rows):
+            d, mu = float(table.d[i]), float(table.mu[i])
+            log_ratio = max(math.log(d) - math.log(d_ref), 0.0)
+            rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / d
+            resid = abs(float(np.sum(cramer_term(mu * rho))) - log_ratio)
             worst_resid = max(worst_resid, resid / max(1.0, log_ratio))
             bound = min(0.5 * math.sqrt(log_ratio), 0.25)
             if bound > 0.0:
-                worst_mu_margin = min(worst_mu_margin, row.mu / bound)
+                worst_mu_margin = min(worst_mu_margin, mu / bound)
             rows += 1
     elapsed = time.perf_counter() - started
     ok = worst_resid <= 1e-10 and worst_mu_margin >= 1.0 - 1e-9

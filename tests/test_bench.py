@@ -127,12 +127,12 @@ class TestRiskProfile:
         table, grid = self._table(model)
         profile = risk_profile(model, table)
         redone = []
-        for i, row in enumerate(table.rows):
-            if row.one_minus_h_norm2 == 0.0:
+        for i, h in enumerate(table.h_rows):
+            if table.one_minus_h_norm2[i] == 0.0:
                 redone.append(np.inf)
                 continue
             redone.append(
-                penalized_risk(model, table.h_rows[i], row.pen_total, row.q_plus, 0.1)
+                penalized_risk(model, h, table.pen_total[i], table.q_plus[i], 0.1)
             )
         assert profile.oracle_index == int(np.argmin(redone))
         r, idx = oracle_risk(profile)
@@ -186,7 +186,7 @@ class TestExcessSupStat:
         s = polynomial_spectrum(10, 1.0)
         grid = AlphaGrid([1.0])
         table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
-        d = table.rows[0].d
+        d = table.d[0]
         rng = replication_stream(3, 0)
         draws = np.array([excess_sup_stat(s, table, 0.1, rng) for _ in range(20_000)])
         se = np.std(draws, ddof=1) / math.sqrt(draws.size)

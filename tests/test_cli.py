@@ -300,6 +300,28 @@ class TestExitCodes:
         )
         assert run(["select", "--config", write_config(tmp_path, cfg)]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_values_are_numerical_failures(self, tmp_path, capsys):
+        subnormal = {
+            "problem": {"spectral_data": {"eigenvalues": [1.0, 0.5, 0.25, 1e-310],
+                                          "y": [1.0, 0.5, 0.2, 0.1]}},
+            "family": {"kind": "cutoff"},
+            "grid": {"floor": "none"},
+            "gamma": 0.1,
+            "mode": "known",
+            "sigma2": 0.01,
+        }
+        huge_y = dict(subnormal, problem={"spectral_data": {
+            "eigenvalues": [1.0, 0.5, 0.25, 0.125], "y": [1e200, 1.0, 0.5, 0.1]}})
+        for cfg, command in ((subnormal, "penalty-table"), (subnormal, "select"),
+                             (huge_y, "select")):
+            out = tmp_path / "out"
+            argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(out)]
+            assert run(argv) == 2, command
+            assert "numerical failure: non-finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_seed_for_bench(self, tmp_path):
         cfg = well_conditioned_config()
         del cfg["seed"]

@@ -101,9 +101,9 @@ class TestCramerTerm:
     def test_quarter_against_mpmath(self):
         from mpmath import mp, mpf
 
-        mp.dps = 50
-        x = mpf(1) / 4
-        want = float(mp.log(1 - 2 * x) / 2 + x + 2 * x * x / (1 - 2 * x))
+        with mp.workdps(50):
+            x = mpf(1) / 4
+            want = float(mp.log(1 - 2 * x) / 2 + x + 2 * x * x / (1 - 2 * x))
         assert abs(cramer_term(0.25) - want) <= 1e-14 * abs(want)
 
     def test_strictly_increasing(self):
@@ -243,7 +243,7 @@ class TestTotalPenalty:
             for family in FAMILIES:
                 grid = default_grid(family, spectrum, points=15, floor_rule=None)
                 table = build_penalty_table(family, grid, spectrum, 0.1)
-                pen = table.column("pen_total")
+                pen = table.pen_total
                 assert np.all(np.diff(pen) <= 1e-9 * pen[:-1]), family.kind
 
 
@@ -252,19 +252,28 @@ class TestPenaltyTable:
         for spectrum in (polynomial_spectrum(50, 2.0), exponential_spectrum(500, 1.0)):
             table, _ = _cutoff_table(spectrum)
             lam = spectrum.retained
-            d = table.column("d")
+            d = table.d
             assert np.all(np.diff(d) <= 0.0)
-            assert table.rows[-1].q_plus == 0.0
-            assert all(row.q_plus > 0.0 for row in table.rows[:-1])
+            assert table.q_plus[-1] == 0.0
+            assert np.all(table.q_plus[:-1] > 0.0)
             for name in ("pen_u", "pen_cv", "d", "mu", "q_plus", "pen_total",
-                         "h_lambda_norm2", "one_minus_h_norm2", "one_minus_h_sq_norm2",
-                         "max_h_over_lambda"):
-                col = table.column(name)
+                         "h_lambda_norm2", "one_minus_h_norm2", "max_h_over_lambda"):
+                col = getattr(table, name)
                 assert np.all(np.isfinite(col)) and np.all(col >= 0.0), name
+            # the stored row kernels are exactly their recomputation from h_rows
+            h_rows = table.h_rows
+            resid2 = (1.0 - h_rows) ** 2
+            assert np.array_equal(table.noise_weights, h_rows * (2.0 - h_rows) / lam)
+            assert np.array_equal(table.resid2, resid2)
+            assert np.array_equal(table.resid_dof, np.sum(resid2, axis=1))
+            for name in ("alphas", "pen_u", "pen_cv", "d", "mu", "q_plus", "pen_total",
+                         "h_lambda_norm2", "one_minus_h_norm2", "max_h_over_lambda",
+                         "h_rows", "noise_weights", "resid2", "resid_dof"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(table, name)[0] = 0.0
             # rho derived from the stored noise scale must be a unit vector
-            for i, row in enumerate(table.rows):
-                h = table.h_rows[i]
-                rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / row.d
+            for i, h in enumerate(table.h_rows):
+                rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / table.d[i]
                 assert abs(float(rho @ rho) - 1.0) <= 1e-12
 
     def test_requires_ordered_family(self):
@@ -281,7 +290,18 @@ class TestPenaltyTable:
             alphas=[1.0, 2.0], h_table=[[0.9, 0.5], [0.3, 0.1]]
         )
         table = build_penalty_table(family, AlphaGrid([1.0, 2.0]), s, 0.1)
-        assert len(table.rows) == 2
+        assert table.alphas.size == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_subnormal_eigenvalue_is_numerical_failure(self):
+        # h / lambda overflows at lambda = 1e-310, so D is NaN on the first
+        # row; NaN slips through every comparison and must be caught explicitly
+        s = Spectrum([1.0, 0.5, 0.25, 1e-310])
+        family = SmootherFamily.cutoff()
+        grid = default_grid(family, s, floor_rule=None)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            build_penalty_table(family, grid, s, 0.1)
 
 
 class TestVarianceSpan:
@@ -290,7 +310,7 @@ class TestVarianceSpan:
         family = SmootherFamily.tikhonov()
         grid = AlphaGrid([1.0])
         table = build_penalty_table(family, grid, s, 0.1)
-        norm = math.sqrt(table.rows[0].one_minus_h_norm2)
+        norm = math.sqrt(table.one_minus_h_norm2[0])
         # both ratios are 1; the loglog term log(log 2) is negative and clips to 0
         assert table.psi == pytest.approx(math.log(2.0) / norm, rel=1e-12)
         assert variance_span(table) == table.psi
@@ -303,7 +323,7 @@ class TestVarianceSpan:
         floor_norm2 = 100.0 - 50.0
         top_norm2 = 100.0 - 1.0
         envelope = math.sqrt(math.log(math.log(1.0 + top_norm2 / floor_norm2)))
-        span = math.log(1.0 + table.rows[0].pen_total / table.rows[-1].pen_total)
+        span = math.log(1.0 + table.pen_total[0] / table.pen_total[-1])
         want = (envelope + span) / math.sqrt(floor_norm2)
         assert table.psi == pytest.approx(want, rel=1e-12)
 
@@ -361,7 +381,7 @@ class TestVerifyPenaltyInequalities:
             for violation in report.violations:
                 assert "q_plus below" not in violation
                 assert "mu below" not in violation
-            d, mu, q = (table.column(name) for name in ("d", "mu", "q_plus"))
+            d, mu, q = table.d, table.mu, table.q_plus
             separated = d >= math.exp(2.0) * table.d_ref
             inner = mu[separated] * q[separated] / table.d_ref
             assert np.all(inner > 1.0)
@@ -427,8 +447,8 @@ class TestVerifyPenaltyInequalities:
                 q = 2 * d * mu * mp.fsum(r * r / (1 - 2 * mu * r) for r in rho)
                 per_d.append(q / d)
             want = float(per_d[0] / per_d[1])
-        first, second = table.rows[0], table.rows[1]
-        got = (first.q_plus / first.d) / (second.q_plus / second.d)
+        q, d = table.q_plus, table.d
+        got = (q[0] / d[0]) / (q[1] / d[1])
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert want < 1.0 - 1e-3
         report = verify_penalty_inequalities(table)

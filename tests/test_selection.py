@@ -207,12 +207,21 @@ class TestSelectAlpha:
         s, _, grid, table = self._setup(floor_rule=lambda h: float((1 - h) @ (1 - h)) >= 3.0)
         data = _data(s, np.linspace(1.0, 0.1, 20))
         result = select_alpha(data, grid, table, "unknown")
-        for i, row in enumerate(table.rows):
-            want = contrast_unknown_sigma(data, table.h_rows[i], row.pen_total)
+        for i, h in enumerate(table.h_rows):
+            want = contrast_unknown_sigma(data, h, table.pen_total[i])
             assert result.contrasts[i] == pytest.approx(want, rel=1e-12)
         assert np.array_equal(
             result.estimate, table.h_rows[result.alpha_hat_index] * data.y
         )
+
+    def test_non_finite_contrast_is_numerical_failure(self):
+        s, _, grid, table = self._setup(floor_rule=lambda h: float((1 - h) @ (1 - h)) >= 3.0)
+        y = np.ones(20)
+        y[0] = 1e200  # y^2 overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mode, sigma2 in (("known", 0.01), ("unknown", None)):
+                with pytest.raises(ArithmeticError, match="non-finite contrast"):
+                    select_alpha(_data(s, y), grid, table, mode, sigma2=sigma2)
 
     def test_misaligned_table_rejected(self):
         s, family, grid, table = self._setup()
