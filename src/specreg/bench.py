@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import SpectralModel, Spectrum, replication_stream, simulate_observation
 from .penalty import PenaltyTable, build_penalty_table, _check_gamma
-from .selection import select_alpha
+from .selection import select_alpha, sigma_hat2
 from .smoothers import AlphaGrid, SmootherFamily
 
 __all__ = [
@@ -103,8 +103,7 @@ def oracle_risk(profile: RiskProfile) -> tuple[float, int]:
     """Best achievable penalized risk over the grid and where it is attained."""
     if profile.penalized.size == 0:
         raise ValueError("empty grid")
-    index = int(np.argmin(profile.penalized))
-    return float(profile.penalized[index]), index
+    return profile.r, profile.oracle_index
 
 
 def growth_term(x: float) -> float:
@@ -266,9 +265,7 @@ def mc_run(
         if sel.sigma_hat2 is not None:
             sigma2s[i] = sel.sigma_hat2
         elif table.resid_dof[sel.alpha_hat_index] > 0.0:
-            resid2 = table.resid2[sel.alpha_hat_index]
-            spectral_ss = float((model.spectrum.retained * resid2) @ (data.y * data.y))
-            sigma2s[i] = spectral_ss / table.resid_dof[sel.alpha_hat_index]
+            sigma2s[i] = sigma_hat2(data, table.h_rows[sel.alpha_hat_index])
         else:
             sigma2s[i] = np.nan
         excesses[i] = excess_sup_stat(model.spectrum, table, gamma, rng)

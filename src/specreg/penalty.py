@@ -75,17 +75,27 @@ def pen_cv(h) -> float:
     return 2.0 * float(np.sum(h))
 
 
+def _noise_scale_rows(t: np.ndarray) -> np.ndarray:
+    """sqrt(2 * sum_k t(k)^2) for every row of the noise weights t, scaled by
+    the row maximum so that the squares cannot overflow; 0 on a zero row."""
+    peak = np.max(t, axis=1, initial=0.0)
+    scaled = t / np.where(peak > 0.0, peak, 1.0)[:, None]
+    return peak * np.sqrt(2.0 * np.einsum("ij,ij->i", scaled, scaled))
+
+
+def _scale_row(h, spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The noise weights (2h - h^2) / lambda of one h as a one-row matrix,
+    and its noise scale."""
+    lam = spectrum.retained
+    h = _check_h(h, lam.size)
+    t = (h * (2.0 - h) / lam)[None, :]
+    return t, _noise_scale_rows(t)
+
+
 def noise_scale(h, spectrum: Spectrum) -> float:
     """Standard deviation sqrt(2 * sum lambda^-2 * (2h - h^2)^2) of the
     quadratic noise functional, the natural unit of all penalty bounds."""
-    lam = spectrum.retained
-    h = _check_h(h, lam.size)
-    t = h * (2.0 - h) / lam
-    peak = float(np.max(t)) if t.size else 0.0
-    if peak == 0.0:
-        return 0.0
-    scaled = t / peak
-    return peak * float(np.sqrt(2.0 * (scaled @ scaled)))
+    return float(_scale_row(h, spectrum)[1][0])
 
 
 def cramer_term(x):
@@ -101,19 +111,6 @@ def cramer_term(x):
     return out if out.ndim else float(out)
 
 
-def _rho_from(t: np.ndarray, d: float) -> np.ndarray:
-    return np.sqrt(2.0) * t / d
-
-
-def _rho(h, spectrum: Spectrum) -> np.ndarray:
-    lam = spectrum.retained
-    h = _check_h(h, lam.size)
-    d = noise_scale(h, spectrum)
-    if d == 0.0:
-        raise ValueError("degenerate smoother: h is identically zero")
-    return _rho_from(h * (2.0 - h) / lam, d)
-
-
 def _cramer_rowsum(rho: np.ndarray, mu: np.ndarray) -> np.ndarray:
     x = mu[:, None] * rho
     return np.sum(0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x), axis=1)
@@ -122,8 +119,6 @@ def _cramer_rowsum(rho: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
     """Vectorized bisection for sum_k cramer_term(mu * rho(k)) = log_ratio,
     one root per row of rho.  Rows with log_ratio == 0 return mu = 0."""
-    rho = np.atleast_2d(rho)
-    log_ratio = np.asarray(log_ratio, dtype=float)
     hi = (1.0 - _MU_BRACKET_MARGIN) / (2.0 * np.max(rho, axis=1))
     lo = np.zeros_like(hi)
     for _ in range(_MU_BISECTION_STEPS):
@@ -138,6 +133,26 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
     return mu
 
 
+def _mu_q_rows(t: np.ndarray, d: np.ndarray, log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root mu and adaptive term q_plus = 2 * d * mu * sum rho^2 / (1 - 2*mu*rho)
+    of every row, from the noise weights t, their noise scales d and the
+    log ratios log(d / d_ref) >= 0, with rho = sqrt(2) * t / d.
+
+    q_plus is exactly zero where mu is; every denominator stays positive
+    because the mu bracket ends strictly before 1 / (2 * max rho).
+    """
+    rho = np.sqrt(2.0) * t / d[:, None]
+    mu = _solve_mu_rows(rho, log_ratio)
+    q = 2.0 * d * mu * np.einsum("ij,ij->i", rho, rho / (1.0 - 2.0 * mu[:, None] * rho))
+    return mu, np.where(mu == 0.0, 0.0, q)
+
+
+def _log_ratio(d, d_ref) -> np.ndarray:
+    """log(d / d_ref), evaluated as a difference of logs so that huge scales
+    do not overflow, and clamped at zero."""
+    return np.maximum(np.log(d) - np.log(d_ref), 0.0)
+
+
 def solve_mu(h, spectrum: Spectrum, log_ratio: float) -> float:
     """Root mu >= 0 of sum_k cramer_term(mu * rho(k)) = log_ratio.
 
@@ -145,33 +160,32 @@ def solve_mu(h, spectrum: Spectrum, log_ratio: float) -> float:
     values (floating point noise when the two scales coincide) are clamped
     to zero with a warning.
     """
-    rho = _rho(h, spectrum)
+    t, d = _scale_row(h, spectrum)
+    if d[0] == 0.0:
+        raise ValueError("degenerate smoother: h is identically zero")
     log_ratio = float(log_ratio)
     if log_ratio < 0.0:
         warnings.warn("negative log ratio clamped to zero", RuntimeWarning, stacklevel=2)
         log_ratio = 0.0
-    if log_ratio == 0.0:
-        return 0.0
-    return float(_solve_mu_rows(rho[None, :], np.array([log_ratio]))[0])
+    return float(_mu_q_rows(t, d, np.array([log_ratio]))[0][0])
 
 
 def q_plus(h, spectrum: Spectrum, d_ref: float) -> float:
     """Adaptive penalty term 2 * d * mu * sum rho^2 / (1 - 2*mu*rho).
 
     Exactly zero when the noise scale of h equals the reference d_ref (the
-    smoothest grid point); every denominator stays positive because the mu
-    bracket ends strictly before 1 / (2 * max rho).
+    smoothest grid point); a noise scale below d_ref is clamped to it with
+    a warning.
     """
-    if not float(d_ref) > 0.0:
+    d_ref = float(d_ref)
+    if not d_ref > 0.0:
         raise ValueError("invalid input: d_ref must be positive")
-    d = noise_scale(h, spectrum)
-    if d == 0.0:
+    t, d = _scale_row(h, spectrum)
+    if d[0] == 0.0:
         raise ValueError("degenerate smoother: h is identically zero")
-    mu = solve_mu(h, spectrum, float(np.log(d) - np.log(d_ref)))
-    if mu == 0.0:
-        return 0.0
-    rho = _rho(h, spectrum)
-    return 2.0 * d * mu * float(np.sum(rho * rho / (1.0 - 2.0 * mu * rho)))
+    if d[0] < d_ref:
+        warnings.warn("negative log ratio clamped to zero", RuntimeWarning, stacklevel=2)
+    return float(_mu_q_rows(t, d, _log_ratio(d, d_ref))[1][0])
 
 
 def total_penalty(h, spectrum: Spectrum, gamma: float, d_ref: float) -> float:
@@ -236,41 +250,36 @@ def build_penalty_table(
             raise ValueError(f"invalid input: table family is not ordered ({report.violation})")
     lam = spectrum.retained
     h_rows = np.array([h_values(family, float(a), spectrum) for a in grid.values])
-    t = h_rows * (2.0 - h_rows) / lam
-    peak = np.max(t, axis=1)
-    if np.any(peak == 0.0):
-        raise ValueError("degenerate smoother: h is identically zero on a grid row")
-    scaled = t / peak[:, None]
-    d = peak * np.sqrt(2.0 * np.einsum("ij,ij->i", scaled, scaled))
-    if np.any(d[1:] > d[:-1] * (1.0 + 1e-12)):
-        raise ValueError("invalid input: noise scale must be nonincreasing along the grid "
-                         "(is the family ordered?)")
-    log_ratio = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
-    rho = np.sqrt(2.0) * t / d[:, None]
-    mu = _solve_mu_rows(rho, log_ratio)
-    q = 2.0 * d * mu * np.einsum("ij,ij->i", rho, rho / (1.0 - 2.0 * mu[:, None] * rho))
-    q = np.where(mu == 0.0, 0.0, q)
-
-    pen_u_col = 2.0 * np.sum(h_rows / lam, axis=1)
-    resid = 1.0 - h_rows
-    resid2 = resid ** 2
-    # one_minus_h_norm2 and resid_dof add the same squares in different
-    # orders (einsum vs pairwise sum) and differ in the last bit on some
-    # rows.  Each feeds outputs that are fixed byte for byte: the first the
-    # CSV column, psi and the risk profile, the second the variance
-    # estimate of the selector.
-    columns = {
-        "alphas": grid.values,
-        "pen_u": pen_u_col,
-        "pen_cv": 2.0 * np.sum(h_rows, axis=1),
-        "d": d,
-        "mu": mu,
-        "q_plus": q,
-        "pen_total": pen_u_col + (1.0 + gamma) * q,
-        "h_lambda_norm2": np.sum(h_rows * h_rows / lam, axis=1),
-        "one_minus_h_norm2": np.einsum("ij,ij->i", resid, resid),
-        "max_h_over_lambda": np.max(h_rows / lam, axis=1),
-    }
+    # Overflow and NaN below are caught by the checks on d and on the columns.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = h_rows * (2.0 - h_rows) / lam
+        d = _noise_scale_rows(t)
+        if np.any(d == 0.0):
+            raise ValueError("degenerate smoother: h is identically zero on a grid row")
+        if np.any(d[1:] > d[:-1] * (1.0 + 1e-12)):
+            raise ValueError("invalid input: noise scale must be nonincreasing along the grid "
+                             "(is the family ordered?)")
+        mu, q = _mu_q_rows(t, d, _log_ratio(d, d[-1]))
+        pen_u_col = 2.0 * np.sum(h_rows / lam, axis=1)
+        resid = 1.0 - h_rows
+        resid2 = resid ** 2
+        # one_minus_h_norm2 and resid_dof add the same squares in different
+        # orders (einsum vs pairwise sum) and differ in the last bit on some
+        # rows.  Each feeds outputs that are fixed byte for byte: the first
+        # the CSV column, psi and the risk profile, the second the variance
+        # estimate of the selector.
+        columns = {
+            "alphas": grid.values,
+            "pen_u": pen_u_col,
+            "pen_cv": 2.0 * np.sum(h_rows, axis=1),
+            "d": d,
+            "mu": mu,
+            "q_plus": q,
+            "pen_total": pen_u_col + (1.0 + gamma) * q,
+            "h_lambda_norm2": np.sum(h_rows * h_rows / lam, axis=1),
+            "one_minus_h_norm2": np.einsum("ij,ij->i", resid, resid),
+            "max_h_over_lambda": np.max(h_rows / lam, axis=1),
+        }
     for name, column in columns.items():
         if not np.all(np.isfinite(column)):
             raise ArithmeticError(f"non-finite {name} in the penalty table "
@@ -278,16 +287,14 @@ def build_penalty_table(
     columns.update(h_rows=h_rows, noise_weights=t, resid2=resid2, resid_dof=np.sum(resid2, axis=1))
     for column in columns.values():
         column.setflags(write=False)
-    one_minus = columns["one_minus_h_norm2"]
-    psi = _span(one_minus, columns["pen_total"]) if one_minus[0] > 0.0 else float("nan")
+    # psi: the iterated-logarithm envelope of the residual degrees of freedom
+    # plus the log span of the penalty, relative to the floor residual norm
+    one_minus, pen_total = columns["one_minus_h_norm2"], columns["pen_total"]
+    psi = float("nan")
+    if one_minus[0] > 0.0:
+        envelope = np.sqrt(max(np.log(np.log1p(one_minus[-1] / one_minus[0])), 0.0))
+        psi = float((envelope + np.log1p(pen_total[0] / pen_total[-1])) / np.sqrt(one_minus[0]))
     return PenaltyTable(gamma=gamma, psi=psi, **columns)
-
-
-def _span(one_minus_h_norm2: np.ndarray, pen_total: np.ndarray) -> float:
-    first = one_minus_h_norm2[0]
-    envelope = np.sqrt(max(np.log(np.log1p(one_minus_h_norm2[-1] / first)), 0.0))
-    span = np.log1p(pen_total[0] / pen_total[-1])
-    return float((envelope + span) / np.sqrt(first))
 
 
 def variance_span(table: PenaltyTable) -> float:
@@ -301,7 +308,7 @@ def variance_span(table: PenaltyTable) -> float:
     """
     if table.one_minus_h_norm2[0] <= 0.0:
         raise ValueError("variance estimation impossible at the grid floor: h is identically 1")
-    return _span(table.one_minus_h_norm2, table.pen_total)
+    return table.psi
 
 
 @dataclass(frozen=True)
@@ -323,7 +330,7 @@ def check_conditions(table: PenaltyTable) -> ConditionsReport:
     """
     h_lambda = table.h_lambda_norm2
     d = table.d
-    log_ratio = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
+    log_ratio = _log_ratio(d, d[-1])
     ratio1 = h_lambda / (0.5 * table.pen_u)
     with np.errstate(divide="ignore"):
         ratio2 = (np.where(log_ratio > 0.0, h_lambda / log_ratio, np.inf) + table.max_h_over_lambda) / d
@@ -359,49 +366,38 @@ def verify_penalty_inequalities(table: PenaltyTable, rtol: float = 1e-9) -> Pena
     All comparisons carry the relative slack ``rtol``.
     """
     d, mu, q = table.d, table.mu, table.q_plus
-    alphas = table.alphas.tolist()  # Python floats, whose repr the messages print
-    log_r = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
-    violations: list[str] = []
-    total = 0
-
-    def note(message: str) -> None:
-        nonlocal total
-        total += 1
-        if len(violations) < _MAX_REPORTED:
-            violations.append(message)
-
+    log_r = _log_ratio(d, d[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_mu = np.where(mu > 0.0, log_r / mu, 0.0)
-    bound = d * np.maximum(np.sqrt(log_r), per_mu)
-    slack = rtol * np.maximum(np.maximum(np.abs(bound), np.abs(q)), 1.0)
-    for i in np.nonzero(q < bound - slack)[0]:
-        note(f"q_plus below its lower bound at alpha={alphas[i]!r}")
-
-    mu_bound = np.minimum(0.5 * np.sqrt(log_r), 0.25)
-    for i in np.nonzero(mu < mu_bound - rtol * np.maximum(mu_bound, 1.0))[0]:
-        note(f"mu below its lower bound at alpha={alphas[i]!r}")
-
-    separated = d >= np.exp(2.0) * d[-1]
-    for i in np.nonzero(separated)[0]:
-        inner = mu[i] * q[i] / d[-1]
-        if inner <= 1.0:
-            note(f"degenerate log bound at alpha={alphas[i]!r}")
-            continue
-        rhs = mu[i] * q[i] / np.log(inner)
-        if d[i] < rhs - rtol * max(abs(rhs), abs(d[i]), 1.0):
-            note(f"noise scale below the log bound at alpha={alphas[i]!r}")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = d * np.maximum(np.sqrt(log_r), np.where(mu > 0.0, log_r / mu, 0.0))
+        inner = mu * q / d[-1]
+        log_rhs = mu * q / np.log(inner)
         log_d = np.log(d)
         log_q = np.where(q > 0.0, np.log(q), -np.inf)
         # pairs i < j with q_j > 0: log d_i - log d_j <= log q_i - log q_j
         lhs = log_d[:, None] - log_d[None, :]
         rhs = log_q[:, None] - log_q[None, :]
-    i_idx, j_idx = np.nonzero(np.triu(lhs > rhs + rtol, k=1) & (q[None, :] > 0.0))
-    for i, j in zip(i_idx, j_idx):
-        note(
+    q_low = q < bound - rtol * np.maximum(np.maximum(np.abs(bound), np.abs(q)), 1.0)
+    mu_bound = np.minimum(0.5 * np.sqrt(log_r), 0.25)
+    mu_low = mu < mu_bound - rtol * np.maximum(mu_bound, 1.0)
+    separated = d >= np.exp(2.0) * d[-1]
+    degenerate = separated & (inner <= 1.0)
+    log_low = separated & ~degenerate & (
+        d < log_rhs - rtol * np.maximum(np.maximum(np.abs(log_rhs), np.abs(d)), 1.0))
+    ratio_low = np.triu(lhs > rhs + rtol, k=1) & (q[None, :] > 0.0)
+    total = sum(int(np.count_nonzero(mask)) for mask in (q_low, mu_low, degenerate, log_low, ratio_low))
+
+    # format only the reported messages, in kind order and row order within a kind
+    alphas = table.alphas.tolist()  # Python floats, whose repr the messages print
+    violations: list[str] = []
+    for label, mask in (("q_plus below its lower bound", q_low),
+                        ("mu below its lower bound", mu_low),
+                        (None, degenerate | log_low)):
+        for i in np.flatnonzero(mask)[:_MAX_REPORTED - len(violations)]:
+            kind = label or ("degenerate log bound" if degenerate[i] else "noise scale below the log bound")
+            violations.append(f"{kind} at alpha={alphas[i]!r}")
+    for i, j in np.argwhere(ratio_low)[:_MAX_REPORTED - len(violations)]:
+        violations.append(
             "noise scale ratio exceeds the adaptive penalty ratio for "
             f"alphas ({alphas[i]!r}, {alphas[j]!r})"
         )
-
     return PenaltyInequalityReport(ok=total == 0, violations=tuple(violations), total_violations=total)

@@ -27,11 +27,6 @@ __all__ = [
 _PENALTY_COLUMNS = {"total": "pen_total", "unbiased": "pen_u"}
 
 
-def _residual_energy(data: SpectralData, h: np.ndarray) -> float:
-    resid = 1.0 - h
-    return float((resid * resid) @ (data.y * data.y))
-
-
 def _as_h(data: SpectralData, h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape != data.y.shape:
@@ -43,7 +38,8 @@ def contrast_known_sigma(data: SpectralData, h, pen: float, sigma2: float) -> fl
     """sum (1-h)^2 y^2 + sigma2 * pen."""
     if not float(sigma2) >= 0.0:
         raise ValueError("invalid input: sigma2 must be nonnegative")
-    return _residual_energy(data, _as_h(data, h)) + float(sigma2) * float(pen)
+    resid = 1.0 - _as_h(data, h)
+    return float((resid * resid) @ (data.y * data.y)) + float(sigma2) * float(pen)
 
 
 def sigma_hat2(data: SpectralData, h, extra_ss: float = 0.0, extra_dof: float = 0.0) -> float:
@@ -69,8 +65,7 @@ def contrast_unknown_sigma(
     data: SpectralData, h, pen: float, extra_ss: float = 0.0, extra_dof: float = 0.0
 ) -> float:
     """sum (1-h)^2 y^2 + sigma_hat2 * pen."""
-    h = _as_h(data, h)
-    return _residual_energy(data, h) + sigma_hat2(data, h, extra_ss, extra_dof) * float(pen)
+    return contrast_known_sigma(data, h, pen, sigma_hat2(data, h, extra_ss, extra_dof))
 
 
 @dataclass(frozen=True)
@@ -115,23 +110,25 @@ def select_alpha(
     except KeyError:
         raise ValueError(f"invalid input: unknown penalty choice {penalty!r}") from None
 
-    y2 = data.y * data.y
-    base = table.resid2 @ y2
-    s2 = None
-    if mode == "known":
-        if sigma2 is None or not float(sigma2) >= 0.0:
-            raise ValueError("invalid input: known-sigma mode requires sigma2 >= 0")
-        contrasts = base + float(sigma2) * pens
-    elif mode == "unknown":
-        denom = table.resid_dof + float(extra_dof)
-        if np.any(denom <= 0.0):
-            raise ValueError(
-                "variance estimation impossible: a grid row has no residual degrees of freedom"
-            )
-        s2 = (table.resid2 @ (data.spectrum.retained * y2) + float(extra_ss)) / denom
-        contrasts = base + s2 * pens
-    else:
-        raise ValueError("invalid input: mode must be 'known' or 'unknown'")
+    # overflow and NaN here are caught by the finiteness check on the contrasts
+    with np.errstate(over="ignore", invalid="ignore"):
+        y2 = data.y * data.y
+        base = table.resid2 @ y2
+        s2 = None
+        if mode == "known":
+            if sigma2 is None or not float(sigma2) >= 0.0:
+                raise ValueError("invalid input: known-sigma mode requires sigma2 >= 0")
+            contrasts = base + float(sigma2) * pens
+        elif mode == "unknown":
+            denom = table.resid_dof + float(extra_dof)
+            if np.any(denom <= 0.0):
+                raise ValueError(
+                    "variance estimation impossible: a grid row has no residual degrees of freedom"
+                )
+            s2 = (table.resid2 @ (data.spectrum.retained * y2) + float(extra_ss)) / denom
+            contrasts = base + s2 * pens
+        else:
+            raise ValueError("invalid input: mode must be 'known' or 'unknown'")
     if not np.all(np.isfinite(contrasts)):
         raise ArithmeticError("non-finite contrast (observations too large for floating point?)")
 

@@ -16,6 +16,7 @@ from specreg import (
     exact_risk,
     excess_sup_stat,
     growth_term,
+    h_values,
     mc_run,
     oracle_risk,
     penalized_risk,
@@ -23,6 +24,7 @@ from specreg import (
     replication_stream,
     risk_bound,
     risk_profile,
+    simulate_observation,
 )
 
 
@@ -241,6 +243,23 @@ class TestMcRun:
         )
         assert np.all(report.excess_sups >= 0.0)
         assert report.excess_sup_quantiles_norm[0.5] <= report.excess_sup_quantiles_norm[0.99]
+
+    def test_known_mode_records_residual_variance_estimate(self):
+        # known mode selects with the true sigma but still records the
+        # residual variance estimate at the selected row of each replication
+        report = self._experiment(replications=8, mode="known")
+        p = 30
+        s = polynomial_spectrum(p, 2.0)
+        model = SpectralModel(s, 1.0 / np.arange(1.0, p + 1.0), 0.1)
+        grid = default_grid(SmootherFamily.cutoff(), s)
+        lam = s.retained.tolist()
+        for i in range(report.replications):
+            y = simulate_observation(model, replication_stream(17, i)).y.tolist()
+            alpha = float(grid.values[report.alpha_hat_indices[i]])
+            h = h_values(SmootherFamily.cutoff(), alpha, s).tolist()
+            num = math.fsum(l * (1.0 - hk) ** 2 * yk * yk for l, hk, yk in zip(lam, h, y))
+            den = math.fsum((1.0 - hk) ** 2 for hk in h)
+            assert report.sigma_hat2s[i] == pytest.approx(num / den, rel=1e-12)
 
     def test_unbiased_penalty_option(self):
         report = self._experiment(penalty="unbiased")

@@ -300,8 +300,6 @@ class TestExitCodes:
         )
         assert run(["select", "--config", write_config(tmp_path, cfg)]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_values_are_numerical_failures(self, tmp_path, capsys):
         subnormal = {
             "problem": {"spectral_data": {"eigenvalues": [1.0, 0.5, 0.25, 1e-310],

@@ -275,6 +275,13 @@ class TestPenaltyTable:
             for i, h in enumerate(table.h_rows):
                 rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / table.d[i]
                 assert abs(float(rho @ rho) - 1.0) <= 1e-12
+            # the scalar API runs the table's row kernels, so it gives its bits
+            d_ref = table.d_ref
+            for i, h in enumerate(table.h_rows):
+                log_ratio = max(float(np.log(table.d[i]) - np.log(d_ref)), 0.0)
+                assert noise_scale(h, spectrum) == table.d[i], i
+                assert solve_mu(h, spectrum, log_ratio) == table.mu[i], i
+                assert q_plus(h, spectrum, d_ref) == table.q_plus[i], i
 
     def test_requires_ordered_family(self):
         s = Spectrum([1.0, 0.5])
@@ -292,8 +299,6 @@ class TestPenaltyTable:
         table = build_penalty_table(family, AlphaGrid([1.0, 2.0]), s, 0.1)
         assert table.alphas.size == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_subnormal_eigenvalue_is_numerical_failure(self):
         # h / lambda overflows at lambda = 1e-310, so D is NaN on the first
         # row; NaN slips through every comparison and must be caught explicitly
@@ -404,10 +409,23 @@ class TestVerifyPenaltyInequalities:
         # the verifier checks the log-form bound with constant 1, which flat
         # damping profiles violate (it reduces to log(2L) >= L, false for
         # L >= 2); the detector must report it rather than mask it
-        table, _ = _cutoff_table(polynomial_spectrum(100, 2.0))
+        table_spectrum = polynomial_spectrum(100, 2.0)
+        table, _ = _cutoff_table(table_spectrum)
         report = verify_penalty_inequalities(table)
         assert not report.ok
         assert any("log bound" in v for v in report.violations)
+        # at most 50 messages, grouped by kind in a fixed order: row bounds
+        # (q_plus, then mu), the separated rows, then the ratio pairs; on
+        # every third cutoff point both auxiliary kinds make the first 50
+        kinds = ("q_plus below", "mu below", "log bound", "ratio exceeds")
+        sparse = AlphaGrid(1.0 / np.arange(100.0, 0.0, -3.0))
+        for table in (table, build_penalty_table(SmootherFamily.cutoff(), sparse, table_spectrum, 0.1)):
+            report = verify_penalty_inequalities(table)
+            assert report.total_violations > 50
+            assert len(report.violations) == min(50, report.total_violations)
+            order = [next(k for k, kind in enumerate(kinds) if kind in v) for v in report.violations]
+            assert order == sorted(order)
+        assert order[0] == 2 and order[-1] == 3
 
     def test_ratio_monotonicity_fails_in_high_precision(self):
         # the pairwise check q_i/q_j >= d_i/d_j is false for the penalty as
