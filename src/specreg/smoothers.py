@@ -128,7 +128,10 @@ def h_values(family: SmootherFamily, alpha: float, spectrum: Spectrum) -> np.nda
     landweber: h(k) = 1 - (1 - tau*lambda(k)) ** ceil(1/alpha)
     table:     the tabulated row for alpha
 
-    All values are clamped to [0, 1].
+    Landweber is evaluated as -expm1(m * log1p(-tau*lambda)), which keeps
+    full relative accuracy when tau*lambda is below the rounding unit of
+    1 - tau*lambda (the power form rounds h to 0 there).  All values are
+    clamped to [0, 1].
     """
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise ValueError("invalid input: alpha must be positive")
@@ -145,8 +148,9 @@ def h_values(family: SmootherFamily, alpha: float, spectrum: Spectrum) -> np.nda
         # small slack covers the rounding of the default step 1/lambda(1)
         if tau * lam[0] > 1.0 + 1e-9:
             raise ValueError("unstable step: tau * lambda(1) > 1")
-        base = np.clip(1.0 - tau * lam, 0.0, 1.0)
-        h = 1.0 - base ** _iterations_from_alpha(alpha)
+        x = np.clip(tau * lam, 0.0, 1.0)
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives h = 1
+            h = -np.expm1(_iterations_from_alpha(alpha) * np.log1p(-x))
     else:
         h = _table_row(family, alpha, lam.size)
     return np.clip(h, 0.0, 1.0)

@@ -63,6 +63,28 @@ class TestHValues:
         h = h_values(SmootherFamily.landweber(), 0.2, s)
         assert np.all(np.isfinite(h))
 
+    def test_landweber_against_mpmath_on_ill_posed_spectrum(self):
+        # tau*lambda falls below 2^-53 deep in e^-k, where 1 - (1 - x)^m
+        # in floating point rounds h to 0; the reference takes the power in
+        # 80 digits, enough to hold 1 - x exactly for x down to e^-99
+        import math
+
+        from mpmath import mp, mpf
+
+        s = exponential_spectrum(100, 1.0)
+        family = SmootherFamily.landweber()
+        grid = default_grid(family, s, points=40, floor_rule=None)
+        x = np.clip((1.0 / s.retained[0]) * s.retained, 0.0, 1.0)  # the default step
+        with mp.workdps(80):
+            for alpha in grid.values:
+                q = 1.0 / alpha  # ceil(q), snapped to an integer within 1e-9 relative
+                m = round(q) if abs(q - round(q)) <= 1e-9 * q else math.ceil(q)
+                got = h_values(family, float(alpha), s)
+                want = np.array([float(1 - (1 - mpf(float(v))) ** m) for v in x])
+                assert np.all(np.abs(got - want) <= 1e-12 * want), alpha
+        # the floor row keeps every component, so the default floor trims
+        assert len(default_grid(family, s, points=40)) == 34
+
     def test_landweber_unstable_step_rejected(self):
         s = Spectrum([2.0, 1.0])
         with pytest.raises(ValueError, match="unstable step"):
