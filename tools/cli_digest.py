@@ -39,18 +39,14 @@ REPLICATIONS = 20
 _ERROR_PREFIXES = ("config error:", "numerical failure:", "error:")
 
 
-def _family(kind: str) -> dict:
-    return {"kind": kind}
-
-
 def _grid(kind: str) -> dict:
     return {} if kind == "cutoff" else {"points": 30}
 
 
-def _generator(spectrum: dict, sigma: float = 0.1) -> dict:
+def _generator(spectrum: dict) -> dict:
     return {"generator": {"spectrum": spectrum,
                           "signal": {"kind": "polynomial", "exponent": 1.0},
-                          "sigma": sigma}}
+                          "sigma": 0.1}}
 
 
 def _mode(mode: str) -> dict:
@@ -84,7 +80,7 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
             for mode in ("known", "unknown"):
                 for penalty in ("total", "unbiased"):
                     configs[f"gen-{sname}-{kind}-{mode}-{penalty}"] = dict(
-                        base, problem=_generator(spectrum), family=_family(kind),
+                        base, problem=_generator(spectrum), family={"kind": kind},
                         grid=_grid(kind), penalty=penalty, **_mode(mode))
 
     rng = np.random.default_rng(2024)
@@ -95,8 +91,7 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
         for orth in (False, True):
             for mode in ("known", "unknown"):
                 configs[f"matrix-{kind}-orth{int(orth)}-{mode}"] = dict(
-                    base, problem={"matrix": matrix}, family=_family(kind),
-                    grid=_grid(kind),
+                    base, problem={"matrix": matrix}, family={"kind": kind}, grid=_grid(kind),
                     include_orthogonal_residual=orth, **_mode(mode))
 
     k = np.arange(1.0, 31.0)
@@ -105,17 +100,17 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     for kind in FAMILIES:
         for penalty in ("total", "unbiased"):
             configs[f"spectral-{kind}-{penalty}"] = dict(
-                base, problem=spectral_data, family=_family(kind), grid=_grid(kind),
+                base, problem=spectral_data, family={"kind": kind}, grid=_grid(kind),
                 penalty=penalty, mode="unknown")
     configs["spectral-cutoff-known"] = dict(
-        base, problem=spectral_data, family=_family("cutoff"), grid={}, **_mode("known"))
+        base, problem=spectral_data, family={"kind": "cutoff"}, grid={}, **_mode("known"))
 
     configs["gen-poly60-tikhonov-floorless"] = dict(
-        base, problem=_generator(spectra["poly60"]), family=_family("tikhonov"),
+        base, problem=_generator(spectra["poly60"]), family={"kind": "tikhonov"},
         grid={"points": 30, "floor": "none"}, mode="unknown")
     configs["gen-exp100-landweber-illposed"] = dict(
         base, problem=_generator({"kind": "exponential", "p": 100, "kappa": 1.0}),
-        family=_family("landweber"), grid={"points": 40}, mode="unknown")
+        family={"kind": "landweber"}, grid={"points": 40}, mode="unknown")
     table_problem = _generator({"kind": "polynomial", "p": 8, "exponent": 1.0})
     for ordered in (True, False):
         configs[f"gen-table-{'ordered' if ordered else 'unordered'}"] = dict(
@@ -124,7 +119,7 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["spectral-subnormal"] = dict(
         base, problem={"spectral_data": {"eigenvalues": [1.0, 0.5, 0.25, 1e-310],
                                          "y": [1.0, 0.5, 0.2, 0.1]}},
-        family=_family("cutoff"), grid={"floor": "none"}, **_mode("known"))
+        family={"kind": "cutoff"}, grid={"floor": "none"}, **_mode("known"))
     return configs
 
 
