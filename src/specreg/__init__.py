@@ -44,8 +44,6 @@ from .penalty import (
     pen_u,
     q_plus,
     solve_mu,
-    total_penalty,
-    variance_span,
     verify_penalty_inequalities,
 )
 from .selection import (
@@ -62,7 +60,6 @@ from .bench import (
     excess_sup_stat,
     growth_term,
     mc_run,
-    oracle_risk,
     penalized_risk,
     risk_bound,
     risk_profile,

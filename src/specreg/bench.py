@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpectralModel, Spectrum, replication_stream, simulate_observation
-from .penalty import PenaltyTable, build_penalty_table, _check_gamma
+from .core import SpectralModel, replication_stream, simulate_observation
+from .penalty import PenaltyTable, build_penalty_table
 from .selection import select_alpha, sigma_hat2
 from .smoothers import AlphaGrid, SmootherFamily
 
@@ -24,7 +24,6 @@ __all__ = [
     "penalized_risk",
     "RiskProfile",
     "risk_profile",
-    "oracle_risk",
     "growth_term",
     "risk_bound",
     "excess_sup_stat",
@@ -77,14 +76,24 @@ class RiskProfile:
 
 
 def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
-    """Evaluate the exact and penalized risks on every grid row."""
+    """Evaluate the exact and penalized risks on every grid row, as
+    ``exact_risk`` and ``penalized_risk`` do, from the table's columns."""
+    lam = model.spectrum.retained
+    beta2 = model.coefficients * model.coefficients
+    sigma2 = model.sigma ** 2
     risks = np.empty(table.alphas.size)
     penalized = np.empty(table.alphas.size)
     degenerate = []
-    for i, h in enumerate(table.h_rows):
-        risks[i] = exact_risk(model, h)
+    for i, resid2 in enumerate(table.resid2):
+        # One dot per row, not a GEMV over the table: a GEMV rounds most rows
+        # differently (638 of 900 for cutoff on k^-2 with beta = 1/k at
+        # p=1000), which would move the reported oracle risk.
+        risks[i] = float(resid2 @ beta2) + sigma2 * float(table.h_lambda_norm2[i])
         if table.one_minus_h_norm2[i] > 0.0:
-            penalized[i] = penalized_risk(model, h, table.pen_total[i], table.q_plus[i], table.gamma)
+            bias_lam = float((resid2 * lam) @ beta2)
+            inflation = float(table.pen_total[i]) * bias_lam / float(table.resid_dof[i])
+            adaptive = (1.0 + table.gamma) * sigma2 * float(table.q_plus[i])
+            penalized[i] = risks[i] + adaptive + inflation
         else:
             penalized[i] = np.inf
             degenerate.append(i)
@@ -97,13 +106,6 @@ def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
         r=float(penalized[index]),
         oracle_index=index,
     )
-
-
-def oracle_risk(profile: RiskProfile) -> tuple[float, int]:
-    """Best achievable penalized risk over the grid and where it is attained."""
-    if profile.penalized.size == 0:
-        raise ValueError("empty grid")
-    return profile.r, profile.oracle_index
 
 
 def growth_term(x: float) -> float:
@@ -138,26 +140,21 @@ def risk_bound(
 
 
 def excess_sup_stat(
-    spectrum: Spectrum,
-    table: PenaltyTable,
-    gamma: float,
-    rng: np.random.Generator | None,
-    xi: np.ndarray | None = None,
+    table: PenaltyTable, rng: np.random.Generator | None, xi: np.ndarray | None = None
 ) -> float:
     """One draw of the positive part of the worst penalized noise excess.
 
     Draws xi standard normal, forms the quadratic functional
     sum lambda^-1 (2h - h^2)(xi^2 - 1) on every grid row, and returns the
     positive part of its supremum over the grid after subtracting
-    (1 + gamma) * q_plus.  ``xi`` overrides the draw (test hook).
+    (1 + gamma) * q_plus, with gamma from the table.  ``xi`` overrides the
+    draw (test hook).
     """
-    if not float(gamma) > 0.0:
-        raise ValueError("invalid input: gamma must be positive")
     if xi is None:
-        xi = rng.standard_normal(spectrum.retained.size)
+        xi = rng.standard_normal(table.h_rows.shape[1])
     xi = np.asarray(xi, dtype=float)
     z = xi * xi - 1.0
-    excess = table.noise_weights @ z - (1.0 + gamma) * table.q_plus
+    excess = table.noise_weights @ z - (1.0 + table.gamma) * table.q_plus
     return float(max(np.max(excess), 0.0))
 
 
@@ -242,8 +239,8 @@ def mc_run(
     """
     if replications < 1:
         raise ValueError("invalid input: replications must be >= 1")
-    gamma = _check_gamma(gamma)
     table = build_penalty_table(family, grid, model.spectrum, gamma)
+    gamma = table.gamma
     profile = risk_profile(model, table)
     beta = model.coefficients
     known_sigma2 = model.sigma ** 2 if sigma2 is None else float(sigma2)
@@ -256,7 +253,7 @@ def mc_run(
         rng = replication_stream(master_seed, i)
         data = simulate_observation(model, rng)
         sel = select_alpha(
-            data, grid, table, mode,
+            data, table, mode,
             sigma2=known_sigma2 if mode == "known" else None,
             penalty=penalty,
         )
@@ -268,7 +265,7 @@ def mc_run(
             sigma2s[i] = sigma_hat2(data, table.h_rows[sel.alpha_hat_index])
         else:
             sigma2s[i] = np.nan
-        excesses[i] = excess_sup_stat(model.spectrum, table, gamma, rng)
+        excesses[i] = excess_sup_stat(table, rng)
 
     empirical = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
@@ -289,7 +286,7 @@ def mc_run(
         oracle_risk=profile.r,
         oracle_alpha_index=profile.oracle_index,
         oracle_ratio=empirical / profile.r if profile.r > 0.0 else float("inf"),
-        alpha_hat_histogram=tuple(int(c) for c in np.bincount(indices, minlength=len(grid))),
+        alpha_hat_histogram=tuple(int(c) for c in np.bincount(indices, minlength=len(table.alphas))),
         sigma_hat2_mean=float(np.nanmean(sigma2s)) if have_s2 else float("nan"),
         sigma_hat2_var=float(np.nanvar(sigma2s)) if have_s2 else float("nan"),
         excess_sup_mean_norm=float(np.mean(excesses) / d_ref),

@@ -299,7 +299,7 @@ def _cmd_select(args) -> int:
     if mode == "known" and sigma2 is None:
         raise ConfigError("known-sigma mode needs 'sigma2' in the config")
     result = select_alpha(
-        data, grid, table, mode,
+        data, table, mode,
         sigma2=None if sigma2 is None else float(sigma2),
         penalty=config.get("penalty", "total"),
         extra_ss=extra_ss,

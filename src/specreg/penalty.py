@@ -31,10 +31,8 @@ __all__ = [
     "cramer_term",
     "solve_mu",
     "q_plus",
-    "total_penalty",
     "PenaltyTable",
     "build_penalty_table",
-    "variance_span",
     "ConditionsReport",
     "check_conditions",
     "PenaltyInequalityReport",
@@ -53,13 +51,6 @@ def _check_h(h, size: int) -> np.ndarray:
     if np.any(h < 0.0) or np.any(h > 1.0):
         raise ValueError("invalid input: h values must lie in [0, 1]")
     return h
-
-
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not 0.0 < gamma < 0.25:
-        raise ValueError("invalid input: gamma must lie in (0, 1/4)")
-    return gamma
 
 
 def pen_u(h, spectrum: Spectrum) -> float:
@@ -188,12 +179,6 @@ def q_plus(h, spectrum: Spectrum, d_ref: float) -> float:
     return float(_mu_q_rows(t, d, _log_ratio(d, d_ref))[1][0])
 
 
-def total_penalty(h, spectrum: Spectrum, gamma: float, d_ref: float) -> float:
-    """pen_u + (1 + gamma) * q_plus with gamma in (0, 1/4)."""
-    gamma = _check_gamma(gamma)
-    return pen_u(h, spectrum) + (1.0 + gamma) * q_plus(h, spectrum, d_ref)
-
-
 @dataclass(frozen=True)
 class PenaltyTable:
     """Per-grid-point penalty quantities as read-only columns, entry i for
@@ -202,7 +187,9 @@ class PenaltyTable:
     The row matrices hold the damping factors ``h_rows`` and the kernels
     that selection and benchmarking reuse on every replication: the noise
     weights (2h - h^2) / lambda, the squared residual factors (1 - h)^2 and
-    their row sums ``resid_dof``.
+    their row sums ``resid_dof``.  ``psi`` scales the variance-estimation
+    error over the grid range; it is NaN when the floor row has h = 1
+    everywhere, which leaves no residual to estimate the variance from.
     """
 
     gamma: float
@@ -243,7 +230,9 @@ def build_penalty_table(
     ArithmeticError when a column is not finite, e.g. when an eigenvalue is
     so small that h / lambda overflows.
     """
-    gamma = _check_gamma(gamma)
+    gamma = float(gamma)
+    if not 0.0 < gamma < 0.25:
+        raise ValueError("invalid input: gamma must lie in (0, 1/4)")
     if family.kind == "table":
         report = check_ordered(family, grid, spectrum)
         if not report.ok:
@@ -295,20 +284,6 @@ def build_penalty_table(
         envelope = np.sqrt(max(np.log(np.log1p(one_minus[-1] / one_minus[0])), 0.0))
         psi = float((envelope + np.log1p(pen_total[0] / pen_total[-1])) / np.sqrt(one_minus[0]))
     return PenaltyTable(gamma=gamma, psi=psi, **columns)
-
-
-def variance_span(table: PenaltyTable) -> float:
-    """Scale of the variance-estimation error over the grid range.
-
-    Combines the iterated-logarithm envelope of the residual degrees of
-    freedom with the log span of the penalty, both relative to the residual
-    norm at the grid floor.  Small for rich grids on large problems, which
-    is exactly when plugging in the variance estimate is harmless.  The
-    loglog term is clipped at zero, which only binds for very narrow grids.
-    """
-    if table.one_minus_h_norm2[0] <= 0.0:
-        raise ValueError("variance estimation impossible at the grid floor: h is identically 1")
-    return table.psi
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import SpectralData
 from .penalty import PenaltyTable
-from .smoothers import AlphaGrid
 
 __all__ = [
     "contrast_known_sigma",
@@ -81,7 +80,6 @@ class SelectionResult:
 
 def select_alpha(
     data: SpectralData,
-    grid: AlphaGrid,
     table: PenaltyTable,
     mode: str,
     sigma2: float | None = None,
@@ -89,7 +87,7 @@ def select_alpha(
     extra_ss: float = 0.0,
     extra_dof: float = 0.0,
 ) -> SelectionResult:
-    """Minimize the penalized contrast over the grid.
+    """Minimize the penalized contrast over the grid of the table.
 
     mode "known" uses the supplied ``sigma2``; mode "unknown" plugs in the
     per-alpha variance estimate, which requires every grid row to keep some
@@ -98,10 +96,6 @@ def select_alpha(
     alpha, i.e. the smoothest of the tied models.  Raises ArithmeticError
     when a contrast is not finite.
     """
-    if len(grid) == 0 or table.alphas.size == 0:
-        raise ValueError("empty grid")
-    if not np.array_equal(grid.values, table.alphas):
-        raise ValueError("dimension error: grid and penalty table are misaligned")
     h_rows = table.h_rows
     if h_rows.shape[1] != data.y.size:
         raise ValueError("dimension error: table and data spectra differ")
@@ -134,7 +128,7 @@ def select_alpha(
 
     index = contrasts.size - 1 - int(np.argmin(contrasts[::-1]))
     return SelectionResult(
-        alpha_hat=float(grid.values[index]),
+        alpha_hat=float(table.alphas[index]),
         alpha_hat_index=index,
         sigma_hat2=float(s2[index]) if s2 is not None else None,
         contrasts=contrasts,

@@ -397,7 +397,7 @@ def test_criterion_09_excess_statistic_stability():
         total = 0.0
         for i in range(10_000):
             rng = replication_stream(4242, i)
-            total += excess_sup_stat(spectrum, table, GAMMA, rng)
+            total += excess_sup_stat(table, rng)
         means[p] = total / 10_000 / table.d_ref
     mean_cap = 0.45  # FROZEN from the pilot run: 0.3582 for every p
     growth_slack = 0.02

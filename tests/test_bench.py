@@ -18,7 +18,6 @@ from specreg import (
     growth_term,
     h_values,
     mc_run,
-    oracle_risk,
     penalized_risk,
     polynomial_spectrum,
     replication_stream,
@@ -137,9 +136,7 @@ class TestRiskProfile:
                 penalized_risk(model, h, table.pen_total[i], table.q_plus[i], 0.1)
             )
         assert profile.oracle_index == int(np.argmin(redone))
-        r, idx = oracle_risk(profile)
-        assert idx == profile.oracle_index
-        assert r == pytest.approx(min(redone), rel=1e-14)
+        assert profile.r == pytest.approx(min(redone), rel=1e-14)
 
     def test_single_row(self):
         s = polynomial_spectrum(6, 1.0)
@@ -147,7 +144,7 @@ class TestRiskProfile:
         grid = AlphaGrid([0.5])
         table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
         profile = risk_profile(model, table)
-        assert oracle_risk(profile) == (profile.penalized[0], 0)
+        assert (profile.r, profile.oracle_index) == (profile.penalized[0], 0)
 
 
 class TestRiskBound:
@@ -175,11 +172,11 @@ class TestExcessSupStat:
         s = polynomial_spectrum(p, 2.0)
         family = SmootherFamily.cutoff()
         grid = default_grid(family, s, floor_rule=None)
-        return s, build_penalty_table(family, grid, s, 0.1)
+        return build_penalty_table(family, grid, s, 0.1)
 
     def test_zero_noise_hook(self):
-        s, table = self._table()
-        value = excess_sup_stat(s, table, 0.1, rng=None, xi=np.zeros(30))
+        table = self._table()
+        value = excess_sup_stat(table, rng=None, xi=np.zeros(30))
         assert value == 0.0
 
     def test_single_point_mean_bounded_by_noise_scale(self):
@@ -190,14 +187,14 @@ class TestExcessSupStat:
         table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
         d = table.d[0]
         rng = replication_stream(3, 0)
-        draws = np.array([excess_sup_stat(s, table, 0.1, rng) for _ in range(20_000)])
+        draws = np.array([excess_sup_stat(table, rng) for _ in range(20_000)])
         se = np.std(draws, ddof=1) / math.sqrt(draws.size)
         assert np.mean(draws) <= d / math.sqrt(2.0) + 4.0 * se
 
     def test_reproducible_given_stream(self):
-        s, table = self._table()
-        a = excess_sup_stat(s, table, 0.1, replication_stream(5, 1))
-        b = excess_sup_stat(s, table, 0.1, replication_stream(5, 1))
+        table = self._table()
+        a = excess_sup_stat(table, replication_stream(5, 1))
+        b = excess_sup_stat(table, replication_stream(5, 1))
         assert a == b
 
 

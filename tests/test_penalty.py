@@ -24,8 +24,6 @@ from specreg import (
     polynomial_spectrum,
     q_plus,
     solve_mu,
-    total_penalty,
-    variance_span,
     verify_penalty_inequalities,
 )
 
@@ -226,17 +224,16 @@ class TestQPlus:
 
 class TestTotalPenalty:
     def test_reduces_to_pen_u_at_reference(self):
-        s = polynomial_spectrum(5, 1.0)
-        h = h_values(SmootherFamily.cutoff(), 1.0, s)
-        d_ref = noise_scale(h, s)
-        assert total_penalty(h, s, 0.1, d_ref) == pen_u(h, s)
+        table, _ = _cutoff_table(polynomial_spectrum(5, 1.0))
+        assert table.q_plus[-1] == 0.0
+        assert table.pen_total[-1] == table.pen_u[-1]
 
     def test_gamma_boundaries_rejected(self):
         s = polynomial_spectrum(3, 1.0)
-        h = np.ones(3)
+        grid = default_grid(SmootherFamily.cutoff(), s, floor_rule=None)
         for gamma in (0.0, 0.25, -0.1, 1.0):
             with pytest.raises(ValueError, match="gamma"):
-                total_penalty(h, s, gamma, 1.0)
+                build_penalty_table(SmootherFamily.cutoff(), grid, s, gamma)
 
     def test_nonincreasing_along_grid(self):
         for spectrum in (polynomial_spectrum(40, 1.0), exponential_spectrum(25, 0.5)):
@@ -318,7 +315,6 @@ class TestVarianceSpan:
         norm = math.sqrt(table.one_minus_h_norm2[0])
         # both ratios are 1; the loglog term log(log 2) is negative and clips to 0
         assert table.psi == pytest.approx(math.log(2.0) / norm, rel=1e-12)
-        assert variance_span(table) == table.psi
 
     def test_hand_evaluated_cutoff_case(self):
         s = polynomial_spectrum(100, 2.0)
@@ -344,9 +340,8 @@ class TestVarianceSpan:
     def test_degenerate_floor(self):
         s = polynomial_spectrum(5, 1.0)
         table, _ = _cutoff_table(s)  # full grid: first row keeps everything
+        assert table.one_minus_h_norm2[0] == 0.0
         assert math.isnan(table.psi)
-        with pytest.raises(ValueError, match="variance estimation impossible"):
-            variance_span(table)
 
 
 class TestCheckConditions:

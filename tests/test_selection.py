@@ -161,14 +161,14 @@ class TestSelectAlpha:
         s = polynomial_spectrum(5, 1.0)
         grid = AlphaGrid([0.5])
         table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
-        result = select_alpha(_data(s, np.ones(5)), grid, table, "known", sigma2=1.0)
+        result = select_alpha(_data(s, np.ones(5)), table, "known", sigma2=1.0)
         assert result.alpha_hat == 0.5
         assert result.alpha_hat_index == 0
 
     def test_zero_noise_picks_richest_model(self):
         s, _, grid, table = self._setup()
         beta = 1.0 / np.arange(1.0, 21.0)
-        result = select_alpha(_data(s, beta), grid, table, "known", sigma2=0.0)
+        result = select_alpha(_data(s, beta), table, "known", sigma2=0.0)
         assert result.alpha_hat_index == 0
         assert result.alpha_hat == grid.alpha_floor
 
@@ -179,7 +179,7 @@ class TestSelectAlpha:
         # signal lives entirely in the first component: every cutoff removes
         # nothing of it, so with zero penalty weight all contrasts tie at 0
         data = _data(s, [3.0, 0.0, 0.0])
-        result = select_alpha(data, grid, table, "known", sigma2=0.0)
+        result = select_alpha(data, table, "known", sigma2=0.0)
         assert result.alpha_hat_index == len(grid) - 1
         assert result.alpha_hat == 1.0
 
@@ -191,9 +191,9 @@ class TestSelectAlpha:
         data = simulate_observation(model, rng)
         doubled = SpectralData(s, 2.0 * data.y)
         for mode, sigma2 in (("known", 0.01), ("unknown", None)):
-            a = select_alpha(data, grid, table, mode, sigma2=sigma2)
+            a = select_alpha(data, table, mode, sigma2=sigma2)
             b = select_alpha(
-                doubled, grid, table, mode, sigma2=None if sigma2 is None else 4.0 * sigma2
+                doubled, table, mode, sigma2=None if sigma2 is None else 4.0 * sigma2
             )
             assert a.alpha_hat_index == b.alpha_hat_index, mode
 
@@ -201,12 +201,12 @@ class TestSelectAlpha:
         s, _, grid, table = self._setup()  # full grid keeps the h == 1 row
         data = _data(s, np.ones(20))
         with pytest.raises(ValueError, match="variance estimation impossible"):
-            select_alpha(data, grid, table, "unknown")
+            select_alpha(data, table, "unknown")
 
     def test_contrasts_match_scalar_ops(self):
         s, _, grid, table = self._setup(floor_rule=lambda h: float((1 - h) @ (1 - h)) >= 3.0)
         data = _data(s, np.linspace(1.0, 0.1, 20))
-        result = select_alpha(data, grid, table, "unknown")
+        result = select_alpha(data, table, "unknown")
         for i, h in enumerate(table.h_rows):
             want = contrast_unknown_sigma(data, h, table.pen_total[i])
             assert result.contrasts[i] == pytest.approx(want, rel=1e-12)
@@ -220,13 +220,7 @@ class TestSelectAlpha:
         y[0] = 1e200  # y^2 overflows to inf
         for mode, sigma2 in (("known", 0.01), ("unknown", None)):
             with pytest.raises(ArithmeticError, match="non-finite contrast"):
-                select_alpha(_data(s, y), grid, table, mode, sigma2=sigma2)
-
-    def test_misaligned_table_rejected(self):
-        s, family, grid, table = self._setup()
-        other = AlphaGrid(grid.values[:-1])
-        with pytest.raises(ValueError, match="misaligned"):
-            select_alpha(_data(s, np.ones(20)), other, table, "known", sigma2=1.0)
+                select_alpha(_data(s, y), table, mode, sigma2=sigma2)
 
     def test_selection_concentrates_near_oracle(self):
         # alpha_hat should track the exact-risk minimizer over replications
@@ -243,7 +237,7 @@ class TestSelectAlpha:
         reps = 300
         for i in range(reps):
             data = simulate_observation(model, replication_stream(99, i))
-            result = select_alpha(data, grid, table, "unknown")
+            result = select_alpha(data, table, "unknown")
             if abs(result.alpha_hat_index - oracle_index) <= 15:
                 hits += 1
         assert hits / reps > 0.8
