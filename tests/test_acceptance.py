@@ -4,12 +4,13 @@ Pilot-frozen constants are marked FROZEN with the pilot value next to them.
 Criterion 2 asserts the structural bounds the penalty provably satisfies:
 the two lower bounds on q_plus and mu, and the log-form bound with its
 proved constant 1/2 (the proof is in the test's docstring).  The verifier
-also checks two auxiliary inequalities that the penalty as defined violates:
+also checks an auxiliary inequality that the penalty as defined violates:
 the log-form bound with constant 1, which for flat damping profiles reduces
-to log(2L) >= L with L = log(d/d_ref), false for every L >= 2, and the ratio
-monotonicity, which is scale-free so no constant repairs it (it fails in
-50-digit arithmetic, see tests/test_penalty.py).  Criterion 2 asserts that
-every violation the verifier reports is one of these two kinds.
+to log(2L) >= L with L = log(d/d_ref), false for every L >= 2.  Criterion 2
+asserts that every violation the verifier reports is of this kind.  The
+ratio monotonicity q_i/q_j >= d_i/d_j is checked by neither: it is
+scale-free so no constant repairs it (it fails in 50-digit arithmetic, see
+tests/test_penalty.py).
 """
 
 from __future__ import annotations
@@ -100,18 +101,15 @@ def test_criterion_01_unbiasedness_identity():
     assert elapsed < 1.0
 
 
-# The two auxiliary inequalities of verify_penalty_inequalities, by the
-# prefix of the verifier's message.  Criterion 2 explains why neither holds.
-_AUXILIARY_KINDS = (
-    "noise scale below the log bound at alpha=",
-    "noise scale ratio exceeds the adaptive penalty ratio for alphas ",
-)
+# The auxiliary inequality of verify_penalty_inequalities, by the prefix of
+# the verifier's message.  Criterion 2 explains why it does not hold.
+_AUXILIARY_KIND = "noise scale below the log bound at alpha="
 
 
 def _penalty_structure(table, rtol: float):
     """Criterion-2 failures of one table, the worst margin of the proved
-    log-form bound, and the counts of the two auxiliary violations (log-form
-    rows, ratio pairs) recomputed from the columns as the verifier states them.
+    log-form bound, and the count of the auxiliary constant-1 log-form rows
+    recomputed from the columns as the verifier states them.
 
     Every comparison carries the verifier's relative slack
     ``rtol * max(|lhs|, |rhs|, 1)``.
@@ -143,14 +141,7 @@ def _penalty_structure(table, rtol: float):
             failures.append("d < mu*q_plus / (2 log(mu*q_plus/d_ref))")
         margin = float(np.min(d_sep / (0.5 * rhs)))
         log_rows = int(np.count_nonzero(below(d_sep, rhs)))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_d = np.log(d)
-        log_q = np.where(q > 0.0, np.log(q), -np.inf)
-        d_ratio = log_d[:, None] - log_d[None, :]
-        q_ratio = log_q[:, None] - log_q[None, :]
-    ratio_pairs = int(np.count_nonzero(np.triu(d_ratio > q_ratio + rtol, k=1) & (q[None, :] > 0.0)))
-    return failures, margin, log_rows, ratio_pairs
+    return failures, margin, log_rows
 
 
 def test_criterion_02_penalty_structure():
@@ -171,13 +162,14 @@ def test_criterion_02_penalty_structure():
        log(mu*q_plus/d_ref) = log(u) + L > L >= u/2 because u >= L >= 2.
        Flat profiles drive u/L to 2, so the 1/2 is sharp; it is also why
        the constant-1 form reduces to log(2L) >= L, false for L >= 2.
-    3. The ratio monotonicity q_i/q_j >= d_i/d_j is not asserted.  It is
-       scale-free in q_plus, so no constant repairs it, and it fails in
-       50-digit arithmetic (tests/test_penalty.py,
+    3. The ratio monotonicity q_i/q_j >= d_i/d_j is not asserted, and the
+       verifier does not check it.  It is scale-free in q_plus, so no
+       constant repairs it, and it fails in 50-digit arithmetic
+       (tests/test_penalty.py,
        TestVerifyPenaltyInequalities.test_ratio_monotonicity_fails_in_high_precision).
-    4. Every violation verify_penalty_inequalities reports is one of its
-       two auxiliary kinds (constant-1 log form, ratio monotonicity), and
-       its total count matches the count of those two recomputed here.
+    4. Every violation verify_penalty_inequalities reports is of its
+       auxiliary kind (the constant-1 log form), and its total count
+       matches the count of those rows recomputed here.
     """
     from specreg import verify_penalty_inequalities
 
@@ -185,26 +177,25 @@ def test_criterion_02_penalty_structure():
     started = time.perf_counter()
     failures = []
     worst_margin = np.inf
-    log_rows = ratio_pairs = 0
+    log_rows = 0
     for (p, sname, kind), (_, table) in _criterion2_tables().items():
-        broken, margin, n_log, n_ratio = _penalty_structure(table, rtol)
+        broken, margin, n_log = _penalty_structure(table, rtol)
         report = verify_penalty_inequalities(table, rtol=rtol)
-        if not all(v.startswith(_AUXILIARY_KINDS) for v in report.violations):
+        if not all(v.startswith(_AUXILIARY_KIND) for v in report.violations):
             broken.append(f"verifier reports a non-auxiliary violation: {report.violations}")
-        if report.total_violations != n_log + n_ratio:
+        if report.total_violations != n_log:
             broken.append(f"verifier counts {report.total_violations} violations, "
-                          f"expected {n_log} log-form + {n_ratio} ratio")
+                          f"expected {n_log} log-form")
         if broken:
             failures.append((p, sname, kind, broken))
         worst_margin = min(worst_margin, margin)
         log_rows += n_log
-        ratio_pairs += n_ratio
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 10.0
     print(f"criterion 2: {'PASS' if ok else 'FAIL'} "
           f"({len(failures)}/{len(_criterion2_tables())} configs violate, "
           f"worst proved log-form margin {worst_margin:.4f}; auxiliary, not asserted: "
-          f"{log_rows} constant-1 log-form rows, {ratio_pairs} ratio pairs; {elapsed:.2f}s)")
+          f"{log_rows} constant-1 log-form rows; {elapsed:.2f}s)")
     for p, sname, kind, broken in failures:
         print(f"  p={p} {sname} {kind}: " + "; ".join(broken))
     assert elapsed < 10.0
