@@ -101,11 +101,11 @@ class AlphaGrid:
 
 
 def _iterations_from_alpha(alpha: float) -> float:
-    # ceil(1/alpha), snapped to the nearest integer when 1/alpha lands within
-    # rounding noise of one (grids are built as exact reciprocals 1/m).
+    # ceil(1/alpha), except that alpha == 1/m (grids are built as exact
+    # reciprocals) gives m even where 1/alpha rounds to just above m.
     q = 1.0 / alpha
     nearest = float(np.round(q))
-    if nearest >= 1.0 and abs(q - nearest) <= 1e-9 * max(1.0, q):
+    if nearest >= 1.0 and 1.0 / nearest == alpha:
         return nearest
     return float(np.ceil(q)) if q > 1.0 else 1.0
 

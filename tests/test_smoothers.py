@@ -77,13 +77,25 @@ class TestHValues:
         x = np.clip((1.0 / s.retained[0]) * s.retained, 0.0, 1.0)  # the default step
         with mp.workdps(80):
             for alpha in grid.values:
-                q = 1.0 / alpha  # ceil(q), snapped to an integer within 1e-9 relative
-                m = round(q) if abs(q - round(q)) <= 1e-9 * q else math.ceil(q)
+                m = math.ceil(1.0 / alpha)  # or m - 1 where alpha is its reciprocal
+                m = m - 1 if m > 1 and 1.0 / (m - 1) == alpha else m
                 got = h_values(family, float(alpha), s)
                 want = np.array([float(1 - (1 - mpf(float(v))) ** m) for v in x])
                 assert np.all(np.abs(got - want) <= 1e-12 * want), alpha
         # the floor row keeps every component, so the default floor trims
         assert len(default_grid(family, s, points=40)) == 34
+
+    def test_landweber_iterations_round_up_past_the_snap(self):
+        # 1/alpha = 6573421660.39 on the e^-k grid is no reciprocal 1/m, so it
+        # takes ceil(1/alpha) iterations, however close it lies to an integer
+        s = exponential_spectrum(100, 1.0)
+        family = SmootherFamily.landweber()
+        alpha = 1.521277732760748e-10
+        assert alpha in default_grid(family, s, points=40, floor_rule=None).values
+        x = np.clip((1.0 / s.retained[0]) * s.retained, 0.0, 1.0)
+        with np.errstate(divide="ignore"):  # x[0] = 1 gives h = 1
+            want = -np.expm1(6573421661.0 * np.log1p(-x))
+        assert np.array_equal(h_values(family, alpha, s), want)
 
     def test_landweber_unstable_step_rejected(self):
         s = Spectrum([2.0, 1.0])
