@@ -196,6 +196,21 @@ class TestSelectAlpha:
                 doubled, table, mode, sigma2=None if sigma2 is None else 4.0 * sigma2
             )
             assert a.alpha_hat_index == b.alpha_hat_index, mode
+        # in unknown mode y -> 2^j y scales every contrast and variance
+        # estimate by 4^j without rounding, on every family
+        s = polynomial_spectrum(200, 2.0)
+        model = SpectralModel(s, 1.0 / np.arange(1.0, 201.0), 0.1)
+        for kind in ("cutoff", "tikhonov", "landweber"):
+            family = SmootherFamily(kind)
+            table = build_penalty_table(family, default_grid(family, s, points=40), s, 0.1)
+            for i in range(50):
+                data = simulate_observation(model, replication_stream(7, i))
+                a = select_alpha(data, table, "unknown")
+                for j in (-3, 5):
+                    b = select_alpha(SpectralData(s, 2.0 ** j * data.y), table, "unknown")
+                    assert b.alpha_hat_index == a.alpha_hat_index, (kind, i, j)
+                    assert np.array_equal(b.contrasts, 4.0 ** j * a.contrasts), (kind, i, j)
+                    assert b.sigma_hat2 == 4.0 ** j * a.sigma_hat2, (kind, i, j)
 
     def test_unknown_mode_rejects_degenerate_rows(self):
         s, _, grid, table = self._setup()  # full grid keeps the h == 1 row
