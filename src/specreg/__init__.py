@@ -39,11 +39,8 @@ from .penalty import (
     build_penalty_table,
     check_conditions,
     cramer_term,
-    noise_scale,
     pen_cv,
     pen_u,
-    q_plus,
-    solve_mu,
     verify_penalty_inequalities,
 )
 from .selection import (

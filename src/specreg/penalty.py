@@ -16,7 +16,6 @@ intermediates.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,7 @@ from .smoothers import AlphaGrid, SmootherFamily, check_ordered, h_values
 __all__ = [
     "pen_u",
     "pen_cv",
-    "noise_scale",
     "cramer_term",
-    "solve_mu",
-    "q_plus",
     "PenaltyTable",
     "build_penalty_table",
     "ConditionsReport",
@@ -72,21 +68,6 @@ def _noise_scale_rows(t: np.ndarray) -> np.ndarray:
     peak = np.max(t, axis=1, initial=0.0)
     scaled = t / np.where(peak > 0.0, peak, 1.0)[:, None]
     return peak * np.sqrt(2.0 * np.einsum("ij,ij->i", scaled, scaled))
-
-
-def _scale_row(h, spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The noise weights (2h - h^2) / lambda of one h as a one-row matrix,
-    and its noise scale."""
-    lam = spectrum.retained
-    h = _check_h(h, lam.size)
-    t = (h * (2.0 - h) / lam)[None, :]
-    return t, _noise_scale_rows(t)
-
-
-def noise_scale(h, spectrum: Spectrum) -> float:
-    """Standard deviation sqrt(2 * sum lambda^-2 * (2h - h^2)^2) of the
-    quadratic noise functional, the natural unit of all penalty bounds."""
-    return float(_scale_row(h, spectrum)[1][0])
 
 
 def cramer_term(x):
@@ -142,41 +123,6 @@ def _log_ratio(d, d_ref) -> np.ndarray:
     """log(d / d_ref), evaluated as a difference of logs so that huge scales
     do not overflow, and clamped at zero."""
     return np.maximum(np.log(d) - np.log(d_ref), 0.0)
-
-
-def solve_mu(h, spectrum: Spectrum, log_ratio: float) -> float:
-    """Root mu >= 0 of sum_k cramer_term(mu * rho(k)) = log_ratio.
-
-    log_ratio is log(d / d_ref) and must be nonnegative; small negative
-    values (floating point noise when the two scales coincide) are clamped
-    to zero with a warning.
-    """
-    t, d = _scale_row(h, spectrum)
-    if d[0] == 0.0:
-        raise ValueError("degenerate smoother: h is identically zero")
-    log_ratio = float(log_ratio)
-    if log_ratio < 0.0:
-        warnings.warn("negative log ratio clamped to zero", RuntimeWarning, stacklevel=2)
-        log_ratio = 0.0
-    return float(_mu_q_rows(t, d, np.array([log_ratio]))[0][0])
-
-
-def q_plus(h, spectrum: Spectrum, d_ref: float) -> float:
-    """Adaptive penalty term 2 * d * mu * sum rho^2 / (1 - 2*mu*rho).
-
-    Exactly zero when the noise scale of h equals the reference d_ref (the
-    smoothest grid point); a noise scale below d_ref is clamped to it with
-    a warning.
-    """
-    d_ref = float(d_ref)
-    if not d_ref > 0.0:
-        raise ValueError("invalid input: d_ref must be positive")
-    t, d = _scale_row(h, spectrum)
-    if d[0] == 0.0:
-        raise ValueError("degenerate smoother: h is identically zero")
-    if d[0] < d_ref:
-        warnings.warn("negative log ratio clamped to zero", RuntimeWarning, stacklevel=2)
-    return float(_mu_q_rows(t, d, _log_ratio(d, d_ref))[1][0])
 
 
 @dataclass(frozen=True)

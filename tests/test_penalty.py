@@ -18,14 +18,12 @@ from specreg import (
     default_grid,
     exponential_spectrum,
     h_values,
-    noise_scale,
     pen_cv,
     pen_u,
     polynomial_spectrum,
-    q_plus,
-    solve_mu,
     verify_penalty_inequalities,
 )
+from specreg.penalty import _mu_q_rows, _noise_scale_rows
 
 FAMILIES = [SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()]
 
@@ -66,26 +64,37 @@ class TestPenCV:
         assert pen_cv(h) == float(p)
 
 
+def _one_row_table(h, spectrum):
+    family = SmootherFamily.from_table(alphas=[1.0], h_table=[h])
+    return build_penalty_table(family, AlphaGrid([1.0]), spectrum, 0.1)
+
+
+def _scalar_kernels(h, spectrum, log_ratio):
+    """Noise scale and root of a single h against a free target log ratio,
+    through the table's row kernels."""
+    t = (h * (2.0 - h) / spectrum.retained)[None, :]
+    d = _noise_scale_rows(t)
+    mu, _ = _mu_q_rows(t, d, np.array([log_ratio]))
+    return t[0], float(d[0]), float(mu[0])
+
+
 class TestNoiseScale:
     def test_small_cases(self):
-        assert noise_scale(np.ones(2), Spectrum([1.0, 1.0])) == 2.0
-        assert noise_scale(np.zeros(2), Spectrum([1.0, 0.5])) == 0.0
+        assert _one_row_table(np.ones(2), Spectrum([1.0, 1.0])).d[0] == 2.0
+        assert _noise_scale_rows(np.zeros((1, 2)))[0] == 0.0
 
     def test_exponential_growth_rate(self):
         # log D(m) for cutoff on lambda(k) = exp(-k) grows affinely with slope 1
-        s = exponential_spectrum(30, 1.0)
-        family = SmootherFamily.cutoff()
+        table, grid = _cutoff_table(exponential_spectrum(30, 1.0))
         ms = np.arange(5, 26)
-        logs = [
-            math.log(noise_scale(h_values(family, 1.0 / m, s), s)) for m in ms
-        ]
+        logs = np.log(table.d[np.searchsorted(grid.values, 1.0 / ms)])
         slope = np.polyfit(ms, logs, 1)[0]
         assert abs(slope - 1.0) < 0.02
 
     def test_no_overflow_for_severe_spectra(self):
-        s = exponential_spectrum(500, 1.0)
-        d = noise_scale(np.ones(500), s)
-        assert np.isfinite(d) and d > 1e200
+        table, _ = _cutoff_table(exponential_spectrum(500, 1.0))
+        assert np.all(table.h_rows[0] == 1.0)
+        assert np.isfinite(table.d[0]) and table.d[0] > 1e200
 
 
 class TestCramerTerm:
@@ -118,13 +127,8 @@ class TestCramerTerm:
 
 class TestSolveMu:
     def test_zero_log_ratio(self):
-        s = polynomial_spectrum(5, 1.0)
-        assert solve_mu(np.ones(5), s, 0.0) == 0.0
-
-    def test_negative_log_ratio_clamps_with_warning(self):
-        s = polynomial_spectrum(5, 1.0)
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            assert solve_mu(np.ones(5), s, -1e-14) == 0.0
+        table = _one_row_table(np.ones(5), polynomial_spectrum(5, 1.0))
+        assert table.mu[0] == 0.0
 
     def test_single_component_matches_scalar_inverse(self):
         # p = 1 makes rho = 1, so mu is the scalar inverse of the transform,
@@ -140,7 +144,7 @@ class TestSolveMu:
                 else:
                     hi = mid
             want = 0.5 * (lo + hi)
-            got = solve_mu(np.array([0.7]), s, target)
+            got = _scalar_kernels(np.array([0.7]), s, target)[2]
             assert abs(got - want) < 1e-12
 
     def test_residual_and_lower_bound(self):
@@ -153,9 +157,7 @@ class TestSolveMu:
             if not h.any():
                 continue
             log_ratio = float(10.0 ** rng.uniform(-3, 2))
-            mu = solve_mu(h, s, log_ratio)
-            t = h * (2.0 - h) / lam
-            d = noise_scale(h, s)
+            t, d, mu = _scalar_kernels(h, s, log_ratio)
             rho = np.sqrt(2.0) * t / d
             resid = abs(float(np.sum(cramer_term(mu * rho))) - log_ratio)
             assert resid <= 1e-10 * max(1.0, log_ratio)
@@ -164,36 +166,37 @@ class TestSolveMu:
     def test_objective_monotone_in_mu(self):
         s = polynomial_spectrum(8, 1.0)
         h = np.linspace(1.0, 0.2, 8)
-        d = noise_scale(h, s)
-        rho = np.sqrt(2.0) * (h * (2.0 - h) / s.retained) / d
+        t = h * (2.0 - h) / s.retained
+        rho = t / math.sqrt(float(t @ t))
         mus = np.linspace(0.0, (1 - 1e-9) / (2 * rho.max()), 300)
         vals = [float(np.sum(cramer_term(m * rho))) for m in mus]
         assert np.all(np.diff(vals) > 0.0)
 
     def test_degenerate_smoother(self):
-        s = polynomial_spectrum(4, 1.0)
         with pytest.raises(ValueError, match="degenerate smoother"):
-            solve_mu(np.zeros(4), s, 1.0)
+            _one_row_table(np.zeros(4), polynomial_spectrum(4, 1.0))
 
 
 class TestQPlus:
     def test_zero_at_reference(self):
         s = polynomial_spectrum(6, 2.0)
-        h = h_values(SmootherFamily.tikhonov(), 3.0, s)
-        d = noise_scale(h, s)
-        assert q_plus(h, s, d) == 0.0
+        table = build_penalty_table(SmootherFamily.tikhonov(), AlphaGrid([3.0]), s, 0.1)
+        assert table.q_plus[0] == 0.0
 
     def test_independent_reimplementation(self):
         # from-scratch recomputation with a different root finder (brentq)
         s = Spectrum([1.0, 0.1])
-        family = SmootherFamily.tikhonov()
-        h = h_values(family, 0.05, s)
-        d_ref = noise_scale(h_values(family, 10.0, s), s)
-        got = q_plus(h, s, d_ref)
+        table = build_penalty_table(SmootherFamily.tikhonov(), AlphaGrid([0.05, 10.0]), s, 0.1)
 
         lam = s.retained
-        t = h * (2.0 - h) / lam
+
+        def weights(alpha):
+            h = lam / (lam + alpha)
+            return h * (2.0 - h) / lam
+
+        t, t_ref = weights(0.05), weights(10.0)
         d = math.sqrt(2.0 * float(t @ t))
+        d_ref = math.sqrt(2.0 * float(t_ref @ t_ref))
         rho = math.sqrt(2.0) * t / d
         target = math.log(d / d_ref)
 
@@ -203,7 +206,7 @@ class TestQPlus:
 
         mu = brentq(objective, 0.0, (1 - 1e-13) / (2 * rho.max()), xtol=1e-15, rtol=1e-15)
         want = 2.0 * d * mu * float(np.sum(rho * rho / (1.0 - 2.0 * mu * rho)))
-        assert abs(got - want) <= 1e-9 * want
+        assert abs(table.q_plus[0] - want) <= 1e-9 * want
 
     def test_dominates_root_log_scale(self):
         rng = np.random.default_rng(33)
@@ -213,13 +216,12 @@ class TestQPlus:
             s = Spectrum(lam)
             family = FAMILIES[int(rng.integers(0, 3))]
             grid = default_grid(family, s, points=10, floor_rule=None)
-            d_ref = noise_scale(h_values(family, grid.alpha_max, s), s)
-            h = h_values(family, grid.alpha_floor, s)
-            d = noise_scale(h, s)
+            table = build_penalty_table(
+                family, AlphaGrid([grid.alpha_floor, grid.alpha_max]), s, 0.1)
+            d, d_ref = table.d
             if d <= d_ref:
                 continue
-            q = q_plus(h, s, d_ref)
-            assert q >= d * math.sqrt(math.log(d / d_ref)) * (1.0 - 1e-9)
+            assert table.q_plus[0] >= d * math.sqrt(math.log(d / d_ref)) * (1.0 - 1e-9)
 
 
 class TestTotalPenalty:
@@ -272,13 +274,6 @@ class TestPenaltyTable:
             for i, h in enumerate(table.h_rows):
                 rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / table.d[i]
                 assert abs(float(rho @ rho) - 1.0) <= 1e-12
-            # the scalar API runs the table's row kernels, so it gives its bits
-            d_ref = table.d_ref
-            for i, h in enumerate(table.h_rows):
-                log_ratio = max(float(np.log(table.d[i]) - np.log(d_ref)), 0.0)
-                assert noise_scale(h, spectrum) == table.d[i], i
-                assert solve_mu(h, spectrum, log_ratio) == table.mu[i], i
-                assert q_plus(h, spectrum, d_ref) == table.q_plus[i], i
 
     def test_requires_ordered_family(self):
         s = Spectrum([1.0, 0.5])
