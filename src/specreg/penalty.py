@@ -70,6 +70,11 @@ def _noise_scale_rows(t: np.ndarray) -> np.ndarray:
     return peak * np.sqrt(2.0 * np.einsum("ij,ij->i", scaled, scaled))
 
 
+def _cramer(x):
+    # cramer_term without its domain check, which the mu bisection skips
+    return 0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x)
+
+
 def cramer_term(x):
     """Increasing convex transform used in the penalty calibration equation.
 
@@ -79,13 +84,12 @@ def cramer_term(x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x >= 0.5):
         raise ValueError("domain error: cramer_term requires 0 <= x < 1/2")
-    out = 0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x)
+    out = _cramer(x)
     return out if out.ndim else float(out)
 
 
 def _cramer_rowsum(rho: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    x = mu[:, None] * rho
-    return np.sum(0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x), axis=1)
+    return np.sum(_cramer(mu[:, None] * rho), axis=1)
 
 
 def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
