@@ -184,24 +184,20 @@ def check_ordered(
     violating (alpha pair, component) triple on failure.
     """
     rows = np.array([h_values(family, a, spectrum) for a in grid.values])
-    for i, a in enumerate(grid.values):
-        bad = np.nonzero(np.diff(rows[i]) > atol)[0]
-        if bad.size:
-            return OrderingReport(
-                False, OrderingViolation(float(a), float(a), int(bad[0]) + 1, "not monotone in lambda")
-            )
+    alphas = grid.values.tolist()
+    # argwhere is row-major, so its first hit is the first row, then component
+    rising = np.argwhere(np.diff(rows, axis=1) > atol)
+    if rising.size:
+        i, k = rising[0]
+        violation = OrderingViolation(alphas[i], alphas[i], int(k) + 1, "not monotone in lambda")
+        return OrderingReport(False, violation)
     # consecutive rows suffice: pointwise dominance is transitive along the grid
-    for i in range(len(grid.values) - 1):
-        diff = rows[i + 1] - rows[i]
-        above = np.nonzero(diff > atol)[0]
-        if above.size:
-            kind = "crossing" if np.any(diff < -atol) else "grid direction"
-            return OrderingReport(
-                False,
-                OrderingViolation(
-                    float(grid.values[i]), float(grid.values[i + 1]), int(above[0]) + 1, kind
-                ),
-            )
+    diff = rows[1:] - rows[:-1]
+    above = np.argwhere(diff > atol)
+    if above.size:
+        i, k = above[0]
+        kind = "crossing" if np.any(diff[i] < -atol) else "grid direction"
+        return OrderingReport(False, OrderingViolation(alphas[i], alphas[i + 1], int(k) + 1, kind))
     return OrderingReport(True, None)
 
 
