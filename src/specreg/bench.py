@@ -79,6 +79,8 @@ def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
     """Evaluate the exact and penalized risks on every grid row, as
     ``exact_risk`` and ``penalized_risk`` do, from the table's columns."""
     lam = model.spectrum.retained
+    if not np.array_equal(table.spectrum.retained, lam):
+        raise ValueError("dimension error: table and model spectra differ")
     beta2 = model.coefficients * model.coefficients
     sigma2 = model.sigma ** 2
     risks = np.empty(table.alphas.size)

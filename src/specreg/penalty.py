@@ -132,7 +132,7 @@ def _log_ratio(d, d_ref) -> np.ndarray:
 @dataclass(frozen=True)
 class PenaltyTable:
     """Per-grid-point penalty quantities as read-only columns, entry i for
-    grid point ``alphas[i]``, plus the grid-wide scalars.
+    grid point ``alphas[i]``, plus the grid-wide scalars and the spectrum.
 
     The row matrices hold the damping factors ``h_rows`` and the kernels
     that selection and benchmarking reuse on every replication: the noise
@@ -144,6 +144,7 @@ class PenaltyTable:
 
     gamma: float
     psi: float
+    spectrum: Spectrum
     alphas: np.ndarray
     pen_u: np.ndarray
     pen_cv: np.ndarray
@@ -233,7 +234,7 @@ def build_penalty_table(
     if one_minus[0] > 0.0:
         envelope = np.sqrt(max(np.log(np.log1p(one_minus[-1] / one_minus[0])), 0.0))
         psi = float((envelope + np.log1p(pen_total[0] / pen_total[-1])) / np.sqrt(one_minus[0]))
-    return PenaltyTable(gamma=gamma, psi=psi, **columns)
+    return PenaltyTable(gamma=gamma, psi=psi, spectrum=spectrum, **columns)
 
 
 @dataclass(frozen=True)

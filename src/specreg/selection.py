@@ -87,7 +87,8 @@ def select_alpha(
     extra_ss: float = 0.0,
     extra_dof: float = 0.0,
 ) -> SelectionResult:
-    """Minimize the penalized contrast over the grid of the table.
+    """Minimize the penalized contrast over the grid of the table, which must
+    be built on the retained eigenvalues of the data.
 
     mode "known" uses the supplied ``sigma2``; mode "unknown" plugs in the
     per-alpha variance estimate, which requires every grid row to keep some
@@ -96,8 +97,7 @@ def select_alpha(
     alpha, i.e. the smoothest of the tied models.  Raises ArithmeticError
     when a contrast is not finite.
     """
-    h_rows = table.h_rows
-    if h_rows.shape[1] != data.y.size:
+    if not np.array_equal(table.spectrum.retained, data.spectrum.retained):
         raise ValueError("dimension error: table and data spectra differ")
     try:
         pens = getattr(table, _PENALTY_COLUMNS[penalty])
@@ -132,5 +132,5 @@ def select_alpha(
         alpha_hat_index=index,
         sigma_hat2=float(s2[index]) if s2 is not None else None,
         contrasts=contrasts,
-        estimate=h_rows[index] * data.y,
+        estimate=table.h_rows[index] * data.y,
     )

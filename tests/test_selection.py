@@ -18,10 +18,12 @@ from specreg import (
     contrast_unknown_sigma,
     default_grid,
     exact_risk,
+    exponential_spectrum,
     h_values,
     pen_u,
     polynomial_spectrum,
     replication_stream,
+    risk_profile,
     select_alpha,
     sigma_hat2,
     simulate_observation,
@@ -217,6 +219,18 @@ class TestSelectAlpha:
         data = _data(s, np.ones(20))
         with pytest.raises(ValueError, match="variance estimation impossible"):
             select_alpha(data, table, "unknown")
+
+    def test_table_from_another_spectrum_rejected(self):
+        # the same width is not enough: the table's eigenvalues must be the data's
+        model = SpectralModel(polynomial_spectrum(50, 2.0), 1.0 / np.arange(1.0, 51.0), 0.1)
+        data = simulate_observation(model, replication_stream(7, 0))
+        family = SmootherFamily.tikhonov()
+        for other in (exponential_spectrum(50, 0.5), polynomial_spectrum(40, 2.0)):
+            table = build_penalty_table(family, default_grid(family, other, points=30), other, 0.1)
+            with pytest.raises(ValueError, match="table and data spectra differ"):
+                select_alpha(data, table, "unknown")
+            with pytest.raises(ValueError, match="table and model spectra differ"):
+                risk_profile(model, table)
 
     def test_contrasts_match_scalar_ops(self):
         s, _, grid, table = self._setup(floor_rule=lambda h: float((1 - h) @ (1 - h)) >= 3.0)
