@@ -275,6 +275,73 @@ class TestPenaltyTable:
                 rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / table.d[i]
                 assert abs(float(rho @ rho) - 1.0) <= 1e-12
 
+    def test_against_mpmath_on_ill_posed_spectrum(self):
+        # 50-digit references for d, mu and q_plus on e^-k, p = 500, where
+        # 1/lambda spans 217 decades, on five rows of each built-in family
+        from mpmath import mp, mpf
+
+        s = exponential_spectrum(500, 1.0)
+        lam = s.retained
+        tau_lam = np.clip((1.0 / lam[0]) * lam, 0.0, 1.0)  # the default landweber step
+
+        def h_ref(kind, alpha):
+            if kind == "cutoff":
+                m = round(1.0 / alpha)  # the default grid holds the reciprocals 1/m
+                return [mpf(k < m) for k in range(lam.size)]
+            if kind == "tikhonov":
+                return [mpf(float(v)) / (mpf(float(v)) + mpf(alpha)) for v in lam]
+            m = math.ceil(1.0 / alpha)  # or m - 1 where alpha is its reciprocal
+            m = m - 1 if m > 1 and 1.0 / (m - 1) == alpha else m
+            # the power form 1 - (1 - x)^m would need ~p/2.3 digits to hold 1 - x
+            return [-mp.expm1(m * mp.log1p(-mpf(float(v)))) for v in tau_lam]
+
+        def noise(h):
+            t = [hk * (2 - hk) / mpf(float(v)) for hk, v in zip(h, lam)]
+            d = mp.sqrt(2 * mp.fsum(tk * tk for tk in t))
+            return d, [mp.sqrt(2) * tk / d for tk in t if tk]
+
+        def cramer_sums(rho, mu):
+            # sum_k c(mu * rho(k)) and its derivative in mu, c'(x) = 2x / (1 - 2x)^2
+            terms, slopes = [], []
+            for r in rho:
+                x = mu * r
+                u = 1 - 2 * x
+                terms.append(mp.log(u) / 2 + x + 2 * x * x / u)
+                slopes.append(2 * x * r / (u * u))
+            return mp.fsum(terms), mp.fsum(slopes)
+
+        def root(rho, log_ratio, start):
+            # Newton on the convex, increasing row sum decreases monotonically
+            # from any start above the root.  The start only saves steps: the
+            # root is accepted on a sign change of the row sum around it.
+            mu = mpf(start)
+            while True:
+                value, slope = cramer_sums(rho, mu)
+                step = (value - log_ratio) / slope
+                if step <= mu * mpf(10) ** -45:
+                    break
+                mu -= step
+            eps = mpf(10) ** -40
+            assert cramer_sums(rho, mu * (1 - eps))[0] < log_ratio
+            assert cramer_sums(rho, mu * (1 + eps))[0] > log_ratio
+            return mu
+
+        for kind in ("cutoff", "tikhonov", "landweber"):
+            family = SmootherFamily(kind)
+            grid = default_grid(family, s, points=40, floor_rule=None)
+            table = build_penalty_table(family, grid, s, 0.1)
+            with mp.workdps(50):
+                d_ref = noise(h_ref(kind, grid.alpha_max))[0]
+                for i in np.unique(np.linspace(0, len(grid) - 1, 5).round().astype(int)):
+                    d, rho = noise(h_ref(kind, float(grid.values[i])))
+                    log_ratio = mp.log(d / d_ref)
+                    mu = root(rho, log_ratio, table.mu[i] * (1 + 1e-6)) if log_ratio else mpf(0)
+                    q = 2 * d * mu * mp.fsum(r * r / (1 - 2 * mu * r) for r in rho)
+                    for name, want, rtol in (("d", d, 1e-14), ("mu", mu, 1e-14),
+                                             ("q_plus", q, 1e-12)):
+                        got = getattr(table, name)[i]
+                        assert abs(got - float(want)) <= rtol * float(want), (kind, i, name)
+
     def test_requires_ordered_family(self):
         s = Spectrum([1.0, 0.5])
         family = SmootherFamily.from_table(
