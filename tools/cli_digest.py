@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR
 
-Imports ``specreg`` from the source directory SRC, writes 48 configs (and
+Imports ``specreg`` from the source directory SRC, writes 50 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -19,7 +19,8 @@ Config matrix:
     x known/unknown (12);
   - spectral data x 3 families x penalty, plus one known-mode config (7);
   - floorless tikhonov, ill-posed landweber on e^-k (p=100), an ordered
-    and an unordered table family, and a subnormal eigenvalue (5).
+    table family and one for each ordering violation (grid direction, not
+    monotone in lambda, crossing), and a subnormal eigenvalue (7).
 """
 
 from __future__ import annotations
@@ -58,12 +59,18 @@ def _write_csv(path: Path, array: np.ndarray) -> str:
     return str(path)
 
 
-def _table_family(ordered: bool) -> dict:
+def _table_family(defect: str) -> dict:
+    """Tikhonov rows on lambda(k) = 1/k, with one ordering violation of the
+    kind ``defect`` names ("ordered" for none)."""
     lam = np.arange(1.0, 9.0) ** -1.0
     alphas = [0.05, 0.2, 0.8, 3.2]
     rows = [lam / (lam + a) for a in alphas]
-    if not ordered:
+    if defect == "unordered":  # the grid direction is reversed between two rows
         rows[1], rows[2] = rows[2], rows[1]
+    elif defect == "nonmonotone":  # a row rises with k
+        rows[1][[3, 4]] = rows[1][[4, 3]]
+    elif defect == "crossing":  # a smoother row exceeds its neighbour at k = 1 only
+        rows[2][0] = 0.5 * (rows[1][0] + 1.0)
     return {"kind": "table", "alphas": alphas, "h_table": [row.tolist() for row in rows]}
 
 
@@ -112,9 +119,9 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
         base, problem=_generator({"kind": "exponential", "p": 100, "kappa": 1.0}),
         family={"kind": "landweber"}, grid={"points": 40}, mode="unknown")
     table_problem = _generator({"kind": "polynomial", "p": 8, "exponent": 1.0})
-    for ordered in (True, False):
-        configs[f"gen-table-{'ordered' if ordered else 'unordered'}"] = dict(
-            base, problem=table_problem, family=_table_family(ordered),
+    for defect in ("ordered", "unordered", "nonmonotone", "crossing"):
+        configs[f"gen-table-{defect}"] = dict(
+            base, problem=table_problem, family=_table_family(defect),
             grid={"floor": "none"}, **_mode("known"))
     configs["spectral-subnormal"] = dict(
         base, problem={"spectral_data": {"eigenvalues": [1.0, 0.5, 0.25, 1e-310],
