@@ -16,6 +16,7 @@ from specreg import (
     build_penalty_table,
     contrast_known_sigma,
     contrast_unknown_sigma,
+    decompose_design,
     default_grid,
     exact_risk,
     exponential_spectrum,
@@ -27,6 +28,7 @@ from specreg import (
     select_alpha,
     sigma_hat2,
     simulate_observation,
+    to_spectral,
 )
 
 
@@ -270,6 +272,47 @@ class TestSelectAlpha:
             if abs(result.alpha_hat_index - oracle_index) <= 15:
                 hits += 1
         assert hits / reps > 0.8
+
+
+class TestMatrixPath:
+    """Metamorphic invariances of selection from a raw design matrix."""
+
+    @staticmethod
+    def _problem(reps=20):
+        n, p = 80, 20
+        x = np.random.default_rng(11).standard_normal((n, p)) * np.linspace(1.0, 0.05, p)
+        beta = 1.0 / np.arange(1.0, p + 1.0)
+        return x, [x @ beta + 0.1 * replication_stream(3, i).standard_normal(n) for i in range(reps)]
+
+    @staticmethod
+    def _select(x, y):
+        data = to_spectral(decompose_design(x), y)
+        family = SmootherFamily.tikhonov()
+        grid = default_grid(family, data.spectrum, points=40)
+        return select_alpha(data, build_penalty_table(family, grid, data.spectrum, 0.1), "unknown")
+
+    def test_design_scaling_keeps_index(self):
+        # X -> cX scales lambda and the tikhonov grid by c^2 and y(k) by 1/c,
+        # which leaves h and the argmin unchanged up to rounding
+        x, ys = self._problem()
+        for i, y in enumerate(ys):
+            index = self._select(x, y).alpha_hat_index
+            for c in (2.0 ** -3, 2.0 ** 5, 10.0):
+                assert self._select(c * x, y).alpha_hat_index == index, (i, c)
+
+    def test_row_permutation_keeps_selection(self):
+        # permuting observations leaves X'X and X'Y unchanged; the SVD may
+        # flip singular-vector signs, which flips signs of y(k) only
+        x, ys = self._problem()
+        for i, y in enumerate(ys):
+            perm = replication_stream(4, i).permutation(y.size)
+            a, b = self._select(x, y), self._select(x[perm], y[perm])
+            assert b.alpha_hat_index == a.alpha_hat_index, i
+            assert b.alpha_hat == pytest.approx(a.alpha_hat, rel=1e-12, abs=0.0), i
+            assert b.sigma_hat2 == pytest.approx(a.sigma_hat2, rel=1e-12, abs=0.0), i
+            np.testing.assert_allclose(b.contrasts, a.contrasts, rtol=1e-12, atol=0.0)
+            estimate = np.abs(a.estimate)
+            assert np.max(np.abs(np.abs(b.estimate) - estimate)) <= 1e-12 * np.max(estimate), i
 
 
 class TestCovarianceInequality:
