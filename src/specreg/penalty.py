@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Spectrum
-from .smoothers import AlphaGrid, SmootherFamily, check_ordered, h_values
+from .smoothers import AlphaGrid, SmootherFamily, _first_violation, h_values
 
 __all__ = [
     "pen_u",
@@ -38,6 +38,9 @@ __all__ = [
 _MU_BRACKET_MARGIN = 1e-12
 _MU_BISECTION_STEPS = 60
 _MU_RESIDUAL_TOL = 1e-10
+# Entries per row block of the Cramer row sums: a block's temporaries stay
+# in the L2 cache instead of streaming the whole table through memory.
+_ROW_BLOCK_ELEMS = 2 ** 15
 
 
 def _check_h(h, size: int) -> np.ndarray:
@@ -88,22 +91,52 @@ def cramer_term(x):
     return out if out.ndim else float(out)
 
 
-def _cramer_rowsum(rho: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return np.sum(_cramer(mu[:, None] * rho), axis=1)
+def _row_blocks(rho: np.ndarray) -> list[tuple[slice, int]]:
+    """Row slices of rho of about _ROW_BLOCK_ELEMS entries each, with the
+    width up to the block's last nonzero column."""
+    rows, p = rho.shape
+    step = max(1, _ROW_BLOCK_ELEMS // p)
+    blocks = []
+    for start in range(0, rows, step):
+        block = slice(start, min(start + step, rows))
+        used = np.flatnonzero(np.any(rho[block] != 0.0, axis=0))
+        blocks.append((block, int(used[-1]) + 1 if used.size else 0))
+    return blocks
+
+
+def _cramer_rowsum(rho: np.ndarray, mu: np.ndarray, blocks: list[tuple[slice, int]]) -> np.ndarray:
+    """sum_k cramer_term(mu * rho(k)) for every row, block by block.
+
+    A block's terms are evaluated only up to its width.  The zero terms
+    after it stay in the full-width row sum: numpy's pairwise summation
+    groups the terms by position, so a shorter sum would round differently
+    and move mu, whose 17 digits the penalty-table CSV prints.
+    """
+    rows, p = rho.shape
+    out = np.empty(rows)
+    for block, width in blocks:
+        if width == p:
+            out[block] = np.sum(_cramer(mu[block, None] * rho[block]), axis=1)
+        else:
+            terms = np.zeros((block.stop - block.start, p))
+            terms[:, :width] = _cramer(mu[block, None] * rho[block, :width])
+            out[block] = np.sum(terms, axis=1)
+    return out
 
 
 def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
     """Vectorized bisection for sum_k cramer_term(mu * rho(k)) = log_ratio,
     one root per row of rho.  Rows with log_ratio == 0 return mu = 0."""
+    blocks = _row_blocks(rho)
     hi = (1.0 - _MU_BRACKET_MARGIN) / (2.0 * np.max(rho, axis=1))
     lo = np.zeros_like(hi)
     for _ in range(_MU_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        below = _cramer_rowsum(rho, mid) < log_ratio
+        below = _cramer_rowsum(rho, mid, blocks) < log_ratio
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     mu = np.where(log_ratio > 0.0, 0.5 * (lo + hi), 0.0)
-    resid = np.abs(_cramer_rowsum(rho, mu) - np.maximum(log_ratio, 0.0))
+    resid = np.abs(_cramer_rowsum(rho, mu, blocks) - np.maximum(log_ratio, 0.0))
     if np.any(resid > _MU_RESIDUAL_TOL * np.maximum(1.0, log_ratio)):
         raise ArithmeticError("mu bisection did not reach the residual tolerance")
     return mu
@@ -176,20 +209,20 @@ def build_penalty_table(
     The reference scale for q_plus is the noise scale of the last grid row
     (the smoothest model), so q_plus vanishes there exactly.  Requires the
     noise scale to be nonincreasing along the grid, which holds for every
-    ordered family; user-supplied table families are additionally run
-    through the full ordering check before anything is computed.  Raises
+    ordered family; the h rows of user-supplied table families additionally
+    go through the full ordering check before any penalty is computed.  Raises
     ArithmeticError when a column is not finite, e.g. when an eigenvalue is
     so small that h / lambda overflows.
     """
     gamma = float(gamma)
     if not 0.0 < gamma < 0.25:
         raise ValueError("invalid input: gamma must lie in (0, 1/4)")
-    if family.kind == "table":
-        report = check_ordered(family, grid, spectrum)
-        if not report.ok:
-            raise ValueError(f"invalid input: table family is not ordered ({report.violation})")
     lam = spectrum.retained
     h_rows = np.array([h_values(family, float(a), spectrum) for a in grid.values])
+    if family.kind == "table":
+        violation = _first_violation(h_rows, grid.values)
+        if violation is not None:
+            raise ValueError(f"invalid input: table family is not ordered ({violation})")
     # Overflow and NaN below are caught by the checks on d and on the columns.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = h_rows * (2.0 - h_rows) / lam

@@ -184,21 +184,27 @@ def check_ordered(
     violating (alpha pair, component) triple on failure.
     """
     rows = np.array([h_values(family, a, spectrum) for a in grid.values])
-    alphas = grid.values.tolist()
+    violation = _first_violation(rows, grid.values, atol)
+    return OrderingReport(violation is None, violation)
+
+
+def _first_violation(rows: np.ndarray, alphas: np.ndarray, atol: float = 1e-12) -> OrderingViolation | None:
+    """First ordering violation among the h rows of the grid points
+    ``alphas``, or None; see :func:`check_ordered`."""
+    alphas = alphas.tolist()  # Python floats, whose repr the violation prints
     # argwhere is row-major, so its first hit is the first row, then component
     rising = np.argwhere(np.diff(rows, axis=1) > atol)
     if rising.size:
         i, k = rising[0]
-        violation = OrderingViolation(alphas[i], alphas[i], int(k) + 1, "not monotone in lambda")
-        return OrderingReport(False, violation)
+        return OrderingViolation(alphas[i], alphas[i], int(k) + 1, "not monotone in lambda")
     # consecutive rows suffice: pointwise dominance is transitive along the grid
     diff = rows[1:] - rows[:-1]
     above = np.argwhere(diff > atol)
     if above.size:
         i, k = above[0]
         kind = "crossing" if np.any(diff[i] < -atol) else "grid direction"
-        return OrderingReport(False, OrderingViolation(alphas[i], alphas[i + 1], int(k) + 1, kind))
-    return OrderingReport(True, None)
+        return OrderingViolation(alphas[i], alphas[i + 1], int(k) + 1, kind)
+    return None
 
 
 def default_floor_rule(h: np.ndarray) -> bool:

@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from specreg import build_penalty_table
+from specreg import SmootherFamily, build_penalty_table, default_grid, penalty, polynomial_spectrum
 
 
 @pytest.mark.parametrize("name", ("core", "smoothers", "penalty", "selection", "bench"))
@@ -22,3 +22,22 @@ def test_build_penalty_table_parameter_names():
     # callers and tracers bind the grid and the spectrum by name
     params = inspect.signature(build_penalty_table).parameters
     assert {"grid", "spectrum"} <= set(params)
+
+
+def test_mu_solve_names_the_tracer_binds(monkeypatch):
+    # the perfbench tracer times _solve_mu_rows and counts _cramer_rowsum
+    # calls by name, one per full row-sum evaluation of the bisection
+    assert inspect.isfunction(penalty._solve_mu_rows)
+    assert inspect.isfunction(penalty._cramer_rowsum)
+    calls = []
+    rowsum = penalty._cramer_rowsum
+
+    def counting(*args):
+        calls.append(None)
+        return rowsum(*args)
+
+    monkeypatch.setattr(penalty, "_cramer_rowsum", counting)
+    spectrum = polynomial_spectrum(50, 2.0)
+    family = SmootherFamily.cutoff()
+    build_penalty_table(family, default_grid(family, spectrum), spectrum, 0.1)
+    assert len(calls) == penalty._MU_BISECTION_STEPS + 1

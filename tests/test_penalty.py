@@ -14,6 +14,7 @@ from specreg import (
     Spectrum,
     build_penalty_table,
     check_conditions,
+    check_ordered,
     cramer_term,
     default_grid,
     exponential_spectrum,
@@ -23,7 +24,15 @@ from specreg import (
     polynomial_spectrum,
     verify_penalty_inequalities,
 )
-from specreg.penalty import _mu_q_rows, _noise_scale_rows
+from specreg import penalty, smoothers
+from specreg.penalty import (
+    _ROW_BLOCK_ELEMS,
+    _cramer,
+    _cramer_rowsum,
+    _mu_q_rows,
+    _noise_scale_rows,
+    _row_blocks,
+)
 
 FAMILIES = [SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()]
 
@@ -175,6 +184,47 @@ class TestSolveMu:
     def test_degenerate_smoother(self):
         with pytest.raises(ValueError, match="degenerate smoother"):
             _one_row_table(np.zeros(4), polynomial_spectrum(4, 1.0))
+
+
+class TestCramerRowsum:
+    @staticmethod
+    def _check(rng, widths, p):
+        # rows with nonzero rho up to the given widths, exact zeros after
+        rho = np.zeros((len(widths), p))
+        for i, width in enumerate(widths):
+            rho[i, :width] = rng.uniform(0.01, 1.0, width)
+        mu = rng.uniform(0.0, 0.49, len(widths)) / np.maximum(np.max(rho, axis=1), 1.0)
+        want = np.sum(_cramer(mu[:, None] * rho), axis=1)
+        assert np.array_equal(_cramer_rowsum(rho, mu, _row_blocks(rho)), want)
+
+    def test_mixed_zero_tails(self):
+        rng = np.random.default_rng(41)
+        p = 300
+        # the first block is full width, the others end in zero tails
+        widths = rng.integers(0, 200, 250)
+        widths[:3] = (0, 1, p)
+        self._check(rng, widths, p)
+
+    def test_ragged_last_block(self):
+        rng = np.random.default_rng(42)
+        p = 100
+        rows = 3 * (_ROW_BLOCK_ELEMS // p) + 5
+        self._check(rng, np.linspace(p, 1, rows).astype(int), p)
+
+    def test_row_wider_than_block(self):
+        rng = np.random.default_rng(43)
+        p = _ROW_BLOCK_ELEMS + 7
+        assert [rows.stop - rows.start for rows, _ in _row_blocks(np.ones((3, p)))] == [1, 1, 1]
+        self._check(rng, [p, 5000, 0], p)
+
+    def test_rows_without_zeros(self):
+        rng = np.random.default_rng(44)
+        self._check(rng, [700] * 60, 700)
+
+    def test_single_row(self):
+        rng = np.random.default_rng(45)
+        for width in (0, 3, 129, 400):
+            self._check(rng, [width], 400)
 
 
 class TestQPlus:
@@ -347,8 +397,28 @@ class TestPenaltyTable:
         family = SmootherFamily.from_table(
             alphas=[1.0, 2.0], h_table=[[0.3, 0.1], [0.9, 0.5]]
         )
-        with pytest.raises(ValueError, match="not ordered"):
-            build_penalty_table(family, AlphaGrid([1.0, 2.0]), s, 0.1)
+        grid = AlphaGrid([1.0, 2.0])
+        with pytest.raises(ValueError, match="not ordered") as excinfo:
+            build_penalty_table(family, grid, s, 0.1)
+        violation = check_ordered(family, grid, s).violation
+        assert str(excinfo.value) == f"invalid input: table family is not ordered ({violation})"
+
+    def test_table_family_rows_evaluated_once(self, monkeypatch):
+        # the ordering check runs on the rows the build evaluates anyway
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return h_values(*args)
+
+        monkeypatch.setattr(smoothers, "h_values", counting)
+        monkeypatch.setattr(penalty, "h_values", counting)
+        s = polynomial_spectrum(8, 1.0)
+        alphas = [0.05, 0.2, 0.8, 3.2]
+        family = SmootherFamily.from_table(
+            alphas=alphas, h_table=[s.retained / (s.retained + a) for a in alphas])
+        build_penalty_table(family, AlphaGrid(alphas), s, 0.1)
+        assert calls == alphas
 
     def test_accepts_ordered_table_family(self):
         s = Spectrum([1.0, 0.5])

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR
 
-Imports ``specreg`` from the source directory SRC, writes 50 configs (and
+Imports ``specreg`` from the source directory SRC, writes 51 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -20,7 +20,9 @@ Config matrix:
   - spectral data x 3 families x penalty, plus one known-mode config (7);
   - floorless tikhonov, ill-posed landweber on e^-k (p=100), an ordered
     table family and one for each ordering violation (grid direction, not
-    monotone in lambda, crossing), and a subnormal eigenvalue (7).
+    monotone in lambda, crossing), and a subnormal eigenvalue (7);
+  - cutoff on k^-2 with p=400 (M=360), whose mu solve spans five row
+    blocks, each ending in a zero tail (1).
 """
 
 from __future__ import annotations
@@ -127,6 +129,9 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
         base, problem={"spectral_data": {"eigenvalues": [1.0, 0.5, 0.25, 1e-310],
                                          "y": [1.0, 0.5, 0.2, 0.1]}},
         family={"kind": "cutoff"}, grid={"floor": "none"}, **_mode("known"))
+    configs["gen-poly400-cutoff-multiblock"] = dict(
+        base, problem=_generator({"kind": "polynomial", "p": 400, "exponent": 2.0}),
+        family={"kind": "cutoff"}, grid={}, mode="unknown")
     return configs
 
 
