@@ -189,13 +189,21 @@ class TestSolveMu:
 class TestCramerRowsum:
     @staticmethod
     def _check(rng, widths, p):
-        # rows with nonzero rho up to the given widths, exact zeros after
+        # rows with nonzero rho up to the given widths, exact zeros after;
+        # each block's rows, and every other row of it, summed into a
+        # zero-tailed buffer of the full width
         rho = np.zeros((len(widths), p))
         for i, width in enumerate(widths):
             rho[i, :width] = rng.uniform(0.01, 1.0, width)
         mu = rng.uniform(0.0, 0.49, len(widths)) / np.maximum(np.max(rho, axis=1), 1.0)
         want = np.sum(_cramer(mu[:, None] * rho), axis=1)
-        assert np.array_equal(_cramer_rowsum(rho, mu, _row_blocks(rho)), want)
+        got = np.empty_like(want)
+        for block, width in _row_blocks(rho):
+            terms = np.zeros((block.stop - block.start, p))
+            got[block] = _cramer_rowsum(rho[block, :width], mu[block], terms)
+            rows = np.arange(block.start, block.stop)[::2]
+            assert np.array_equal(_cramer_rowsum(rho[rows, :width], mu[rows], terms), want[rows])
+        assert np.array_equal(got, want)
 
     def test_mixed_zero_tails(self):
         rng = np.random.default_rng(41)
@@ -225,6 +233,171 @@ class TestCramerRowsum:
         rng = np.random.default_rng(45)
         for width in (0, 3, 129, 400):
             self._check(rng, [width], 400)
+
+    def test_cramer_rounds_as_the_closed_form(self):
+        # the in-place _cramer against the left-to-right expression it replaces
+        x = np.concatenate([np.linspace(0.0, 0.5 - 1e-13, 5001), 10.0 ** np.arange(-320.0, 0.0)])
+        want = 0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x)
+        assert np.array_equal(_cramer(x), want)
+        assert np.array_equal(_cramer(x[:5319].reshape(-1, 3)), want[:5319].reshape(-1, 3))
+
+
+def _bisection_mu(rho, log_ratio):
+    """Frozen reference for the mu solve: the plain 60-step bisection on
+    [0, (1 - 1e-12) / (2 max rho)] that sums every midpoint's Cramer terms at
+    the full row width, in row chunks to bound the temporaries."""
+    hi = (1.0 - 1e-12) / (2.0 * np.max(rho, axis=1))
+    lo = np.zeros_like(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        rowsum = np.empty_like(mid)
+        for start in range(0, rho.shape[0], 64):
+            x = mid[start:start + 64, None] * rho[start:start + 64]
+            rowsum[start:start + 64] = np.sum(
+                0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x), axis=1)
+        below = rowsum < log_ratio
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(log_ratio > 0.0, 0.5 * (lo + hi), 0.0)
+
+
+def _mu_inputs(table):
+    """rho and the log ratios that build_penalty_table hands to the mu solve."""
+    d = table.d
+    return np.sqrt(2.0) * table.noise_weights / d[:, None], penalty._log_ratio(d, d[-1])
+
+
+def _zero_tailed_rho(rng, widths, p):
+    rho = np.zeros((len(widths), p))
+    for i, width in enumerate(widths):
+        rho[i, :width] = rng.uniform(0.01, 1.0, width)
+    return rho / np.sqrt(np.sum(rho * rho, axis=1, keepdims=True))
+
+
+_BISECTION_TABLES = {
+    "mc-cutoff k^-2 p=1000": (SmootherFamily.cutoff(), lambda: polynomial_spectrum(1000, 2.0), {}),
+    "cutoff k^-2 p=2000": (SmootherFamily.cutoff(), lambda: polynomial_spectrum(2000, 2.0), {}),
+    "cutoff e^-k/2 p=1000": (SmootherFamily.cutoff(), lambda: exponential_spectrum(1000, 0.5), {}),
+    "tikhonov k^-2 p=1000": (SmootherFamily.tikhonov(), lambda: polynomial_spectrum(1000, 2.0),
+                             {"points": 200}),
+    "tikhonov k^-1 p=2000": (SmootherFamily.tikhonov(), lambda: polynomial_spectrum(2000, 1.0),
+                             {"points": 200}),
+    "landweber e^-k p=300": (SmootherFamily.landweber(), lambda: exponential_spectrum(300, 1.0),
+                             {"points": 100}),
+    "tikhonov e^-k p=500": (SmootherFamily.tikhonov(), lambda: exponential_spectrum(500, 1.0),
+                            {"points": 100, "floor_rule": None}),
+    "landweber e^-k p=500": (SmootherFamily.landweber(), lambda: exponential_spectrum(500, 1.0),
+                             {"points": 100, "floor_rule": None}),
+}
+
+
+class TestMuBisectionReplay:
+    """The certified replay must give the plain bisection's mu bit for bit."""
+
+    @pytest.mark.parametrize("name", list(_BISECTION_TABLES))
+    def test_tables_match_plain_bisection(self, name):
+        family, make_spectrum, grid_kwargs = _BISECTION_TABLES[name]
+        spectrum = make_spectrum()
+        table = build_penalty_table(family, default_grid(family, spectrum, **grid_kwargs), spectrum, 0.1)
+        assert np.array_equal(table.mu, _bisection_mu(*_mu_inputs(table)))
+
+    def test_ordered_table_family(self):
+        s = polynomial_spectrum(40, 1.0)
+        alphas = np.geomspace(1e-3, 10.0, 25)
+        family = SmootherFamily.from_table(
+            alphas=alphas.tolist(), h_table=[s.retained / (s.retained + a) for a in alphas])
+        table = build_penalty_table(family, AlphaGrid(alphas), s, 0.1)
+        assert np.array_equal(table.mu, _bisection_mu(*_mu_inputs(table)))
+
+    def test_rows_with_zero_log_ratio(self):
+        spectrum = polynomial_spectrum(300, 2.0)
+        family = SmootherFamily.cutoff()
+        rho, log_ratio = _mu_inputs(build_penalty_table(
+            family, default_grid(family, spectrum), spectrum, 0.1))
+        log_ratio[::3] = 0.0
+        mu = penalty._solve_mu_rows(rho, log_ratio)
+        assert np.all(mu[::3] == 0.0)
+        assert np.array_equal(mu, _bisection_mu(rho, log_ratio))
+
+    def test_multi_block_zero_tails(self):
+        # widths rise and fall from block to block, so the shared term buffer
+        # must clear the columns a wider block left behind
+        rng = np.random.default_rng(46)
+        p = 400
+        widths = rng.integers(1, p + 1, 700)
+        rho = _zero_tailed_rho(rng, widths, p)
+        assert len(_row_blocks(rho)) > 5
+        log_ratio = rng.uniform(0.01, 20.0, widths.size)
+        assert np.array_equal(penalty._solve_mu_rows(rho, log_ratio), _bisection_mu(rho, log_ratio))
+
+    def test_row_wider_than_block(self):
+        rng = np.random.default_rng(47)
+        p = _ROW_BLOCK_ELEMS + 7
+        rho = _zero_tailed_rho(rng, [p, 40, 5000, 1], p)
+        log_ratio = np.array([3.0, 0.5, 12.0, 1.0])
+        assert np.array_equal(penalty._solve_mu_rows(rho, log_ratio), _bisection_mu(rho, log_ratio))
+
+    @pytest.mark.parametrize("estimate", ("third", "nan"))
+    def test_garbage_root_estimate_falls_back(self, monkeypatch, estimate):
+        # a root estimate of hi/3 or NaN fails the certificates, and the
+        # sides that fail are evaluated at every step, so mu keeps its bits
+        def garbage(rho, hi, log_ratio, coef):
+            mu = hi / 3.0 if estimate == "third" else np.full_like(hi, np.nan)
+            return mu, np.zeros_like(hi), np.ones_like(hi)
+
+        spectrum = exponential_spectrum(200, 0.5)
+        family = SmootherFamily.tikhonov()
+        rho, log_ratio = _mu_inputs(build_penalty_table(
+            family, default_grid(family, spectrum, points=60), spectrum, 0.1))
+        want = penalty._solve_mu_rows(rho, log_ratio)
+        monkeypatch.setattr(penalty, "_root_estimate", garbage)
+        calls = []
+        rowsum = penalty._cramer_rowsum
+        monkeypatch.setattr(penalty, "_cramer_rowsum", lambda *args: calls.append(None) or rowsum(*args))
+        got = penalty._solve_mu_rows(rho, log_ratio)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, _bisection_mu(rho, log_ratio))
+        if estimate == "nan":  # two certificate sums, 60 steps and the residual
+            assert len(calls) == 2 + penalty._MU_BISECTION_STEPS + 1
+
+
+class TestRowSumErrorBound:
+    def test_against_mpmath(self):
+        # |F(m) - f(m)| <= E(m): F the float row sum the solver compares, f
+        # its 50-digit value; rows of all three families on e^-k, p = 500,
+        # x up to within 1e-12 of 1/2, and rho entries down to subnormal
+        from mpmath import mp, mpf
+
+        p = 500
+        s = exponential_spectrum(p, 1.0)
+        rows = []
+        for family in FAMILIES:
+            table = build_penalty_table(
+                family, default_grid(family, s, points=40, floor_rule=None), s, 0.1)
+            rho, _ = _mu_inputs(table)
+            rows += [rho[i] for i in np.linspace(0, len(rho) - 2, 4).round().astype(int)]
+        rng = np.random.default_rng(48)
+        tiny = np.zeros(p)
+        tiny[:60] = np.concatenate([[0.9, 0.4], 10.0 ** rng.uniform(-323.5, -1.0, 58)])
+        rows.append(tiny)
+        assert np.any((tiny > 0.0) & (tiny < np.finfo(float).tiny))
+        rho = np.array(rows)
+        hi = (1.0 - 1e-12) / (2.0 * np.max(rho, axis=1))
+        coef = penalty._error_coefficients(rho, p)
+        worst = 0.0
+        with mp.workdps(50):
+            for frac in (0.0, 1e-9, 0.1, 0.37, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-9, 1.0):
+                m = hi * frac
+                got = _cramer_rowsum(rho, m, np.zeros(rho.shape))
+                bound = penalty._rowsum_error(m, coef)
+                for i, row in enumerate(rho):
+                    exact = mp.fsum(mp.log1p(-2 * x) / 2 + x + 2 * x * x / (1 - 2 * x)
+                                    for x in (mpf(float(m[i])) * mpf(float(r)) for r in row if r))
+                    error = abs(mpf(float(got[i])) - exact)
+                    assert error <= bound[i], (i, frac)
+                    worst = max(worst, float(error / bound[i]))
+        assert 1.0 - 2.0 * float(hi[0] * np.max(rho[0])) < 1.01e-12
+        print(f"worst |F - f| / E: {worst:.3g}")
 
 
 class TestQPlus:

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR
 
-Imports ``specreg`` from the source directory SRC, writes 51 configs (and
+Imports ``specreg`` from the source directory SRC, writes 52 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -22,7 +22,10 @@ Config matrix:
     table family and one for each ordering violation (grid direction, not
     monotone in lambda, crossing), and a subnormal eigenvalue (7);
   - cutoff on k^-2 with p=400 (M=360), whose mu solve spans five row
-    blocks, each ending in a zero tail (1).
+    blocks, each ending in a zero tail (1);
+  - cutoff on a flat spectrum (p=60, every eigenvalue 1), whose rows of
+    equal rho send the mu solve's root estimate out of its bracket, so
+    that its safeguard replaces those steps by bracket midpoints (1).
 """
 
 from __future__ import annotations
@@ -131,6 +134,9 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
         family={"kind": "cutoff"}, grid={"floor": "none"}, **_mode("known"))
     configs["gen-poly400-cutoff-multiblock"] = dict(
         base, problem=_generator({"kind": "polynomial", "p": 400, "exponent": 2.0}),
+        family={"kind": "cutoff"}, grid={}, mode="unknown")
+    configs["gen-flat60-cutoff-safeguard"] = dict(
+        base, problem=_generator({"kind": "polynomial", "p": 60, "exponent": 0.0}),
         family={"kind": "cutoff"}, grid={}, mode="unknown")
     return configs
 
