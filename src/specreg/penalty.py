@@ -217,10 +217,10 @@ def _certified_band(rho: np.ndarray, p: int, hi: np.ndarray, log_ratio: np.ndarr
     proved in _solve_mu_rows; -inf and +inf mark a side whose certificate
     fails.  ``rowsum(m)`` evaluates F for the block, twice.
 
-    The band edges sit (resid +- 4.5 E) / f' from the root estimate: a
-    certificate needs about 4E there (2E in its own test, E in F at the edge
-    and E in the estimate's residual), and the last 0.5E absorbs the change
-    of f' and E across the band.
+    The band is the Newton-corrected estimate mu - resid / f', widened by
+    4.5 E / f' on each side: a certificate needs about 4E there (2E in its
+    own test, E in F at the edge and E in the estimate's residual), and the
+    last 0.5E absorbs the change of f' and E across the band.
     """
     coef = _error_coefficients(rho, p)
     mu, resid, slope = _root_estimate(rho, hi, log_ratio, coef)
