@@ -337,6 +337,34 @@ class TestMuBisectionReplay:
         log_ratio = np.array([3.0, 0.5, 12.0, 1.0])
         assert np.array_equal(penalty._solve_mu_rows(rho, log_ratio), _bisection_mu(rho, log_ratio))
 
+    def test_random_extreme_rows(self):
+        # rows spanning 330 decades (subnormal entries included), flat rows,
+        # single-entry rows and log ratios from 1e-16 to 1e3
+        rng = np.random.default_rng(49)
+        for p in (1, 7, 129, 700):
+            t = np.vstack([10.0 ** rng.uniform(-330.0, 0.0, (10, p)),
+                           np.ones((3, p)), rng.uniform(0.0, 1.0, (10, p))])
+            t[:, 0] += 1e-300
+            rho = t / np.sqrt(np.sum((t / t.max(axis=1, keepdims=True)) ** 2, axis=1,
+                                     keepdims=True)) / t.max(axis=1, keepdims=True)
+            log_ratio = 10.0 ** rng.uniform(-16.0, 3.0, len(t))
+            log_ratio[::5] = 0.0
+            assert np.array_equal(penalty._solve_mu_rows(rho, log_ratio), _bisection_mu(rho, log_ratio))
+
+    def test_tiny_root_fails_the_upper_certificate(self):
+        # on a flat row of width 1000 a root near 1e-11 is too small for
+        # f(m(1-u)) - E0(m) to be proved nondecreasing above b, so that side
+        # is never skipped; the row with a larger root is certified on both
+        p = 1000
+        rho = np.full((2, p), 1.0 / np.sqrt(p))
+        log_ratio = np.array([1e-22, 1e-3])
+        hi = (1.0 - 1e-12) / (2.0 * np.max(rho, axis=1))
+        terms = np.zeros(rho.shape)
+        a, b = penalty._certified_band(rho, p, hi, log_ratio,
+                                       lambda m: _cramer_rowsum(rho, m, terms))
+        assert np.all(np.isfinite(a)) and b[0] == np.inf and np.isfinite(b[1])
+        assert np.array_equal(penalty._solve_mu_rows(rho, log_ratio), _bisection_mu(rho, log_ratio))
+
     @pytest.mark.parametrize("estimate", ("third", "nan"))
     def test_garbage_root_estimate_falls_back(self, monkeypatch, estimate):
         # a root estimate of hi/3 or NaN fails the certificates, and the
