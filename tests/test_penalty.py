@@ -186,15 +186,20 @@ class TestSolveMu:
             _one_row_table(np.zeros(4), polynomial_spectrum(4, 1.0))
 
 
+def _zero_tailed_rho(rng, widths, p):
+    """Rows with nonzero rho up to the given widths, exact zeros after."""
+    rho = np.zeros((len(widths), p))
+    for i, width in enumerate(widths):
+        rho[i, :width] = rng.uniform(0.01, 1.0, width)
+    return rho
+
+
 class TestCramerRowsum:
     @staticmethod
     def _check(rng, widths, p):
-        # rows with nonzero rho up to the given widths, exact zeros after;
         # each block's rows, and every other row of it, summed into a
         # zero-tailed buffer of the full width
-        rho = np.zeros((len(widths), p))
-        for i, width in enumerate(widths):
-            rho[i, :width] = rng.uniform(0.01, 1.0, width)
+        rho = _zero_tailed_rho(rng, widths, p)
         mu = rng.uniform(0.0, 0.49, len(widths)) / np.maximum(np.max(rho, axis=1), 1.0)
         want = np.sum(_cramer(mu[:, None] * rho), axis=1)
         got = np.empty_like(want)
@@ -265,13 +270,6 @@ def _mu_inputs(table):
     """rho and the log ratios that build_penalty_table hands to the mu solve."""
     d = table.d
     return np.sqrt(2.0) * table.noise_weights / d[:, None], penalty._log_ratio(d, d[-1])
-
-
-def _zero_tailed_rho(rng, widths, p):
-    rho = np.zeros((len(widths), p))
-    for i, width in enumerate(widths):
-        rho[i, :width] = rng.uniform(0.01, 1.0, width)
-    return rho / np.sqrt(np.sum(rho * rho, axis=1, keepdims=True))
 
 
 _BISECTION_TABLES = {
