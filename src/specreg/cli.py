@@ -71,7 +71,9 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _load_json(path: str) -> dict:
+def _config(path: str | None) -> dict:
+    if path is None:
+        raise ConfigError("this command needs --config")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -101,145 +103,150 @@ def _write_json(obj, path: str | None) -> None:
     _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
-def _require(config: dict, key: str):
-    if key not in config:
+_REQUIRED = object()
+
+
+def _get(section, key: str, kind=None, default=_REQUIRED):
+    """``section[key]`` converted by ``kind``.  A missing key gives
+    ``default`` (required keys have none), and so does null where the
+    default is None; a section that is no JSON object or a value that
+    ``kind`` rejects is a ConfigError."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"expected a JSON object holding {key!r}, not {type(section).__name__}")
+    value = section.get(key, default)
+    if value is _REQUIRED:
         raise ConfigError(f"config is missing {key!r}")
-    return config[key]
+    if kind is None or value is default:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {key!r}: {exc}") from None
 
 
-def _problem(config: dict) -> dict:
-    problem = _require(config, "problem")
-    sources = [k for k in ("matrix", "spectral", "spectral_data", "generator") if k in problem]
+def _problem(config: dict) -> tuple[str, dict]:
+    """The one problem source: its name and its section."""
+    problem = _get(config, "problem")
+    sources = [k for k in ("matrix", "spectral", "spectral_data", "generator")
+               if _get(problem, k, default=None) is not None]
     if len(sources) != 1:
         raise ConfigError("config needs exactly one problem source among "
                           "matrix, spectral, spectral_data, generator")
-    return problem
+    return sources[0], problem[sources[0]]
+
+
+def _design(matrix: dict, rank_tol: float = 1e-12):
+    rank_tol = _get(matrix, "rank_tol", float, rank_tol)
+    return decompose_design(_load_matrix(_get(matrix, "x")), rank_tol)
 
 
 def _signal_values(signal: dict, p: int) -> np.ndarray:
-    kind = signal.get("kind")
+    kind = _get(signal, "kind", default=None)
     k = np.arange(1, p + 1, dtype=float)
     if kind == "polynomial":
-        return k ** -float(_cfg_get(signal, "exponent"))
+        return k ** -_get(signal, "exponent", float)
     if kind == "exponential":
-        return np.exp(-float(_cfg_get(signal, "rate")) * k)
+        return np.exp(-_get(signal, "rate", float) * k)
     if kind == "zero":
         return np.zeros(p)
     if kind == "explicit":
-        return np.asarray(_cfg_get(signal, "values"), dtype=float)
+        return np.asarray(_get(signal, "values"), dtype=float)
     raise ConfigError(f"unknown signal kind {kind!r}")
 
 
-def _cfg_get(section: dict, key: str):
-    if key not in section:
-        raise ConfigError(f"config section is missing {key!r}")
-    return section[key]
-
-
 def _generator_model(gen: dict) -> SpectralModel:
-    spec_cfg = _cfg_get(gen, "spectrum")
-    kind = spec_cfg.get("kind")
-    p = int(_cfg_get(spec_cfg, "p"))
+    spec_cfg = _get(gen, "spectrum")
+    kind = _get(spec_cfg, "kind", default=None)
+    p = _get(spec_cfg, "p", int)
     try:
         if kind == "polynomial":
-            spectrum = polynomial_spectrum(p, float(_cfg_get(spec_cfg, "exponent")))
+            spectrum = polynomial_spectrum(p, _get(spec_cfg, "exponent", float))
         elif kind == "exponential":
-            spectrum = exponential_spectrum(p, float(_cfg_get(spec_cfg, "kappa")))
+            spectrum = exponential_spectrum(p, _get(spec_cfg, "kappa", float))
         else:
             raise ConfigError(f"unknown spectrum kind {kind!r}")
-        coef = _signal_values(_cfg_get(gen, "signal"), spectrum.effective_rank)
-        return SpectralModel(spectrum, coef, float(_cfg_get(gen, "sigma")))
+        coef = _signal_values(_get(gen, "signal"), spectrum.effective_rank)
+        return SpectralModel(spectrum, coef, _get(gen, "sigma", float))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _model(config: dict) -> SpectralModel:
-    problem = _problem(config)
-    if "generator" in problem:
-        return _generator_model(problem["generator"])
-    if "spectral" in problem:
-        spec = problem["spectral"]
-        if isinstance(spec, str):
-            spec = _load_json(spec)
+    source, section = _problem(config)
+    if source == "generator":
+        return _generator_model(section)
+    if source == "spectral":
         try:
-            return model_from_json(spec)
+            return model_from_json(_config(section) if isinstance(section, str) else section)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     raise ConfigError("this command needs a spectral or generator problem source")
 
 
 def _spectrum(config: dict) -> Spectrum:
-    problem = _problem(config)
-    if "matrix" in problem:
-        x = _load_matrix(_cfg_get(problem["matrix"], "x"))
-        rank_tol = float(problem["matrix"].get("rank_tol", 1e-12))
-        return decompose_design(x, rank_tol).spectrum
-    if "spectral_data" in problem:
+    source, section = _problem(config)
+    if source == "matrix":
+        return _design(section).spectrum
+    if source == "spectral_data":
         try:
-            return Spectrum(_cfg_get(problem["spectral_data"], "eigenvalues"))
+            return Spectrum(_get(section, "eigenvalues"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return _model(config).spectrum
 
 
 def _family(config: dict) -> SmootherFamily:
-    fam = _require(config, "family")
-    kind = fam.get("kind")
+    fam = _get(config, "family")
+    kind = _get(fam, "kind", default=None)
     try:
         if kind == "cutoff":
             return SmootherFamily.cutoff()
         if kind == "tikhonov":
             return SmootherFamily.tikhonov()
         if kind == "landweber":
-            tau = fam.get("tau")
-            return SmootherFamily.landweber(None if tau is None else float(tau))
+            return SmootherFamily.landweber(_get(fam, "tau", float, None))
         if kind == "table":
-            return SmootherFamily.from_table(_cfg_get(fam, "alphas"), _cfg_get(fam, "h_table"))
+            return SmootherFamily.from_table(_get(fam, "alphas"), _get(fam, "h_table"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
 def _grid(config: dict, family: SmootherFamily, spectrum: Spectrum) -> AlphaGrid:
-    grid_cfg = _require(config, "grid")
+    grid_cfg = _get(config, "grid")
+    floor = _get(grid_cfg, "floor", default="default")
     try:
         if "values" in grid_cfg:
             return AlphaGrid(np.asarray(grid_cfg["values"], dtype=float))
-        floor = grid_cfg.get("floor", "default")
         if floor not in ("default", "none"):
             raise ConfigError(f"unknown grid floor {floor!r}")
         rule = default_floor_rule if floor == "default" else None
-        return default_grid(family, spectrum, points=grid_cfg.get("points"), floor_rule=rule)
+        return default_grid(family, spectrum, points=_get(grid_cfg, "points", int, None), floor_rule=rule)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _gamma(config: dict) -> float:
-    gamma = float(_require(config, "gamma"))
+    gamma = _get(config, "gamma", float)
     if not 0.0 < gamma < 0.25:
         raise ConfigError("gamma must lie in (0, 1/4)")
     return gamma
 
 
 def _seed(config: dict, args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in config:
-        return int(config["seed"])
-    raise ConfigError("no seed given (config 'seed' or --seed)")
+    seed = args.seed if args.seed is not None else _get(config, "seed", int, None)
+    if seed is None:
+        raise ConfigError("no seed given (config 'seed' or --seed)")
+    return seed
 
 
 def _cmd_decompose(args) -> int:
-    if args.matrix is not None:
-        path, rank_tol = args.matrix, args.rank_tol
-    else:
-        config = _load_json(_required_config(args))
-        problem = _problem(config)
-        if "matrix" not in problem:
+    matrix = {"x": args.matrix}
+    if args.matrix is None:
+        source, matrix = _problem(_config(args.config))
+        if source != "matrix":
             raise ConfigError("decompose needs a matrix problem source")
-        path = _cfg_get(problem["matrix"], "x")
-        rank_tol = float(problem["matrix"].get("rank_tol", args.rank_tol))
-    design = decompose_design(_load_matrix(path), rank_tol)
+    design = _design(matrix, args.rank_tol)
     _write_json(
         {
             "eigenvalues": [float(v) for v in design.spectrum.eigenvalues],
@@ -252,7 +259,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_penalty_table(args) -> int:
-    config = _load_json(_required_config(args))
+    config = _config(args.config)
     spectrum = _spectrum(config)
     family = _family(config)
     grid = _grid(config, family, spectrum)
@@ -266,20 +273,18 @@ def _cmd_penalty_table(args) -> int:
 
 def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
     """Data plus the optional orthogonal-residual terms for raw-matrix mode."""
-    problem = _problem(config)
-    if "matrix" in problem:
-        x = _load_matrix(_cfg_get(problem["matrix"], "x"))
-        y = _load_matrix(_cfg_get(problem["matrix"], "y")).ravel()
-        design = decompose_design(x, float(problem["matrix"].get("rank_tol", 1e-12)))
+    source, section = _problem(config)
+    if source == "matrix":
+        design = _design(section)
+        y = _load_matrix(_get(section, "y")).ravel()
         data = to_spectral(design, y)
-        if config.get("include_orthogonal_residual", False):
+        if _get(config, "include_orthogonal_residual", default=False):
             extra_ss, extra_dof = orthogonal_residual2(design, y)
             return data, extra_ss, float(extra_dof)
         return data, 0.0, 0.0
-    if "spectral_data" in problem:
-        section = problem["spectral_data"]
+    if source == "spectral_data":
         try:
-            data = SpectralData(Spectrum(_cfg_get(section, "eigenvalues")), _cfg_get(section, "y"))
+            data = SpectralData(Spectrum(_get(section, "eigenvalues")), _get(section, "y"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return data, 0.0, 0.0
@@ -289,19 +294,19 @@ def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
 
 
 def _cmd_select(args) -> int:
-    config = _load_json(_required_config(args))
+    config = _config(args.config)
     data, extra_ss, extra_dof = _selection_inputs(config, args)
     family = _family(config)
     grid = _grid(config, family, data.spectrum)
     table = build_penalty_table(family, grid, data.spectrum, _gamma(config))
-    mode = config.get("mode", "unknown")
-    sigma2 = config.get("sigma2")
+    mode = _get(config, "mode", default="unknown")
+    sigma2 = _get(config, "sigma2", float, None)
     if mode == "known" and sigma2 is None:
         raise ConfigError("known-sigma mode needs 'sigma2' in the config")
     result = select_alpha(
         data, table, mode,
-        sigma2=None if sigma2 is None else float(sigma2),
-        penalty=config.get("penalty", "total"),
+        sigma2=sigma2,
+        penalty=_get(config, "penalty", default="total"),
         extra_ss=extra_ss,
         extra_dof=extra_dof,
     )
@@ -318,11 +323,11 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _load_json(_required_config(args))
+    config = _config(args.config)
     model = _model(config)
     family = _family(config)
     grid = _grid(config, family, model.spectrum)
-    replications = int(_require(config, "replications"))
+    replications = _get(config, "replications", int)
     if replications < 1:
         raise ConfigError("replications must be >= 1")
     report = mc_run(
@@ -330,16 +335,15 @@ def _cmd_bench(args) -> int:
         family,
         grid,
         _gamma(config),
-        config.get("mode", "unknown"),
+        _get(config, "mode", default="unknown"),
         replications,
         _seed(config, args),
-        penalty=config.get("penalty", "total"),
-        sigma2=None if config.get("sigma2") is None else float(config["sigma2"]),
+        penalty=_get(config, "penalty", default="total"),
+        sigma2=_get(config, "sigma2", float, None),
     )
-    outputs = config.get("outputs", {})
-    report_path = args.out or outputs.get("report")
-    _write_json(report.to_dict(), report_path)
-    rep_path = args.rep_out or outputs.get("replications_csv")
+    outputs = _get(config, "outputs", default={})
+    _write_json(report.to_dict(), args.out or _get(outputs, "report", default=None))
+    rep_path = args.rep_out or _get(outputs, "replications_csv", default=None)
     if rep_path is not None:
         lines = ["rep,alpha_hat_index,loss,sigma_hat2,excess_sup"]
         for i in range(report.replications):
@@ -352,7 +356,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = _load_json(_required_config(args))
+    config = _config(args.config)
     spectrum = _spectrum(config)
     family = _family(config)
     grid = _grid(config, family, spectrum)
@@ -372,12 +376,6 @@ def _cmd_check(args) -> int:
         for line in inequalities.violations:
             print(f"  {line}")
     return EXIT_OK if ordering.ok and conditions.ok and inequalities.ok else EXIT_NUMERIC
-
-
-def _required_config(args) -> str:
-    if args.config is None:
-        raise ConfigError("this command needs --config")
-    return args.config
 
 
 def _build_parser() -> _Parser:

@@ -419,7 +419,7 @@ def build_penalty_table(
     if not 0.0 < gamma < 0.25:
         raise ValueError("invalid input: gamma must lie in (0, 1/4)")
     lam = spectrum.retained
-    h_rows = np.array([h_values(family, float(a), spectrum) for a in grid.values])
+    h_rows = h_values(family, grid.values, spectrum)
     if family.kind == "table":
         violation = _first_violation(h_rows, grid.values)
         if violation is not None:
@@ -434,7 +434,9 @@ def build_penalty_table(
             raise ValueError("invalid input: noise scale must be nonincreasing along the grid "
                              "(is the family ordered?)")
         mu, q = _mu_q_rows(t, d, _log_ratio(d, d[-1]))
-        pen_u_col = 2.0 * np.sum(h_rows / lam, axis=1)
+        h_over_lam = h_rows / lam
+        pen_u_col, max_h_over_lam = 2.0 * np.sum(h_over_lam, axis=1), np.max(h_over_lam, axis=1)
+        del h_over_lam  # an M x p matrix: freed before the residual matrices
         resid = 1.0 - h_rows
         resid2 = resid ** 2
         # one_minus_h_norm2 and resid_dof add the same squares in different
@@ -452,7 +454,7 @@ def build_penalty_table(
             "pen_total": pen_u_col + (1.0 + gamma) * q,
             "h_lambda_norm2": np.sum(h_rows * h_rows / lam, axis=1),
             "one_minus_h_norm2": np.einsum("ij,ij->i", resid, resid),
-            "max_h_over_lambda": np.max(h_rows / lam, axis=1),
+            "max_h_over_lambda": max_h_over_lam,
         }
     for name, column in columns.items():
         if not np.all(np.isfinite(column)):

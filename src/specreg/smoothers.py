@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _KINDS = ("cutoff", "tikhonov", "landweber", "table")
+_ORDER_ATOL = 1e-12  # rounding slack of the ordering check
 
 
 @dataclass(frozen=True)
@@ -100,47 +101,41 @@ class AlphaGrid:
         return float(self.values[-1])
 
 
-def _iterations_from_alpha(alpha: float) -> float:
+def _iterations_from_alpha(alpha: np.ndarray) -> np.ndarray:
     # ceil(1/alpha), except that alpha == 1/m (grids are built as exact
     # reciprocals) gives m even where 1/alpha rounds to just above m.
-    q = 1.0 / alpha
-    nearest = float(np.round(q))
-    if nearest >= 1.0 and 1.0 / nearest == alpha:
-        return nearest
-    return float(np.ceil(q)) if q > 1.0 else 1.0
+    with np.errstate(over="ignore", divide="ignore"):
+        q = 1.0 / alpha
+        nearest = np.round(q)
+        exact = (nearest >= 1.0) & (1.0 / nearest == alpha)
+    return np.where(exact, nearest, np.where(q > 1.0, np.ceil(q), 1.0))
 
 
-def _table_row(family: SmootherFamily, alpha: float, size: int) -> np.ndarray:
-    match = np.nonzero(np.abs(family.alphas - alpha) <= 1e-12 * max(1.0, alpha))[0]
-    if match.size == 0:
-        raise ValueError(f"invalid input: alpha {alpha!r} is not tabulated")
-    row = family.h_table[match[0]]
-    if row.size != size:
-        raise ValueError("dimension error: tabulated h row does not match the spectrum")
-    return row
-
-
-def h_values(family: SmootherFamily, alpha: float, spectrum: Spectrum) -> np.ndarray:
-    """Damping factors h_alpha(k) for every retained eigenvalue.
+def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    """Damping factors h_alpha(k), one row per alpha over the retained
+    eigenvalues: shape ``np.shape(alpha) + (p,)``, so a scalar alpha gives
+    one row and ``grid.values`` the M x p family on the grid.
 
     cutoff:    h(k) = 1 for k <= ceil(1/alpha), else 0
     tikhonov:  h(k) = lambda(k) / (lambda(k) + alpha)
     landweber: h(k) = 1 - (1 - tau*lambda(k)) ** ceil(1/alpha)
-    table:     the tabulated row for alpha
+    table:     the first tabulated row whose alpha matches to 1e-12
 
     Landweber is evaluated as -expm1(m * log1p(-tau*lambda)), which keeps
     full relative accuracy when tau*lambda is below the rounding unit of
     1 - tau*lambda (the power form rounds h to 0 there).  All values are
     clamped to [0, 1].
     """
-    if not (np.isfinite(alpha) and alpha > 0.0):
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(alpha) & (alpha > 0.0)):
         raise ValueError("invalid input: alpha must be positive")
     lam = spectrum.retained
+    column = alpha[..., None]
     if family.kind == "cutoff":
-        m = _iterations_from_alpha(alpha)
+        m = _iterations_from_alpha(column)
         h = (np.arange(1, lam.size + 1, dtype=float) <= m).astype(float)
     elif family.kind == "tikhonov":
-        h = lam / (lam + alpha)
+        h = lam / (lam + column)
     elif family.kind == "landweber":
         tau = family.tau if family.tau is not None else 1.0 / lam[0]
         if tau <= 0.0:
@@ -150,9 +145,15 @@ def h_values(family: SmootherFamily, alpha: float, spectrum: Spectrum) -> np.nda
             raise ValueError("unstable step: tau * lambda(1) > 1")
         x = np.clip(tau * lam, 0.0, 1.0)
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives h = 1
-            h = -np.expm1(_iterations_from_alpha(alpha) * np.log1p(-x))
+            h = -np.expm1(_iterations_from_alpha(column) * np.log1p(-x))
     else:
-        h = _table_row(family, alpha, lam.size)
+        match = np.abs(family.alphas - column) <= 1e-12 * np.maximum(1.0, column)
+        found = match.any(axis=-1)
+        if not found.all():
+            raise ValueError(f"invalid input: alpha {float(alpha[~found][0])!r} is not tabulated")
+        if family.h_table.shape[1] != lam.size:
+            raise ValueError("dimension error: tabulated h row does not match the spectrum")
+        h = family.h_table[np.argmax(match, axis=-1)]
     return np.clip(h, 0.0, 1.0)
 
 
@@ -170,12 +171,7 @@ class OrderingReport:
     violation: OrderingViolation | None = None
 
 
-def check_ordered(
-    family: SmootherFamily,
-    grid: AlphaGrid,
-    spectrum: Spectrum,
-    atol: float = 1e-12,
-) -> OrderingReport:
+def check_ordered(family: SmootherFamily, grid: AlphaGrid, spectrum: Spectrum) -> OrderingReport:
     """Verify the ordering of the family on the grid.
 
     Checks that each h profile is nondecreasing in lambda (equivalently
@@ -183,26 +179,25 @@ def check_ordered(
     a smaller one anywhere, which rules out crossings.  Returns the first
     violating (alpha pair, component) triple on failure.
     """
-    rows = np.array([h_values(family, a, spectrum) for a in grid.values])
-    violation = _first_violation(rows, grid.values, atol)
+    violation = _first_violation(h_values(family, grid.values, spectrum), grid.values)
     return OrderingReport(violation is None, violation)
 
 
-def _first_violation(rows: np.ndarray, alphas: np.ndarray, atol: float = 1e-12) -> OrderingViolation | None:
+def _first_violation(rows: np.ndarray, alphas: np.ndarray) -> OrderingViolation | None:
     """First ordering violation among the h rows of the grid points
     ``alphas``, or None; see :func:`check_ordered`."""
     alphas = alphas.tolist()  # Python floats, whose repr the violation prints
     # argwhere is row-major, so its first hit is the first row, then component
-    rising = np.argwhere(np.diff(rows, axis=1) > atol)
+    rising = np.argwhere(np.diff(rows, axis=1) > _ORDER_ATOL)
     if rising.size:
         i, k = rising[0]
         return OrderingViolation(alphas[i], alphas[i], int(k) + 1, "not monotone in lambda")
     # consecutive rows suffice: pointwise dominance is transitive along the grid
     diff = rows[1:] - rows[:-1]
-    above = np.argwhere(diff > atol)
+    above = np.argwhere(diff > _ORDER_ATOL)
     if above.size:
         i, k = above[0]
-        kind = "crossing" if np.any(diff[i] < -atol) else "grid direction"
+        kind = "crossing" if np.any(diff[i] < -_ORDER_ATOL) else "grid direction"
         return OrderingViolation(alphas[i], alphas[i + 1], int(k) + 1, kind)
     return None
 

@@ -285,6 +285,22 @@ class TestExitCodes:
         cfg = well_conditioned_config(gamma=0.3)
         assert run(["penalty-table", "--config", write_config(tmp_path, cfg)]) == 1
 
+    @pytest.mark.parametrize("override", [
+        {"gamma": "abc"}, {"gamma": None}, {"replications": "ten"}, {"seed": "x"},
+        {"family": "cutoff"}, {"grid": [1, 2]}, {"grid": {"points": "many"}},
+        {"family": {"kind": "landweber", "tau": "big"}},
+    ], ids=repr)
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, well_conditioned_config(**override))
+        assert run(["bench", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_null_optional_values_count_as_absent(self, tmp_path, capsys):
+        cfg = well_conditioned_config(family={"kind": "landweber", "tau": None}, sigma2=None)
+        cfg["problem"]["generator"]["spectrum"]["exponent"] = 1.0
+        assert run(["select", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_degenerate_row_is_numerical_failure(self, tmp_path):
         # full cutoff grid keeps the h == 1 row: unknown-sigma selection fails
         cfg = well_conditioned_config(

@@ -603,7 +603,8 @@ class TestPenaltyTable:
         assert str(excinfo.value) == f"invalid input: table family is not ordered ({violation})"
 
     def test_table_family_rows_evaluated_once(self, monkeypatch):
-        # the ordering check runs on the rows the build evaluates anyway
+        # the ordering check runs on the rows the build evaluates anyway, and
+        # the build evaluates the whole grid in one call
         calls = []
 
         def counting(*args):
@@ -617,7 +618,7 @@ class TestPenaltyTable:
         family = SmootherFamily.from_table(
             alphas=alphas, h_table=[s.retained / (s.retained + a) for a in alphas])
         build_penalty_table(family, AlphaGrid(alphas), s, 0.1)
-        assert calls == alphas
+        assert len(calls) == 1 and np.array_equal(calls[0], alphas)
 
     def test_accepts_ordered_table_family(self):
         s = Spectrum([1.0, 0.5])

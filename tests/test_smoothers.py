@@ -108,6 +108,105 @@ class TestHValues:
             h_values(SmootherFamily.cutoff(), 0.0, s)
 
 
+def _reference_iterations(alpha: float) -> float:
+    # the per-alpha rule h_values applies along its alpha axis
+    q = 1.0 / alpha
+    nearest = float(np.round(q))
+    if nearest >= 1.0 and 1.0 / nearest == alpha:
+        return nearest
+    return float(np.ceil(q)) if q > 1.0 else 1.0
+
+
+def _reference_table_row(family, alpha: float, size: int) -> np.ndarray:
+    match = np.nonzero(np.abs(family.alphas - alpha) <= 1e-12 * max(1.0, alpha))[0]
+    if match.size == 0:
+        raise ValueError(f"invalid input: alpha {alpha!r} is not tabulated")
+    row = family.h_table[match[0]]
+    if row.size != size:
+        raise ValueError("dimension error: tabulated h row does not match the spectrum")
+    return row
+
+
+def _reference_h(family, alpha: float, spectrum) -> np.ndarray:
+    """One row of h, evaluated one alpha at a time."""
+    lam = spectrum.retained
+    if family.kind == "cutoff":
+        m = _reference_iterations(alpha)
+        h = (np.arange(1, lam.size + 1, dtype=float) <= m).astype(float)
+    elif family.kind == "tikhonov":
+        h = lam / (lam + alpha)
+    elif family.kind == "landweber":
+        tau = family.tau if family.tau is not None else 1.0 / lam[0]
+        x = np.clip(tau * lam, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            h = -np.expm1(_reference_iterations(alpha) * np.log1p(-x))
+    else:
+        h = _reference_table_row(family, alpha, lam.size)
+    return np.clip(h, 0.0, 1.0)
+
+
+class TestGridBroadcast:
+    """h_values on a whole grid equals its per-alpha rows bit for bit."""
+
+    @staticmethod
+    def _assert_rows(family, alphas, s):
+        alphas = np.asarray(alphas, dtype=float)
+        got = h_values(family, alphas, s)
+        want = np.array([_reference_h(family, float(a), s) for a in alphas])
+        assert got.shape == (alphas.size, s.effective_rank)
+        assert np.array_equal(got, want)
+
+    def test_cutoff_reciprocal_grid(self):
+        s = polynomial_spectrum(500, 2.0)
+        grid = default_grid(SmootherFamily.cutoff(), s, floor_rule=None)
+        self._assert_rows(SmootherFamily.cutoff(), grid.values, s)
+
+    def test_cutoff_alphas_just_off_reciprocals(self):
+        s = polynomial_spectrum(500, 2.0)
+        m = np.arange(1.0, 501.0)
+        off = np.sort(np.concatenate([np.nextafter(1.0 / m, 0.0), np.nextafter(1.0 / m, 1.0)]))
+        self._assert_rows(SmootherFamily.cutoff(), off, s)
+
+    def test_cutoff_alphas_above_one(self):
+        s = polynomial_spectrum(10, 1.0)
+        self._assert_rows(SmootherFamily.cutoff(), [np.nextafter(1.0, 2.0), 1.5, 2.0, 3.7, 1e3], s)
+
+    def test_tikhonov(self):
+        s = polynomial_spectrum(200, 2.0)
+        grid = default_grid(SmootherFamily.tikhonov(), s, points=60, floor_rule=None)
+        self._assert_rows(SmootherFamily.tikhonov(), grid.values, s)
+
+    @pytest.mark.parametrize("s", [polynomial_spectrum(300, 2.0), exponential_spectrum(100, 1.0)],
+                             ids=["k^-2", "e^-k"])
+    def test_landweber_default_step(self, s):
+        family = SmootherFamily.landweber()
+        grid = default_grid(family, s, points=60, floor_rule=None)
+        self._assert_rows(family, grid.values, s)
+
+    def test_table_family(self):
+        s = polynomial_spectrum(8, 1.0)
+        # 0.2 is tabulated twice within 1e-12, with different rows
+        alphas = [0.05, 0.2, 0.2 * (1.0 + 1e-13), 0.8, 3.2]
+        family = SmootherFamily.from_table(
+            alphas=alphas, h_table=[s.retained / (s.retained + a) for a in [0.05, 0.2, 0.3, 0.8, 3.2]])
+        self._assert_rows(family, [0.05, 0.2, 0.2 * (1.0 + 5e-13), 0.8, 3.2], s)
+        self._assert_rows(family, [3.2, 0.05, 3.2], s)
+        assert np.array_equal(h_values(family, [0.2, 0.2 * (1.0 + 1e-13)], s), family.h_table[[1, 1]])
+
+    def test_scalar_alpha_gives_one_row(self):
+        s = polynomial_spectrum(6, 1.0)
+        for family in FAMILIES:
+            h = h_values(family, 0.25, s)
+            assert h.shape == (6,)
+            assert np.array_equal(h, _reference_h(family, 0.25, s))
+
+    def test_first_untabulated_alpha_is_named(self):
+        s = polynomial_spectrum(3, 1.0)
+        family = SmootherFamily.from_table(alphas=[1.0, 2.0], h_table=[[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])
+        with pytest.raises(ValueError, match=r"^invalid input: alpha 1\.5 is not tabulated$"):
+            h_values(family, AlphaGrid([1.0, 1.5, 2.0, 2.5]).values, s)
+
+
 class TestCheckOrdered:
     def test_builtin_families_pass(self):
         rng = np.random.default_rng(22)

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR
 
-Imports ``specreg`` from the source directory SRC, writes 52 configs (and
+Imports ``specreg`` from the source directory SRC, writes 53 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -25,7 +25,9 @@ Config matrix:
     blocks, each ending in a zero tail (1);
   - cutoff on a flat spectrum (p=60, every eigenvalue 1), whose rows of
     equal rho send the mu solve's root estimate out of its bracket, so
-    that its safeguard replaces those steps by bracket midpoints (1).
+    that its safeguard replaces those steps by bracket midpoints (1);
+  - the ordered table family on an explicit grid that holds an alpha the
+    table does not list, which pins the "is not tabulated" error (1).
 """
 
 from __future__ import annotations
@@ -138,6 +140,9 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["gen-flat60-cutoff-safeguard"] = dict(
         base, problem=_generator({"kind": "polynomial", "p": 60, "exponent": 0.0}),
         family={"kind": "cutoff"}, grid={}, mode="unknown")
+    configs["gen-table-untabulated"] = dict(
+        base, problem=table_problem, family=_table_family("ordered"),
+        grid={"values": [0.05, 0.2, 0.5, 0.8]}, **_mode("known"))
     return configs
 
 
