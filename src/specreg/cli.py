@@ -124,6 +124,18 @@ def _get(section, key: str, kind=None, default=_REQUIRED):
         raise ConfigError(f"invalid {key!r}: {exc}") from None
 
 
+def _choice(*allowed: str):
+    """A ``kind`` for _get that accepts only the given strings."""
+    def kind(value):
+        if value not in allowed:
+            raise ValueError(f"expected one of {', '.join(map(repr, allowed))}, got {value!r}")
+        return value
+    return kind
+
+
+_MODE, _PENALTY = _choice("known", "unknown"), _choice("total", "unbiased")
+
+
 def _problem(config: dict) -> tuple[str, dict]:
     """The one problem source: its name and its section."""
     problem = _get(config, "problem")
@@ -299,14 +311,14 @@ def _cmd_select(args) -> int:
     family = _family(config)
     grid = _grid(config, family, data.spectrum)
     table = build_penalty_table(family, grid, data.spectrum, _gamma(config))
-    mode = _get(config, "mode", default="unknown")
+    mode = _get(config, "mode", _MODE, "unknown")
     sigma2 = _get(config, "sigma2", float, None)
     if mode == "known" and sigma2 is None:
         raise ConfigError("known-sigma mode needs 'sigma2' in the config")
     result = select_alpha(
         data, table, mode,
         sigma2=sigma2,
-        penalty=_get(config, "penalty", default="total"),
+        penalty=_get(config, "penalty", _PENALTY, "total"),
         extra_ss=extra_ss,
         extra_dof=extra_dof,
     )
@@ -335,10 +347,10 @@ def _cmd_bench(args) -> int:
         family,
         grid,
         _gamma(config),
-        _get(config, "mode", default="unknown"),
+        _get(config, "mode", _MODE, "unknown"),
         replications,
         _seed(config, args),
-        penalty=_get(config, "penalty", default="total"),
+        penalty=_get(config, "penalty", _PENALTY, "total"),
         sigma2=_get(config, "sigma2", float, None),
     )
     outputs = _get(config, "outputs", default={})

@@ -26,10 +26,8 @@ def test_build_penalty_table_parameter_names():
 
 def test_mu_solve_names_the_tracer_binds(monkeypatch):
     # the perfbench tracer times _solve_mu_rows and counts _cramer_rowsum
-    # calls by name: one per row block for each of the two certificate sums,
-    # each replayed bisection step with rows inside their certified band,
-    # and the residual check.  This single-block table takes 22 of them,
-    # where a plain bisection takes _MU_BISECTION_STEPS + 1 = 61.
+    # calls by name: one per row block for each Halley step and one for the
+    # residual check.  This single-block table takes four steps.
     assert inspect.isfunction(penalty._solve_mu_rows)
     assert inspect.isfunction(penalty._cramer_rowsum)
     calls = []
@@ -43,4 +41,4 @@ def test_mu_solve_names_the_tracer_binds(monkeypatch):
     spectrum = polynomial_spectrum(50, 2.0)
     family = SmootherFamily.cutoff()
     build_penalty_table(family, default_grid(family, spectrum), spectrum, 0.1)
-    assert len(calls) == 22
+    assert len(calls) == 5

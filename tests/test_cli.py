@@ -285,14 +285,17 @@ class TestExitCodes:
         cfg = well_conditioned_config(gamma=0.3)
         assert run(["penalty-table", "--config", write_config(tmp_path, cfg)]) == 1
 
-    @pytest.mark.parametrize("override", [
-        {"gamma": "abc"}, {"gamma": None}, {"replications": "ten"}, {"seed": "x"},
-        {"family": "cutoff"}, {"grid": [1, 2]}, {"grid": {"points": "many"}},
-        {"family": {"kind": "landweber", "tau": "big"}},
-    ], ids=repr)
-    def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
+    @pytest.mark.parametrize("override, command", [
+        *(pytest.param(override, "bench", id=repr(override)) for override in (
+            {"gamma": "abc"}, {"gamma": None}, {"replications": "ten"}, {"seed": "x"},
+            {"family": "cutoff"}, {"grid": [1, 2]}, {"grid": {"points": "many"}},
+            {"family": {"kind": "landweber", "tau": "big"}})),
+        *(pytest.param(override, command, id=f"{command}-{override!r}")
+          for override in ({"mode": "bogus"}, {"penalty": "bogus"}) for command in ("select", "bench")),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, override, command):
         cfg = write_config(tmp_path, well_conditioned_config(**override))
-        assert run(["bench", "--config", cfg]) == 1
+        assert run([command, "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_null_optional_values_count_as_absent(self, tmp_path, capsys):

@@ -12,6 +12,15 @@ Run it on two checkouts and compare: equal lines mean byte-identical
 outputs.  The rest of stderr is left out, because numpy warnings print
 source lines.
 
+After them come the discrete lines, one per command and one overall, each
+a sha256 over the fields that hold no rounded float: the exit code and the
+error lines, the ``penalty-table`` row count, the ``select`` alpha_hat, the
+``bench`` alpha_hat_histogram and oracle_alpha_index, and the ``check``
+verdict lines with every float literal replaced by ``<float>``.  A change
+that declares moved bytes must keep these.  Another BLAS kernel can move
+both kinds of line, so compare checkouts under the same kernel, e.g. with
+the same ``OPENBLAS_CORETYPE`` (default, Haswell, Sandybridge, Prescott).
+
 Config matrix:
   - generator k^-2 (p=60) and e^-k/2 (p=40) x cutoff/tikhonov/landweber
     x known/unknown x total/unbiased penalty (24);
@@ -23,9 +32,9 @@ Config matrix:
     monotone in lambda, crossing), and a subnormal eigenvalue (7);
   - cutoff on k^-2 with p=400 (M=360), whose mu solve spans five row
     blocks, each ending in a zero tail (1);
-  - cutoff on a flat spectrum (p=60, every eigenvalue 1), whose rows of
-    equal rho send the mu solve's root estimate out of its bracket, so
-    that its safeguard replaces those steps by bracket midpoints (1);
+  - cutoff on a flat spectrum (p=60, every eigenvalue 1), whose rows hold
+    equal rho entries, where the start bounds of the mu solve are loosest
+    (its Halley steps stay inside their bracket there) (1);
   - the ordered table family on an explicit grid that holds an alpha the
     table does not list, which pins the "is not tabulated" error (1).
 """
@@ -36,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -45,6 +55,7 @@ FAMILIES = ("cutoff", "tikhonov", "landweber")
 SEED = 7
 REPLICATIONS = 20
 _ERROR_PREFIXES = ("config error:", "numerical failure:", "error:")
+_FLOAT = re.compile(r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|nan|inf)")
 
 
 def _grid(kind: str) -> dict:
@@ -153,7 +164,24 @@ def _commands(config: dict) -> list[str]:
     return commands
 
 
-def _run(main, argv: list[str], files: list[Path]) -> tuple[str, int]:
+def _discrete(command: str, code, stdout: str, errors: list[str]) -> str:
+    """sha256 over the fields of one command's output that hold no rounded float."""
+    fields = [f"exit={code}", *errors]
+    if command == "check":
+        fields += [_FLOAT.sub("<float>", line) for line in stdout.splitlines()]
+    elif code == 0 and command == "penalty-table":
+        fields.append(f"rows={len(stdout.splitlines()) - 1}")
+    elif code == 0 and command == "select":
+        fields.append(f"alpha_hat={json.loads(stdout)['alpha_hat']!r}")
+    elif code == 0 and command == "bench":
+        report = json.loads(stdout)
+        fields += [f"alpha_hat_histogram={report['alpha_hat_histogram']}",
+                   f"oracle_alpha_index={report['oracle_alpha_index']}"]
+    return hashlib.sha256(("\n".join(fields) + "\n").encode()).hexdigest()
+
+
+def _run(main, argv: list[str], files: list[Path]) -> tuple[str, str, int]:
+    """The byte digest, the discrete digest and the exit code of one command."""
     for path in files:
         path.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -162,15 +190,15 @@ def _run(main, argv: list[str], files: list[Path]) -> tuple[str, int]:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith(_ERROR_PREFIXES)]
     digest = hashlib.sha256(f"exit={code}\n".encode())
     digest.update(stdout.getvalue().encode())
-    for line in stderr.getvalue().splitlines():
-        if line.startswith(_ERROR_PREFIXES):
-            digest.update(f"{line}\n".encode())
+    for line in errors:
+        digest.update(f"{line}\n".encode())
     for path in files:
         digest.update(f"\n--- {path.name}\n".encode())
         digest.update(path.read_bytes() if path.exists() else b"<absent>")
-    return digest.hexdigest(), code
+    return digest.hexdigest(), _discrete(argv[0], code, stdout.getvalue(), errors), code
 
 
 def main(argv: list[str]) -> int:
@@ -184,7 +212,7 @@ def main(argv: list[str]) -> int:
     for sub in ("configs", "data", "out"):
         (outdir / sub).mkdir(parents=True, exist_ok=True)
     configs = build_configs(outdir / "data")
-    lines = []
+    lines, discrete = [], []
     for name, config in configs.items():
         path = outdir / "configs" / f"{name}.json"
         path.write_text(json.dumps(config, indent=1, sort_keys=True), encoding="utf-8")
@@ -195,11 +223,13 @@ def main(argv: list[str]) -> int:
                 rep = outdir / "out" / f"{name}.reps.csv"
                 argv_cmd += ["--rep-out", str(rep)]
                 files.append(rep)
-            digest, code = _run(cli_main, argv_cmd, files)
+            digest, fields, code = _run(cli_main, argv_cmd, files)
             lines.append(f"{digest}  {name} {command} exit={code}")
-    print("\n".join(lines))
-    overall = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
-    print(f"{overall}  overall ({len(lines)} commands, {len(configs)} configs)")
+            discrete.append(f"{fields}  {name} {command} exit={code} discrete")
+    for block, label in ((lines, "overall"), (discrete, "discrete overall")):
+        print("\n".join(block))
+        overall = hashlib.sha256(("\n".join(block) + "\n").encode()).hexdigest()
+        print(f"{overall}  {label} ({len(block)} commands, {len(configs)} configs)")
     return 0
 
 
