@@ -45,19 +45,15 @@ from .penalty import (
 )
 from .selection import (
     SelectionResult,
-    contrast_known_sigma,
-    contrast_unknown_sigma,
     select_alpha,
     sigma_hat2,
 )
 from .bench import (
     BenchReport,
     RiskProfile,
-    exact_risk,
     excess_sup_stat,
     growth_term,
     mc_run,
-    penalized_risk,
     risk_bound,
     risk_profile,
 )

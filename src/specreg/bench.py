@@ -16,12 +16,10 @@ import numpy as np
 
 from .core import SpectralModel, replication_stream, simulate_observation
 from .penalty import PenaltyTable, build_penalty_table
-from .selection import select_alpha, sigma_hat2
+from .selection import _select_rows
 from .smoothers import AlphaGrid, SmootherFamily
 
 __all__ = [
-    "exact_risk",
-    "penalized_risk",
     "RiskProfile",
     "risk_profile",
     "growth_term",
@@ -32,31 +30,10 @@ __all__ = [
 ]
 
 _EXCESS_QUANTILES = (0.5, 0.9, 0.95, 0.99)
-
-
-def exact_risk(model: SpectralModel, h) -> float:
-    """Mean squared error sum (1-h)^2 beta^2 + sigma^2 sum h^2 / lambda."""
-    lam = model.spectrum.retained
-    h = np.asarray(h, dtype=float)
-    if h.shape != lam.shape:
-        raise ValueError("dimension error: h must match the retained spectrum")
-    resid = 1.0 - h
-    bias = float((resid * resid) @ (model.coefficients * model.coefficients))
-    return bias + model.sigma ** 2 * float(np.sum(h * h / lam))
-
-
-def penalized_risk(model: SpectralModel, h, pen_total: float, q_plus_val: float, gamma: float) -> float:
-    """Mean penalized contrast: exact risk plus the adaptive-penalty term and
-    the bias inflation from plugging in the variance estimate."""
-    lam = model.spectrum.retained
-    h = np.asarray(h, dtype=float)
-    resid2 = (1.0 - h) ** 2
-    denom = float(np.sum(resid2))
-    if denom <= 0.0:
-        raise ValueError("variance estimation impossible: h is identically 1")
-    beta2 = model.coefficients * model.coefficients
-    inflation = float(pen_total) * float((resid2 * lam) @ beta2) / denom
-    return exact_risk(model, h) + (1.0 + gamma) * model.sigma ** 2 * float(q_plus_val) + inflation
+# Replications per block of mc_run.  On a 900 x 1000 table with one BLAS
+# thread, blocks of 32 take about 5% longer than blocks of 64, but add 0.6-0.9%
+# to the peak memory of repeated runs where blocks of 64 add 1.8%.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -76,8 +53,11 @@ class RiskProfile:
 
 
 def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
-    """Evaluate the exact and penalized risks on every grid row, as
-    ``exact_risk`` and ``penalized_risk`` do, from the table's columns."""
+    """Evaluate on every grid row, from the table's columns, the exact risk
+    sum (1-h)^2 beta^2 + sigma^2 sum h^2 / lambda and the penalized risk: the
+    exact risk plus the adaptive term (1 + gamma) sigma^2 q_plus and the bias
+    inflation pen_total sum lambda (1-h)^2 beta^2 / sum (1-h)^2 from plugging
+    in the variance estimate."""
     lam = model.spectrum.retained
     if not np.array_equal(table.spectrum.retained, lam):
         raise ValueError("dimension error: table and model spectra differ")
@@ -143,21 +123,22 @@ def risk_bound(
 
 def excess_sup_stat(
     table: PenaltyTable, rng: np.random.Generator | None, xi: np.ndarray | None = None
-) -> float:
+):
     """One draw of the positive part of the worst penalized noise excess.
 
     Draws xi standard normal, forms the quadratic functional
     sum lambda^-1 (2h - h^2)(xi^2 - 1) on every grid row, and returns the
     positive part of its supremum over the grid after subtracting
     (1 + gamma) * q_plus, with gamma from the table.  ``xi`` overrides the
-    draw (test hook).
+    draw; a block of draws, one per row of ``xi``, gives an array with one
+    statistic per draw.
     """
     if xi is None:
         xi = rng.standard_normal(table.h_rows.shape[1])
     xi = np.asarray(xi, dtype=float)
-    z = xi * xi - 1.0
-    excess = table.noise_weights @ z - (1.0 + table.gamma) * table.q_plus
-    return float(max(np.max(excess), 0.0))
+    excess = (table.noise_weights @ (xi * xi - 1.0).T).T - (1.0 + table.gamma) * table.q_plus
+    sup = np.maximum(np.max(excess, axis=-1), 0.0)
+    return float(sup) if sup.ndim == 0 else sup
 
 
 @dataclass(frozen=True)
@@ -237,7 +218,9 @@ def mc_run(
 
     Replication i consumes its private stream (master_seed, i): first the
     observation draw, then the excess-statistic draw.  In known-sigma mode
-    the true model variance is used unless ``sigma2`` overrides it.
+    the true model variance is used unless ``sigma2`` overrides it.  The
+    replications are drawn and evaluated in blocks of ``_BLOCK``, each
+    through one matrix product per row kernel of the table.
     """
     if replications < 1:
         raise ValueError("invalid input: replications must be >= 1")
@@ -251,23 +234,18 @@ def mc_run(
     indices = np.empty(replications, dtype=int)
     sigma2s = np.empty(replications)
     excesses = np.empty(replications)
-    for i in range(replications):
-        rng = replication_stream(master_seed, i)
-        data = simulate_observation(model, rng)
-        sel = select_alpha(
-            data, table, mode,
-            sigma2=known_sigma2 if mode == "known" else None,
-            penalty=penalty,
-        )
-        losses[i] = float(np.sum((beta - sel.estimate) ** 2))
-        indices[i] = sel.alpha_hat_index
-        if sel.sigma_hat2 is not None:
-            sigma2s[i] = sel.sigma_hat2
-        elif table.resid_dof[sel.alpha_hat_index] > 0.0:
-            sigma2s[i] = sigma_hat2(data, table.h_rows[sel.alpha_hat_index])
-        else:
-            sigma2s[i] = np.nan
-        excesses[i] = excess_sup_stat(table, rng)
+    for start in range(0, replications, _BLOCK):
+        block = slice(start, min(start + _BLOCK, replications))
+        ys, xis = np.empty((2, block.stop - start, beta.size))
+        for b, i in enumerate(range(start, block.stop)):
+            rng = replication_stream(master_seed, i)
+            ys[b] = simulate_observation(model, rng).y
+            rng.standard_normal(out=xis[b])
+        _, index, s2 = _select_rows(table, ys, mode, known_sigma2, penalty)
+        losses[block] = np.sum((beta - table.h_rows[index] * ys) ** 2, axis=1)
+        indices[block] = index
+        sigma2s[block] = s2[np.arange(index.size), index]  # NaN on a row with no residual dof
+        excesses[block] = excess_sup_stat(table, None, xis)
 
     empirical = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0

@@ -116,10 +116,10 @@ def _row_blocks(rho: np.ndarray) -> list[tuple[slice, int]]:
     return blocks
 
 
-def _cramer_rowsum(rho: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """sum_k cramer_term(mu * rho(k)) for every row of rho, rows of one row
+def _cramer_rowsum(x: np.ndarray) -> np.ndarray:
+    """sum_k cramer_term(x(k)) for every row of x = mu * rho, rows of one row
     block up to the block's last nonzero column."""
-    return np.sum(_cramer(mu[:, None] * rho), axis=1)
+    return np.sum(_cramer(x), axis=1)
 
 
 def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
@@ -152,8 +152,8 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
             u, u_lo, u_hi = -np.log1p(-2.0 * r * m), np.zeros(todo.size), -np.log1p(-2.0 * r * top)
             for _ in range(_HALLEY_STEPS if todo.size else 0):
                 m = -np.expm1(-u) / (2.0 * r)
-                g = _cramer_rowsum(rows, m) - target
                 x = m[:, None] * rows
+                g = _cramer_rowsum(x) - target
                 q = x / (1.0 - 2.0 * x)
                 q2 = q * q
                 q2_sum = np.sum(q2, axis=1)
@@ -171,7 +171,7 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
                     break
                 todo, rows, target, r, s1, u, u_lo, u_hi = (
                     v[~done] for v in (todo, rows, target, r, s1, u, u_lo, u_hi))
-        resid = np.abs(_cramer_rowsum(rho[block, :width], mu[block]) - np.maximum(log_ratio[block], 0.0))
+        resid = np.abs(_cramer_rowsum(mu[block, None] * rho[block, :width]) - np.maximum(log_ratio[block], 0.0))
         if np.any(resid > _MU_RESIDUAL_TOL * np.maximum(1.0, log_ratio[block])):
             raise ArithmeticError("mu solve did not reach the residual tolerance")
     return mu
@@ -205,7 +205,9 @@ class PenaltyTable:
     The row matrices hold the damping factors ``h_rows`` and the kernels
     that selection and benchmarking reuse on every replication: the noise
     weights (2h - h^2) / lambda, the squared residual factors (1 - h)^2 and
-    their row sums ``resid_dof``.  ``psi`` scales the variance-estimation
+    their row sums ``resid_dof``.  ``tie_end[i]`` is the last row of the run
+    of bit-identical h rows that holds row i, which selection counts as one
+    model.  ``psi`` scales the variance-estimation
     error over the grid range; it is NaN when the floor row has h = 1
     everywhere, which leaves no residual to estimate the variance from.
     """
@@ -227,6 +229,7 @@ class PenaltyTable:
     noise_weights: np.ndarray
     resid2: np.ndarray
     resid_dof: np.ndarray
+    tie_end: np.ndarray
 
     @property
     def d_ref(self) -> float:
@@ -294,7 +297,14 @@ def build_penalty_table(
         if not np.all(np.isfinite(column)):
             raise ArithmeticError(f"non-finite {name} in the penalty table "
                                   "(eigenvalues outside the floating-point range?)")
-    columns.update(h_rows=h_rows, noise_weights=t, resid2=resid2, resid_dof=np.sum(resid2, axis=1))
+    # Rows of an ordered family that hold the same h are adjacent and have
+    # equal d, so only those pairs are compared in full.
+    tie_end = np.arange(d.size)
+    for i in np.flatnonzero(d[1:] == d[:-1])[::-1]:
+        if np.array_equal(h_rows[i], h_rows[i + 1]):
+            tie_end[i] = tie_end[i + 1]
+    columns.update(h_rows=h_rows, noise_weights=t, resid2=resid2, resid_dof=np.sum(resid2, axis=1),
+                   tie_end=tie_end)
     for column in columns.values():
         column.setflags(write=False)
     # psi: the iterated-logarithm envelope of the residual degrees of freedom

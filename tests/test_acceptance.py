@@ -31,7 +31,6 @@ from specreg import (
     build_penalty_table,
     cramer_term,
     default_grid,
-    exact_risk,
     excess_sup_stat,
     exponential_spectrum,
     h_values,
@@ -42,6 +41,7 @@ from specreg import (
     risk_bound,
 )
 from specreg.cli import main as cli_main
+from reference import exact_risk
 
 GAMMA = 0.1
 FAMILY_KINDS = ("cutoff", "tikhonov", "landweber")

@@ -18,6 +18,19 @@ def test_every_export_resolves(name):
     assert not missing, f"specreg.{name}.__all__ names missing attributes: {missing}"
 
 
+def test_selection_and_bench_exports():
+    # the scalar risk and contrast formulas are test references
+    # (tests/reference.py), not part of the package
+    import specreg
+
+    assert set(specreg.selection.__all__) == {"sigma_hat2", "SelectionResult", "select_alpha"}
+    assert set(specreg.bench.__all__) == {
+        "RiskProfile", "risk_profile", "growth_term", "risk_bound", "excess_sup_stat",
+        "BenchReport", "mc_run"}
+    for name in ("exact_risk", "penalized_risk", "contrast_known_sigma", "contrast_unknown_sigma"):
+        assert not hasattr(specreg, name), name
+
+
 def test_build_penalty_table_parameter_names():
     # callers and tracers bind the grid and the spectrum by name
     params = inspect.signature(build_penalty_table).parameters

@@ -13,18 +13,20 @@ from specreg import (
     SpectralModel,
     build_penalty_table,
     default_grid,
-    exact_risk,
     excess_sup_stat,
+    exponential_spectrum,
     growth_term,
     h_values,
     mc_run,
-    penalized_risk,
     polynomial_spectrum,
     replication_stream,
     risk_bound,
     risk_profile,
+    select_alpha,
+    sigma_hat2,
     simulate_observation,
 )
+from reference import exact_risk, penalized_risk
 
 
 def _model(p=12, exponent=2.0, sigma=0.2, signal=1.0):
@@ -282,3 +284,66 @@ class TestMcRun:
         rebuilt = reconstruct_estimate(design, h * y)
         loss_coef = float(np.sum((beta_coef - rebuilt) ** 2))
         assert abs(loss_spectral - loss_coef) <= 1e-10 * max(loss_spectral, 1.0)
+
+
+class TestBatchedMcRun:
+    """mc_run evaluates blocks of replications with one matrix product per
+    row kernel; these tests hold it to a per-replication loop and to the
+    oracle on the spectra where the full contrasts cancel."""
+
+    @staticmethod
+    def _loop(model, table, mode, replications, seed, penalty="total"):
+        # the per-replication path: one select_alpha and one excess draw
+        # per stream, with the variance estimate at the picked row
+        picks, losses, sigma2s, excesses = [], [], [], []
+        for i in range(replications):
+            rng = replication_stream(seed, i)
+            data = simulate_observation(model, rng)
+            sel = select_alpha(data, table, mode, sigma2=model.sigma ** 2 if mode == "known" else None,
+                               penalty=penalty)
+            picks.append(sel.alpha_hat_index)
+            losses.append(float(np.sum((model.coefficients - sel.estimate) ** 2)))
+            sigma2s.append(sigma_hat2(data, table.h_rows[sel.alpha_hat_index]))
+            excesses.append(excess_sup_stat(table, rng))
+        return np.array(picks), np.array(losses), np.array(sigma2s), np.array(excesses)
+
+    @pytest.mark.parametrize("kind", ["cutoff", "tikhonov", "landweber"])
+    @pytest.mark.parametrize("mode", ["known", "unknown"])
+    @pytest.mark.parametrize("spectrum", ["k^-2 p=80", "e^-k p=100"])
+    def test_matches_per_replication_loop(self, spectrum, kind, mode):
+        # 150 replications span several blocks, the last one partial
+        p = 80 if spectrum == "k^-2 p=80" else 100
+        spectrum = polynomial_spectrum(p, 2.0) if p == 80 else exponential_spectrum(p, 1.0)
+        model = SpectralModel(spectrum, 1.0 / np.arange(1.0, p + 1.0), 0.1)
+        family = SmootherFamily(kind)
+        grid = default_grid(family, spectrum, points=40)
+        report = mc_run(model, family, grid, 0.1, mode, 150, 23, penalty="unbiased")
+        table = build_penalty_table(family, grid, spectrum, 0.1)
+        picks, losses, sigma2s, excesses = self._loop(model, table, mode, 150, 23, "unbiased")
+        assert np.array_equal(report.alpha_hat_indices, picks)
+        np.testing.assert_allclose(report.losses, losses, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(report.sigma_hat2s, sigma2s, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(report.excess_sups, excesses, rtol=1e-12, atol=0.0)
+
+    def test_block_of_excess_draws(self):
+        table = TestExcessSupStat()._table()
+        xi = replication_stream(5, 0).standard_normal((7, 30))
+        block = excess_sup_stat(table, None, xi)
+        assert block.shape == (7,)
+        for row, value in zip(xi, block):
+            assert value == pytest.approx(excess_sup_stat(table, None, row), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("mode", ["known", "unknown"])
+    @pytest.mark.parametrize("kind", ["cutoff", "tikhonov", "landweber"])
+    @pytest.mark.parametrize("spectrum", ["e^-k p=100", "e^-2k p=30"])
+    def test_oracle_ratio_on_exponential_spectra(self, spectrum, kind, mode):
+        # On e^-k spectra sum y^2 reaches sigma^2 / lambda_min (1e42 at
+        # p=100), far above the differences between the contrasts of the
+        # smooth rows; a selector that forms the full contrasts picks among
+        # rounding noise there (oracle ratios up to 3.5e20).
+        p, kappa = (100, 1.0) if spectrum == "e^-k p=100" else (30, 2.0)
+        s = exponential_spectrum(p, kappa)
+        model = SpectralModel(s, 1.0 / np.arange(1.0, p + 1.0), 0.1)
+        family = SmootherFamily(kind)
+        report = mc_run(model, family, default_grid(family, s, points=40), 0.1, mode, 200, 7)
+        assert report.oracle_ratio < 2.0

@@ -204,7 +204,7 @@ class TestCramerRowsum:
         x = mu[:, None] * rho
         want = np.sum(0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x), axis=1)
         for block, width in _row_blocks(rho):
-            got = _cramer_rowsum(rho[block, :width], mu[block])
+            got = _cramer_rowsum(mu[block, None] * rho[block, :width])
             np.testing.assert_allclose(got, want[block], rtol=1e-14, atol=0.0)
             assert np.all(got[want[block] == 0.0] == 0.0)
 
@@ -423,16 +423,16 @@ class TestMuBisectionReplay:
         assert len(_row_blocks(rho)) == 1 and log_ratio[-1] == 0.0 and np.all(log_ratio[:-1] > 0.0)
         rowsum, calls = penalty._cramer_rowsum, []
 
-        def inflated(rows, m):
-            calls.append(m)
-            value = rowsum(rows, m)
+        def inflated(x):
+            calls.append(np.max(x, axis=1))  # m r, with x = m rho and r = max rho
+            value = rowsum(x)
             return log_ratio[:-1] + 1e3 * (value - log_ratio[:-1]) if len(calls) == 1 else value
 
         monkeypatch.setattr(penalty, "_cramer_rowsum", inflated)
         mu = penalty._solve_mu_rows(rho, log_ratio)
         # u = -log1p(-2 m r); the first bracket is (0, u0) or (u0, u(hi))
         r = np.max(rho[:-1], axis=1)
-        u0, u1, u_hi = (-np.log1p(-2.0 * r * m) for m in (calls[0], calls[1], (1.0 - 1e-12) / (2.0 * r)))
+        u0, u1, u_hi = (-np.log1p(-2.0 * mr) for mr in (calls[0], calls[1], r * (1.0 - 1e-12) / (2.0 * r)))
         midpoint = np.isclose(u1, 0.5 * u0, rtol=1e-12) | np.isclose(u1, 0.5 * (u0 + u_hi), rtol=1e-12)
         assert np.count_nonzero(midpoint) > log_ratio.size // 2
         _assert_within_noise(mu, rho, log_ratio)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,11 @@ from specreg import (
     SpectralModel,
     Spectrum,
     build_penalty_table,
-    contrast_known_sigma,
-    contrast_unknown_sigma,
     decompose_design,
     default_grid,
-    exact_risk,
     exponential_spectrum,
     h_values,
+    mc_run,
     pen_u,
     polynomial_spectrum,
     replication_stream,
@@ -30,6 +29,7 @@ from specreg import (
     simulate_observation,
     to_spectral,
 )
+from reference import contrast_known_sigma, contrast_unknown_sigma, exact_risk
 
 
 def _data(spectrum, y):
@@ -187,6 +187,31 @@ class TestSelectAlpha:
         assert result.alpha_hat_index == len(grid) - 1
         assert result.alpha_hat == 1.0
 
+    def test_identical_rows_pick_the_largest_alpha_of_their_run(self):
+        # every alpha >= 1 of this landweber grid maps to one iteration, so
+        # rows 16-21 hold bit-identical h: one model, which a pick anywhere
+        # in the run reports at its largest alpha, row 21
+        s = polynomial_spectrum(60, 2.0)
+        family = SmootherFamily.landweber()
+        grid = default_grid(family, s, points=30)
+        table = build_penalty_table(family, grid, s, 0.1)
+        assert np.array_equal(table.tie_end, np.r_[np.arange(16), np.full(6, 21)])
+        model = SpectralModel(s, 1.0 / np.arange(1.0, 61.0), 1.0)
+        picks = set()
+        for i in range(100):
+            data = simulate_observation(model, replication_stream(7, i))
+            for mode, sigma2 in (("known", 1.0), ("unknown", None)):
+                picks.add(select_alpha(data, table, mode, sigma2=sigma2).alpha_hat_index)
+        assert 21 in picks and not picks & set(range(16, 21))
+        # a strict minimum inside the run still reports its last row
+        pen_total = table.pen_total.copy()
+        pen_total[18] *= 1.0 - 1e-9
+        result = select_alpha(data, replace(table, pen_total=pen_total), "known", sigma2=1e6)
+        assert (result.alpha_hat_index, result.alpha_hat) == (21, grid.values[21])
+        assert int(np.argmin(result.contrasts)) == 18
+        report = mc_run(model, family, grid, 0.1, "unknown", 100, 7)
+        assert report.alpha_hat_histogram[21] > 0 and not any(report.alpha_hat_histogram[16:21])
+
     def test_scale_invariance_of_argmin(self):
         s, _, grid, table = self._setup(floor_rule=lambda h: float((1 - h) @ (1 - h)) >= 3.0)
         rng = replication_stream(7, 0)
@@ -238,9 +263,13 @@ class TestSelectAlpha:
         s, _, grid, table = self._setup(floor_rule=lambda h: float((1 - h) @ (1 - h)) >= 3.0)
         data = _data(s, np.linspace(1.0, 0.1, 20))
         result = select_alpha(data, table, "unknown")
-        for i, h in enumerate(table.h_rows):
-            want = contrast_unknown_sigma(data, h, table.pen_total[i])
-            assert result.contrasts[i] == pytest.approx(want, rel=1e-12)
+        # the contrasts are relative to the smoothest row: the full scalar
+        # contrasts minus the last one, which cancels their shared sum y^2
+        full = np.array([contrast_unknown_sigma(data, h, table.pen_total[i])
+                         for i, h in enumerate(table.h_rows)])
+        assert result.contrasts[-1] == 0.0
+        np.testing.assert_allclose(result.contrasts, full - full[-1], rtol=1e-12,
+                                   atol=1e-14 * np.max(np.abs(full)))
         assert np.array_equal(
             result.estimate, table.h_rows[result.alpha_hat_index] * data.y
         )
@@ -272,6 +301,42 @@ class TestSelectAlpha:
             if abs(result.alpha_hat_index - oracle_index) <= 15:
                 hits += 1
         assert hits / reps > 0.8
+
+
+class TestContrastsAgainstMpmath:
+    def test_ill_posed_spectrum(self):
+        # on e^-k, p=100, sum y^2 ~ 1e42: the relative contrasts of the
+        # smooth rows lie far below its rounding, yet each must match the
+        # difference of the full contrasts, taken to 80 digits, within 1e-12
+        # of the terms that form it, and sigma_hat2 to rtol 1e-12
+        from mpmath import mp, mpf
+
+        p = 100
+        s = exponential_spectrum(p, 1.0)
+        model = SpectralModel(s, 1.0 / np.arange(1.0, p + 1.0), 0.1)
+        family = SmootherFamily.tikhonov()
+        table = build_penalty_table(family, default_grid(family, s, points=40), s, 0.1)
+        data = simulate_observation(model, replication_stream(7, 3))
+        result = select_alpha(data, table, "unknown")
+        rows = range(0, len(table.alphas), 3)
+        with mp.workdps(80):
+            lam = [mpf(float(v)) for v in s.retained]
+            y2 = [mpf(float(v)) ** 2 for v in data.y]
+
+            def full(i):
+                resid2 = [(1 - mpf(float(v))) ** 2 for v in table.h_rows[i]]
+                s2 = mp.fsum(l * r * y for l, r, y in zip(lam, resid2, y2)) / mp.fsum(resid2)
+                return mp.fsum(r * y for r, y in zip(resid2, y2)) + s2 * mpf(float(table.pen_total[i])), s2
+
+            last = full(len(table.alphas) - 1)[0]
+            want = np.array([float(full(i)[0] - last) for i in rows])
+            want_s2 = float(full(result.alpha_hat_index)[1])
+        lam_y2 = s.retained * data.y * data.y
+        terms = np.abs(table.pen_total * (table.resid2 @ lam_y2) / table.resid_dof) + table.noise_weights @ lam_y2
+        scale = (terms + terms[-1])[rows]
+        assert np.all(np.abs(result.contrasts[rows] - want) <= 1e-12 * scale)
+        assert result.sigma_hat2 == pytest.approx(want_s2, rel=1e-12)
+        assert np.min(np.abs(want[want != 0.0])) < np.finfo(float).eps * float(data.y @ data.y)
 
 
 class TestMatrixPath:

@@ -14,12 +14,16 @@ source lines.
 
 After them come the discrete lines, one per command and one overall, each
 a sha256 over the fields that hold no rounded float: the exit code and the
-error lines, the ``penalty-table`` row count, the ``select`` alpha_hat, the
-``bench`` alpha_hat_histogram and oracle_alpha_index, and the ``check``
-verdict lines with every float literal replaced by ``<float>``.  A change
-that declares moved bytes must keep these.  Another BLAS kernel can move
-both kinds of line, so compare checkouts under the same kernel, e.g. with
-the same ``OPENBLAS_CORETYPE`` (default, Haswell, Sandybridge, Prescott).
+error lines, the ``penalty-table`` row count, the grid index of the
+``select`` alpha_hat (looked up in the alpha column of the same config's
+``penalty-table``, so that it does not move with the last bits of an SVD
+the grid is built from), the ``bench`` alpha_hat_histogram and
+oracle_alpha_index, and the ``check`` verdict lines with every float
+literal replaced by ``<float>``.  A change that declares moved bytes must
+keep these.  Another BLAS kernel can move the byte lines, so compare them
+under the same kernel, e.g. with the same ``OPENBLAS_CORETYPE`` (default,
+Haswell, Sandybridge, Prescott); the discrete lines agree across these
+four.
 
 Config matrix:
   - generator k^-2 (p=60) and e^-k/2 (p=40) x cutoff/tikhonov/landweber
@@ -164,15 +168,16 @@ def _commands(config: dict) -> list[str]:
     return commands
 
 
-def _discrete(command: str, code, stdout: str, errors: list[str]) -> str:
-    """sha256 over the fields of one command's output that hold no rounded float."""
+def _discrete(command: str, code, stdout: str, errors: list[str], alphas: list[float]) -> str:
+    """sha256 over the fields of one command's output that hold no rounded
+    float; ``alphas`` is the grid of the config's ``penalty-table``."""
     fields = [f"exit={code}", *errors]
     if command == "check":
         fields += [_FLOAT.sub("<float>", line) for line in stdout.splitlines()]
     elif code == 0 and command == "penalty-table":
         fields.append(f"rows={len(stdout.splitlines()) - 1}")
     elif code == 0 and command == "select":
-        fields.append(f"alpha_hat={json.loads(stdout)['alpha_hat']!r}")
+        fields.append(f"alpha_hat_index={alphas.index(json.loads(stdout)['alpha_hat'])}")
     elif code == 0 and command == "bench":
         report = json.loads(stdout)
         fields += [f"alpha_hat_histogram={report['alpha_hat_histogram']}",
@@ -180,8 +185,8 @@ def _discrete(command: str, code, stdout: str, errors: list[str]) -> str:
     return hashlib.sha256(("\n".join(fields) + "\n").encode()).hexdigest()
 
 
-def _run(main, argv: list[str], files: list[Path]) -> tuple[str, str, int]:
-    """The byte digest, the discrete digest and the exit code of one command."""
+def _run(main, argv: list[str], files: list[Path]) -> tuple[str, int, str, list[str]]:
+    """The byte digest, the exit code, stdout and the error lines of one command."""
     for path in files:
         path.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -198,7 +203,7 @@ def _run(main, argv: list[str], files: list[Path]) -> tuple[str, str, int]:
     for path in files:
         digest.update(f"\n--- {path.name}\n".encode())
         digest.update(path.read_bytes() if path.exists() else b"<absent>")
-    return digest.hexdigest(), _discrete(argv[0], code, stdout.getvalue(), errors), code
+    return digest.hexdigest(), code, stdout.getvalue(), errors
 
 
 def main(argv: list[str]) -> int:
@@ -223,7 +228,10 @@ def main(argv: list[str]) -> int:
                 rep = outdir / "out" / f"{name}.reps.csv"
                 argv_cmd += ["--rep-out", str(rep)]
                 files.append(rep)
-            digest, fields, code = _run(cli_main, argv_cmd, files)
+            digest, code, stdout, errors = _run(cli_main, argv_cmd, files)
+            if command == "penalty-table":
+                alphas = [float(row.split(",")[0]) for row in stdout.splitlines()[1:]]
+            fields = _discrete(command, code, stdout, errors, alphas)
             lines.append(f"{digest}  {name} {command} exit={code}")
             discrete.append(f"{fields}  {name} {command} exit={code} discrete")
     for block, label in ((lines, "overall"), (discrete, "discrete overall")):
