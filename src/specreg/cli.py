@@ -24,10 +24,10 @@ from .core import (
     SpectralData,
     SpectralModel,
     Spectrum,
+    _split_observation,
     decompose_design,
     exponential_spectrum,
     model_from_json,
-    orthogonal_residual2,
     polynomial_spectrum,
     replication_stream,
     simulate_observation,
@@ -289,11 +289,10 @@ def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
     if source == "matrix":
         design = _design(section)
         y = _load_matrix(_get(section, "y")).ravel()
-        data = to_spectral(design, y)
         if _get(config, "include_orthogonal_residual", default=False):
-            extra_ss, extra_dof = orthogonal_residual2(design, y)
+            data, extra_ss, extra_dof = _split_observation(design, y)  # one rotation of y
             return data, extra_ss, float(extra_dof)
-        return data, 0.0, 0.0
+        return to_spectral(design, y), 0.0, 0.0
     if source == "spectral_data":
         try:
             data = SpectralData(Spectrum(_get(section, "eigenvalues")), _get(section, "y"))

@@ -31,6 +31,9 @@ __all__ = [
 
 
 def _frozen_array(values) -> np.ndarray:
+    """A read-only float array; one that is read-only already is not copied."""
+    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
+        return values
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
@@ -84,31 +87,35 @@ def exponential_spectrum(p: int, kappa: float) -> Spectrum:
 
 @dataclass(frozen=True)
 class DecomposedDesign:
-    """Eigendecomposition of X'X plus the left factor of X.
+    """Eigendecomposition of X'X, with X kept as X = Q R and R = U_R S V'.
 
-    ``basis`` holds the orthonormal eigenvectors of X'X as columns, and
-    ``left_basis`` the matching left singular vectors of X, so the spectral
-    transform of raw data never squares the condition number by forming X'X.
+    ``basis`` holds the orthonormal eigenvectors V of X'X as columns.  Q is
+    kept as LAPACK keeps it: row j of ``reflectors`` holds column j of R on
+    and left of the diagonal and the tail of the Householder vector v_j
+    right of it, with Q = H_0 ... H_(p-1) and H_j = I - tau_j v_j v_j'.
+    ``r_left_basis`` is the p x p U_R.  The left singular vectors of X are
+    Q U_R; they are never formed, and the spectral transform of raw data
+    never squares the condition number by forming X'X.
     """
 
     spectrum: Spectrum
     basis: np.ndarray
     n: int
-    left_basis: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+    r_left_basis: np.ndarray
 
     def __post_init__(self):
-        basis = _frozen_array(self.basis)
-        left = _frozen_array(self.left_basis)
         p = self.spectrum.eigenvalues.size
-        if basis.shape != (p, p):
-            raise ValueError("dimension error: basis must be p x p")
-        if left.shape != (self.n, p):
-            raise ValueError("dimension error: left_basis must be n x p")
-        gram = basis.T @ basis
+        for name, shape in (("basis", (p, p)), ("reflectors", (p, self.n)), ("tau", (p,)),
+                            ("r_left_basis", (p, p))):
+            value = _frozen_array(getattr(self, name))
+            if value.shape != shape:
+                raise ValueError(f"dimension error: {name} must have shape {shape}")
+            object.__setattr__(self, name, value)
+        gram = self.basis.T @ self.basis
         if float(np.max(np.abs(gram - np.eye(p)))) > 1e-10:
             raise ValueError("invalid input: basis columns are not orthonormal")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "left_basis", left)
 
 
 @dataclass(frozen=True)
@@ -152,8 +159,12 @@ def decompose_design(x: np.ndarray, rank_tol: float = 1e-12) -> DecomposedDesign
     """Decompose a design matrix into spectral form.
 
     The eigenvalues of X'X are the squared singular values of X; computing
-    them from the SVD of X is far better conditioned for severely ill-posed
-    designs than forming X'X.  Components with
+    them from X is far better conditioned for severely ill-posed designs
+    than forming X'X.  X is first factored as X = Q R by Householder
+    reflections, then R = U_R S V' by an SVD of the p x p triangle (Chan's
+    QR-first SVD), so no n x p matrix is formed besides the reflectors.
+    For n >= 11p/6 LAPACK's SVD of X takes this route itself, and S and V
+    are bit-identical to it.  Components with
     lambda(k) < rank_tol * lambda(1) are truncated and ``effective_rank``
     reduced accordingly.
     """
@@ -167,26 +178,53 @@ def decompose_design(x: np.ndarray, rank_tol: float = 1e-12) -> DecomposedDesign
         raise ValueError("invalid input: non-finite entries")
     if not np.any(x):
         raise ValueError("degenerate design: all-zero matrix")
-    left, sing, vt = np.linalg.svd(x, full_matrices=False)
+    reflectors, tau = np.linalg.qr(x, mode="raw")
+    reflectors.setflags(write=False)  # a view of an array no one else holds
+    r_left, sing, vt = np.linalg.svd(np.triu(reflectors[:, :p].T))
     lam = sing ** 2
     rank = int(np.count_nonzero(lam >= rank_tol * lam[0]))
-    return DecomposedDesign(spectrum=Spectrum(lam, rank), basis=vt.T, n=n, left_basis=left)
+    return DecomposedDesign(Spectrum(lam, rank), vt.T, n, reflectors, tau, r_left)
+
+
+def _rotate(design: DecomposedDesign, y: np.ndarray) -> np.ndarray:
+    """Q'Y, by the p Householder reflections H_0, ..., H_(p-1) in turn."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (design.n,):
+        raise ValueError("dimension error: Y must have length n")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("invalid input: non-finite entries")
+    z = y.copy()
+    for j, (row, tau) in enumerate(zip(design.reflectors, design.tau)):
+        v = row[j + 1:]
+        w = tau * (z[j] + v @ z[j + 1:])
+        z[j] -= w
+        z[j + 1:] -= w * v
+    return z
+
+
+def _split_observation(design: DecomposedDesign, y: np.ndarray) -> tuple[SpectralData, float, int]:
+    """:func:`to_spectral` and :func:`orthogonal_residual2` from one
+    rotation Q'Y of ``y``.
+
+    The first p entries of Q'Y give U'Y = U_R' (Q'Y)[:p]; the other n - p
+    are the coordinates of Y orthogonal to the columns of X, so the
+    residual is their sum of squares and involves no subtraction.
+    """
+    z = _rotate(design, y)
+    p, rank = design.tau.size, design.spectrum.effective_rank
+    proj = design.r_left_basis[:, :rank].T @ z[:p]
+    data = SpectralData(design.spectrum, proj / np.sqrt(design.spectrum.retained))
+    return data, float(z[p:] @ z[p:]), design.n - p
 
 
 def to_spectral(design: DecomposedDesign, y: np.ndarray) -> SpectralData:
     """Transform raw observations into spectral coordinates.
 
     Returns y(k) = <X'Y, psi_k> / lambda(k) for every retained component,
-    evaluated as (U'Y)_k / s_k with s_k the singular values of X.
+    evaluated as (U'Y)_k / s_k with s_k the singular values of X and
+    U = Q U_R the left singular vectors.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (design.n,):
-        raise ValueError("dimension error: Y must have length n")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("invalid input: non-finite entries")
-    rank = design.spectrum.effective_rank
-    proj = design.left_basis.T @ y
-    return SpectralData(design.spectrum, proj[:rank] / np.sqrt(design.spectrum.retained))
+    return _split_observation(design, y)[0]
 
 
 def orthogonal_residual2(design: DecomposedDesign, y: np.ndarray) -> tuple[float, int]:
@@ -194,14 +232,11 @@ def orthogonal_residual2(design: DecomposedDesign, y: np.ndarray) -> tuple[float
 
     Returns the squared residual together with its degrees of freedom n - p.
     This is the optional pure-noise component that :func:`selection.sigma_hat2`
-    can fold into the variance estimate in raw-matrix mode.
+    can fold into the variance estimate in raw-matrix mode.  It is the sum
+    of squares of the last n - p entries of Q'Y, so it cannot cancel when Y
+    lies almost in the span of X.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (design.n,):
-        raise ValueError("dimension error: Y must have length n")
-    proj = design.left_basis.T @ y
-    resid2 = float(y @ y - proj @ proj)
-    return max(resid2, 0.0), design.n - design.basis.shape[0]
+    return _split_observation(design, y)[1:]
 
 
 def simulate_observation(model: SpectralModel, rng: np.random.Generator) -> SpectralData:

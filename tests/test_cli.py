@@ -167,7 +167,12 @@ class TestSelect:
         assert run(["select", "--config", write_config(tmp_path, cfg_doc), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["sigma_hat2"] is None
 
-    def test_matrix_source_with_orthogonal_residual(self, tmp_path):
+    def test_matrix_source_with_orthogonal_residual(self, tmp_path, monkeypatch):
+        import specreg.core as core
+
+        rotations = []
+        rotate = core._rotate
+        monkeypatch.setattr(core, "_rotate", lambda *a: rotations.append(1) or rotate(*a))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 4))
         y = x @ np.array([1.0, -0.5, 0.25, 0.0]) + 0.1 * rng.standard_normal(12)
@@ -188,6 +193,7 @@ class TestSelect:
         assert run(["select", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["estimate"]) == 4
+        assert len(rotations) == 1  # one rotation of y serves both terms
 
     def test_spectral_problem_source(self, tmp_path):
         spec_doc = {

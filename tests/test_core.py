@@ -87,6 +87,35 @@ class TestDecompose:
         assert lam.effective_rank == 2
         assert np.all(lam.retained >= 1e-12 * lam.retained[0])
 
+    def test_tall_design_matches_the_svd_bit_for_bit(self):
+        # for n >= 11p/6 LAPACK's SVD of X itself factors X = QR first and
+        # takes the SVD of R, the route decompose_design takes
+        x = np.random.default_rng(15).standard_normal((120, 40)) * np.geomspace(1.0, 1e-3, 40)
+        _, sing, vt = np.linalg.svd(x, full_matrices=False)
+        design = decompose_design(x)
+        assert np.array_equal(design.spectrum.eigenvalues, sing ** 2)
+        assert np.array_equal(design.basis, vt.T)
+
+    def test_near_square_design_matches_the_svd(self):
+        # below 11p/6 the plain SVD bidiagonalises X directly: last bits may differ
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((30, 20)) * np.geomspace(1.0, 1e-3, 20)
+        y = rng.standard_normal(30)
+        design = decompose_design(x)
+        sing = np.linalg.svd(x, compute_uv=False)
+        np.testing.assert_allclose(design.spectrum.eigenvalues, sing ** 2, rtol=1e-12, atol=0.0)
+        mine = reconstruct_estimate(design, to_spectral(design, y).y)
+        ls = np.linalg.lstsq(x, y, rcond=None)[0]
+        assert np.linalg.norm(mine - ls) / np.linalg.norm(ls) < 1e-9
+
+    def test_keeps_no_n_by_p_matrix_but_the_reflectors(self):
+        design = decompose_design(np.random.default_rng(17).standard_normal((50, 5)))
+        assert design.reflectors.shape == (5, 50)
+        assert not hasattr(design, "left_basis")
+        for value in (design.basis, design.tau, design.r_left_basis):
+            assert value.size <= 25 and not value.flags.writeable
+        assert not design.reflectors.flags.writeable
+
     def test_errors(self):
         with pytest.raises(ValueError, match="degenerate design"):
             decompose_design(np.zeros((4, 2)))
@@ -213,7 +242,7 @@ class TestOrthogonalResidual:
         design = decompose_design(x)
         resid2, dof = orthogonal_residual2(design, y)
         assert dof == 7
-        proj = design.left_basis.T @ y
+        proj = np.linalg.svd(x, full_matrices=False)[0].T @ y
         assert resid2 == pytest.approx(float(y @ y - proj @ proj))
         assert resid2 >= 0.0
 
@@ -223,6 +252,46 @@ class TestOrthogonalResidual:
         design = decompose_design(x)
         resid2, _ = orthogonal_residual2(design, x @ rng.standard_normal(4))
         assert resid2 < 1e-20
+
+    def test_no_cancellation_near_the_span(self):
+        # |Y|^2 ~ 1e9 while the part orthogonal to the columns has |e|^2 = 1e-8:
+        # y @ y - |U'y|^2 loses all of it, the sum of squares of (Q'y)[p:] none
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 8))
+        g = rng.standard_normal(8)
+        e = rng.standard_normal(40)
+        left = np.linalg.svd(x, full_matrices=False)[0]
+        e -= left @ (left.T @ e)
+        e *= 1e-4 / np.linalg.norm(e)
+        resid2, dof = orthogonal_residual2(decompose_design(x), x @ (1e3 * g) + e)
+        assert dof == 32
+        assert resid2 == pytest.approx(1e-8, rel=1e-6)
+
+
+class TestAgainstMpmath:
+    def test_least_squares_on_ill_conditioned_design(self):
+        """The QR-first path against 50-digit least squares (mpmath QR) on a
+        12 x 4 design with singular values 1, 1e-2, 1e-4, 1e-6 (condition
+        number 1e6).  The estimate with h = 1 is the least-squares solution,
+        whatever the signs of the singular vectors; a backward-stable solve
+        is off by about cond^2 eps |r| / (|X| |beta|) ~ 1e-10 here.  The
+        squared residual is off by about eps (|Y| / |r| + cond) ~ 1e-12."""
+        from mpmath import matrix, mp
+
+        rng = np.random.default_rng(14)
+        x = (_orthonormal(rng, 12, 4) * [1.0, 1e-2, 1e-4, 1e-6]) @ _orthonormal(rng, 4, 4).T
+        y = x @ rng.standard_normal(4) + 1e-3 * rng.standard_normal(12)
+        design = decompose_design(x, rank_tol=1e-14)
+        assert design.spectrum.effective_rank == 4
+        with mp.workdps(50):
+            solution, residual = mp.qr_solve(matrix(x.tolist()), matrix(y.tolist()))
+            beta = np.array([float(v) for v in solution])
+            want2 = float(residual ** 2)
+        mine = reconstruct_estimate(design, to_spectral(design, y).y)
+        assert np.linalg.norm(mine - beta) / np.linalg.norm(beta) < 1e-8
+        resid2, dof = orthogonal_residual2(design, y)
+        assert dof == 8
+        assert resid2 == pytest.approx(want2, rel=1e-10)
 
 
 def test_model_from_json_round_trip():

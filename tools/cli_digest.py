@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR
 
-Imports ``specreg`` from the source directory SRC, writes 53 configs (and
+Imports ``specreg`` from the source directory SRC, writes 56 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -40,7 +40,10 @@ Config matrix:
     equal rho entries, where the start bounds of the mu solve are loosest
     (its Halley steps stay inside their bracket there) (1);
   - the ordered table family on an explicit grid that holds an alpha the
-    table does not list, which pins the "is not tabulated" error (1).
+    table does not list, which pins the "is not tabulated" error (1);
+  - a near-square 30x20 design matrix (below n = 11p/6, where LAPACK's SVD
+    of X skips its own QR step) x 3 families, unknown mode with the
+    orthogonal residual (3).
 """
 
 from __future__ import annotations
@@ -158,6 +161,14 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["gen-table-untabulated"] = dict(
         base, problem=table_problem, family=_table_family("ordered"),
         grid={"values": [0.05, 0.2, 0.5, 0.8]}, **_mode("known"))
+
+    x = rng.standard_normal((30, 20)) * np.geomspace(1.0, 0.01, 20)
+    y = x @ (1.0 / np.arange(1.0, 21.0)) + 0.1 * rng.standard_normal(30)
+    square = {"x": _write_csv(data_dir / "x30.csv", x), "y": _write_csv(data_dir / "y30.csv", y)}
+    for kind in FAMILIES:
+        configs[f"matrix30-{kind}-orth1-unknown"] = dict(
+            base, problem={"matrix": square}, family={"kind": kind}, grid=_grid(kind),
+            include_orthogonal_residual=True, mode="unknown")
     return configs
 
 
