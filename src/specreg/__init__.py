@@ -28,7 +28,6 @@ from .smoothers import (
     OrderingReport,
     SmootherFamily,
     check_ordered,
-    default_floor_rule,
     default_grid,
     h_values,
 )

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SpectralModel, replication_stream, simulate_observation
-from .penalty import PenaltyTable, build_penalty_table
+from .penalty import PenaltyTable
 from .selection import _select_rows
-from .smoothers import AlphaGrid, SmootherFamily
 
 __all__ = [
     "RiskProfile",
@@ -41,7 +40,10 @@ class RiskProfile:
     """Exact and penalized risks per grid point, plus the oracle point.
 
     Rows with no residual degrees of freedom (h identically 1) carry an
-    infinite penalized risk and are listed in ``degenerate_rows``.
+    infinite penalized risk and are listed in ``degenerate_rows``.  ``r`` is
+    the least penalized risk; ``oracle_index`` is the last row of the run of
+    bit-identical h rows that attains it, where selection reports its picks
+    of that model too.
     """
 
     alphas: np.ndarray
@@ -57,36 +59,27 @@ def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
     sum (1-h)^2 beta^2 + sigma^2 sum h^2 / lambda and the penalized risk: the
     exact risk plus the adaptive term (1 + gamma) sigma^2 q_plus and the bias
     inflation pen_total sum lambda (1-h)^2 beta^2 / sum (1-h)^2 from plugging
-    in the variance estimate."""
+    in the variance estimate.  Each sum over the rows is one matrix-vector
+    product, which can round bit-identical rows differently."""
     lam = model.spectrum.retained
     if not np.array_equal(table.spectrum.retained, lam):
         raise ValueError("dimension error: table and model spectra differ")
     beta2 = model.coefficients * model.coefficients
     sigma2 = model.sigma ** 2
-    risks = np.empty(table.alphas.size)
-    penalized = np.empty(table.alphas.size)
-    degenerate = []
-    for i, resid2 in enumerate(table.resid2):
-        # One dot per row, not a GEMV over the table: a GEMV rounds most rows
-        # differently (638 of 900 for cutoff on k^-2 with beta = 1/k at
-        # p=1000), which would move the reported oracle risk.
-        risks[i] = float(resid2 @ beta2) + sigma2 * float(table.h_lambda_norm2[i])
-        if table.one_minus_h_norm2[i] > 0.0:
-            bias_lam = float((resid2 * lam) @ beta2)
-            inflation = float(table.pen_total[i]) * bias_lam / float(table.resid_dof[i])
-            adaptive = (1.0 + table.gamma) * sigma2 * float(table.q_plus[i])
-            penalized[i] = risks[i] + adaptive + inflation
-        else:
-            penalized[i] = np.inf
-            degenerate.append(i)
-    index = int(np.argmin(penalized))
+    dof = table.one_minus_h_norm2
+    risks = table.resid2 @ beta2 + sigma2 * table.h_lambda_norm2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inflation = table.pen_total * (table.resid2 @ (lam * beta2)) / dof
+    adaptive = (1.0 + table.gamma) * sigma2 * table.q_plus
+    penalized = np.where(dof > 0.0, risks + adaptive + inflation, np.inf)
+    best = int(np.argmin(penalized))
     return RiskProfile(
         alphas=table.alphas,
         risks=risks,
         penalized=penalized,
-        degenerate_rows=tuple(degenerate),
-        r=float(penalized[index]),
-        oracle_index=index,
+        degenerate_rows=tuple(np.flatnonzero(dof == 0.0).tolist()),
+        r=float(penalized[best]),
+        oracle_index=int(table.tie_end[best]),
     )
 
 
@@ -205,16 +198,15 @@ class BenchReport:
 
 def mc_run(
     model: SpectralModel,
-    family: SmootherFamily,
-    grid: AlphaGrid,
-    gamma: float,
+    table: PenaltyTable,
     mode: str,
     replications: int,
     master_seed: int,
     penalty: str = "total",
     sigma2: float | None = None,
 ) -> BenchReport:
-    """Run the seeded Monte Carlo experiment.
+    """Run the seeded Monte Carlo experiment on the grid of the table, which
+    must be built on the model's retained eigenvalues.
 
     Replication i consumes its private stream (master_seed, i): first the
     observation draw, then the excess-statistic draw.  In known-sigma mode
@@ -224,8 +216,6 @@ def mc_run(
     """
     if replications < 1:
         raise ValueError("invalid input: replications must be >= 1")
-    table = build_penalty_table(family, grid, model.spectrum, gamma)
-    gamma = table.gamma
     profile = risk_profile(model, table)
     beta = model.coefficients
     known_sigma2 = model.sigma ** 2 if sigma2 is None else float(sigma2)
@@ -252,13 +242,13 @@ def mc_run(
     have_s2 = np.isfinite(sigma2s).any()
     d_ref = table.d_ref
     try:
-        bound = risk_bound(profile.r, model.sigma ** 2, d_ref, table.psi, gamma)
+        bound = risk_bound(profile.r, model.sigma ** 2, d_ref, table.psi, table.gamma)
     except ValueError:
         bound = None
     return BenchReport(
         replications=replications,
         seed=master_seed,
-        gamma=gamma,
+        gamma=table.gamma,
         mode=mode,
         penalty=penalty,
         empirical_risk=empirical,

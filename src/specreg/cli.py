@@ -33,9 +33,9 @@ from .core import (
     simulate_observation,
     to_spectral,
 )
-from .penalty import build_penalty_table, check_conditions, verify_penalty_inequalities
+from .penalty import PenaltyTable, build_penalty_table, check_conditions, verify_penalty_inequalities
 from .selection import select_alpha
-from .smoothers import AlphaGrid, SmootherFamily, check_ordered, default_floor_rule, default_grid
+from .smoothers import AlphaGrid, SmootherFamily, check_ordered, default_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -124,6 +124,18 @@ def _get(section, key: str, kind=None, default=_REQUIRED):
         raise ConfigError(f"invalid {key!r}: {exc}") from None
 
 
+def _at_least(low, integer: bool = False):
+    """A ``kind`` for _get that accepts numbers >= low; with ``integer`` only
+    JSON integers, where int() would truncate 2.9 to 2 and read true as 1."""
+    def kind(value):
+        if integer and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"expected an integer, got {value!r}")
+        if not float(value) >= low:
+            raise ValueError(f"expected a value >= {low}, got {value!r}")
+        return value if integer else float(value)
+    return kind
+
+
 def _choice(*allowed: str):
     """A ``kind`` for _get that accepts only the given strings."""
     def kind(value):
@@ -169,7 +181,7 @@ def _signal_values(signal: dict, p: int) -> np.ndarray:
 def _generator_model(gen: dict) -> SpectralModel:
     spec_cfg = _get(gen, "spectrum")
     kind = _get(spec_cfg, "kind", default=None)
-    p = _get(spec_cfg, "p", int)
+    p = _get(spec_cfg, "p", _at_least(1, integer=True))
     try:
         if kind == "polynomial":
             spectrum = polynomial_spectrum(p, _get(spec_cfg, "exponent", float))
@@ -226,14 +238,12 @@ def _family(config: dict) -> SmootherFamily:
 
 def _grid(config: dict, family: SmootherFamily, spectrum: Spectrum) -> AlphaGrid:
     grid_cfg = _get(config, "grid")
-    floor = _get(grid_cfg, "floor", default="default")
+    floor = _get(grid_cfg, "floor", _choice("default", "none"), "default")
     try:
         if "values" in grid_cfg:
             return AlphaGrid(np.asarray(grid_cfg["values"], dtype=float))
-        if floor not in ("default", "none"):
-            raise ConfigError(f"unknown grid floor {floor!r}")
-        rule = default_floor_rule if floor == "default" else None
-        return default_grid(family, spectrum, points=_get(grid_cfg, "points", int, None), floor_rule=rule)
+        points = _get(grid_cfg, "points", _at_least(2, integer=True), None)
+        return default_grid(family, spectrum, points=points, floor=floor == "default")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -245,8 +255,24 @@ def _gamma(config: dict) -> float:
     return gamma
 
 
+def _table(config: dict, spectrum: Spectrum, report_ordering: bool = False) -> PenaltyTable | None:
+    """The penalty table of the config's family, grid and gamma on the
+    spectrum.  With ``report_ordering`` the family is first checked for
+    ordering on the grid and the verdict printed; a failed check gives None,
+    as penalty quantities are meaningless for a non-ordered family."""
+    family = _family(config)
+    grid = _grid(config, family, spectrum)
+    if report_ordering:
+        ordering = check_ordered(family, grid, spectrum)
+        print(f"ordering: {'PASS' if ordering.ok else 'FAIL ' + repr(ordering.violation)}")
+        if not ordering.ok:
+            return None
+    return build_penalty_table(family, grid, spectrum, _gamma(config))
+
+
 def _seed(config: dict, args) -> int:
-    seed = args.seed if args.seed is not None else _get(config, "seed", int, None)
+    # the --seed flag overrides the config
+    seed = _get(config if args.seed is None else vars(args), "seed", _at_least(0, integer=True), None)
     if seed is None:
         raise ConfigError("no seed given (config 'seed' or --seed)")
     return seed
@@ -272,10 +298,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_penalty_table(args) -> int:
     config = _config(args.config)
-    spectrum = _spectrum(config)
-    family = _family(config)
-    grid = _grid(config, family, spectrum)
-    table = build_penalty_table(family, grid, spectrum, _gamma(config))
+    table = _table(config, _spectrum(config))
     lines = [",".join(name for name, _ in _TABLE_COLUMNS)]
     for row in zip(*(getattr(table, attr) for _, attr in _TABLE_COLUMNS)):
         lines.append(",".join(_fmt(value) for value in row))
@@ -307,11 +330,9 @@ def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
 def _cmd_select(args) -> int:
     config = _config(args.config)
     data, extra_ss, extra_dof = _selection_inputs(config, args)
-    family = _family(config)
-    grid = _grid(config, family, data.spectrum)
-    table = build_penalty_table(family, grid, data.spectrum, _gamma(config))
+    table = _table(config, data.spectrum)
     mode = _get(config, "mode", _MODE, "unknown")
-    sigma2 = _get(config, "sigma2", float, None)
+    sigma2 = _get(config, "sigma2", _at_least(0.0), None)
     if mode == "known" and sigma2 is None:
         raise ConfigError("known-sigma mode needs 'sigma2' in the config")
     result = select_alpha(
@@ -336,21 +357,15 @@ def _cmd_select(args) -> int:
 def _cmd_bench(args) -> int:
     config = _config(args.config)
     model = _model(config)
-    family = _family(config)
-    grid = _grid(config, family, model.spectrum)
-    replications = _get(config, "replications", int)
-    if replications < 1:
-        raise ConfigError("replications must be >= 1")
+    table = _table(config, model.spectrum)
     report = mc_run(
         model,
-        family,
-        grid,
-        _gamma(config),
+        table,
         _get(config, "mode", _MODE, "unknown"),
-        replications,
+        _get(config, "replications", _at_least(1, integer=True)),
         _seed(config, args),
         penalty=_get(config, "penalty", _PENALTY, "total"),
-        sigma2=_get(config, "sigma2", float, None),
+        sigma2=_get(config, "sigma2", _at_least(0.0), None),
     )
     outputs = _get(config, "outputs", default={})
     _write_json(report.to_dict(), args.out or _get(outputs, "report", default=None))
@@ -368,15 +383,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _config(args.config)
-    spectrum = _spectrum(config)
-    family = _family(config)
-    grid = _grid(config, family, spectrum)
-    ordering = check_ordered(family, grid, spectrum)
-    print(f"ordering: {'PASS' if ordering.ok else 'FAIL ' + repr(ordering.violation)}")
-    if not ordering.ok:
-        # penalty quantities are meaningless for a non-ordered family
+    table = _table(config, _spectrum(config), report_ordering=True)
+    if table is None:
         return EXIT_NUMERIC
-    table = build_penalty_table(family, grid, spectrum, _gamma(config))
     conditions = check_conditions(table)
     print(f"conditions: {'PASS' if conditions.ok else 'FAIL'} (c2_hat={_fmt(conditions.c2_hat)})")
     inequalities = verify_penalty_inequalities(table)
@@ -386,7 +395,7 @@ def _cmd_check(args) -> int:
         print("penalty inequalities: FAIL")
         for line in inequalities.violations:
             print(f"  {line}")
-    return EXIT_OK if ordering.ok and conditions.ok and inequalities.ok else EXIT_NUMERIC
+    return EXIT_OK if conditions.ok and inequalities.ok else EXIT_NUMERIC
 
 
 def _build_parser() -> _Parser:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Spectrum
-from .smoothers import AlphaGrid, SmootherFamily, _first_violation, h_values
+from .smoothers import AlphaGrid, SmootherFamily, _first_violation, _residual_factors, h_values
 
 __all__ = [
     "pen_u",
@@ -39,6 +39,8 @@ _MU_BRACKET_MARGIN = 1e-12
 _MU_RESIDUAL_TOL = 1e-10
 _HALLEY_STEPS = 30
 _EPS = np.finfo(float).eps
+# Relative slack of every comparison of verify_penalty_inequalities.
+_INEQUALITY_RTOL = 1e-9
 # Entries per row block of the Cramer row sums: a block's temporaries stay
 # in the L2 cache instead of streaming the whole table through memory.
 _ROW_BLOCK_ELEMS = 2 ** 15
@@ -204,12 +206,12 @@ class PenaltyTable:
 
     The row matrices hold the damping factors ``h_rows`` and the kernels
     that selection and benchmarking reuse on every replication: the noise
-    weights (2h - h^2) / lambda, the squared residual factors (1 - h)^2 and
-    their row sums ``resid_dof``.  ``tie_end[i]`` is the last row of the run
-    of bit-identical h rows that holds row i, which selection counts as one
-    model.  ``psi`` scales the variance-estimation
-    error over the grid range; it is NaN when the floor row has h = 1
-    everywhere, which leaves no residual to estimate the variance from.
+    weights (2h - h^2) / lambda and the squared residual factors (1 - h)^2,
+    whose row sums are ``one_minus_h_norm2``.  ``tie_end[i]`` is the last
+    row of the run of bit-identical h rows that holds row i, which selection
+    counts as one model.  ``psi`` scales the variance-estimation error over
+    the grid range; it is NaN when the floor row has h = 1 everywhere, which
+    leaves no residual to estimate the variance from.
     """
 
     gamma: float
@@ -228,7 +230,6 @@ class PenaltyTable:
     h_rows: np.ndarray
     noise_weights: np.ndarray
     resid2: np.ndarray
-    resid_dof: np.ndarray
     tie_end: np.ndarray
 
     @property
@@ -273,14 +274,8 @@ def build_penalty_table(
         mu, q = _mu_q_rows(t, d, _log_ratio(d, d[-1]))
         h_over_lam = h_rows / lam
         pen_u_col, max_h_over_lam = 2.0 * np.sum(h_over_lam, axis=1), np.max(h_over_lam, axis=1)
-        del h_over_lam  # an M x p matrix: freed before the residual matrices
-        resid = 1.0 - h_rows
-        resid2 = resid ** 2
-        # one_minus_h_norm2 and resid_dof add the same squares in different
-        # orders (einsum vs pairwise sum) and differ in the last bit on some
-        # rows.  Each feeds outputs that are fixed byte for byte: the first
-        # the CSV column, psi and the risk profile, the second the variance
-        # estimate of the selector.
+        del h_over_lam  # an M x p matrix: freed before the residual matrix
+        resid2, one_minus = _residual_factors(h_rows)
         columns = {
             "alphas": grid.values,
             "pen_u": pen_u_col,
@@ -290,7 +285,7 @@ def build_penalty_table(
             "q_plus": q,
             "pen_total": pen_u_col + (1.0 + gamma) * q,
             "h_lambda_norm2": np.sum(h_rows * h_rows / lam, axis=1),
-            "one_minus_h_norm2": np.einsum("ij,ij->i", resid, resid),
+            "one_minus_h_norm2": one_minus,
             "max_h_over_lambda": max_h_over_lam,
         }
     for name, column in columns.items():
@@ -303,13 +298,12 @@ def build_penalty_table(
     for i in np.flatnonzero(d[1:] == d[:-1])[::-1]:
         if np.array_equal(h_rows[i], h_rows[i + 1]):
             tie_end[i] = tie_end[i + 1]
-    columns.update(h_rows=h_rows, noise_weights=t, resid2=resid2, resid_dof=np.sum(resid2, axis=1),
-                   tie_end=tie_end)
+    columns.update(h_rows=h_rows, noise_weights=t, resid2=resid2, tie_end=tie_end)
     for column in columns.values():
         column.setflags(write=False)
     # psi: the iterated-logarithm envelope of the residual degrees of freedom
     # plus the log span of the penalty, relative to the floor residual norm
-    one_minus, pen_total = columns["one_minus_h_norm2"], columns["pen_total"]
+    pen_total = columns["pen_total"]
     psi = float("nan")
     if one_minus[0] > 0.0:
         envelope = np.sqrt(max(np.log(np.log1p(one_minus[-1] / one_minus[0])), 0.0))
@@ -357,7 +351,7 @@ class PenaltyInequalityReport:
 _MAX_REPORTED = 50
 
 
-def verify_penalty_inequalities(table: PenaltyTable, rtol: float = 1e-9) -> PenaltyInequalityReport:
+def verify_penalty_inequalities(table: PenaltyTable) -> PenaltyInequalityReport:
     """Check the structural inequalities of the penalty on a computed table.
 
     Guaranteed, row-wise: q_plus >= d * max(sqrt(log r), log r / mu) and
@@ -368,11 +362,11 @@ def verify_penalty_inequalities(table: PenaltyTable, rtol: float = 1e-9) -> Pena
     separated scales (d >= e^2 d_ref) the log-form bound
     d >= mu*q / log(mu*q/d_ref), which holds only with the constant 1/2 in
     front of the right side; it is reported as found.  All comparisons
-    carry the relative slack ``rtol``.  The pair-wise ratio monotonicity
-    q_i/q_j >= d_i/d_j is not checked: it is blind to the scale of q_plus
-    and false on correct tables.
+    carry the relative slack ``_INEQUALITY_RTOL``.  The pair-wise ratio
+    monotonicity q_i/q_j >= d_i/d_j is not checked: it is blind to the
+    scale of q_plus and false on correct tables.
     """
-    d, mu, q = table.d, table.mu, table.q_plus
+    d, mu, q, rtol = table.d, table.mu, table.q_plus, _INEQUALITY_RTOL
     log_r = _log_ratio(d, d[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = d * np.maximum(np.sqrt(log_r), np.where(mu > 0.0, log_r / mu, 0.0))

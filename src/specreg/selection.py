@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import SpectralData
 from .penalty import PenaltyTable
+from .smoothers import _residual_factors
 
 __all__ = ["sigma_hat2", "SelectionResult", "select_alpha"]
 
@@ -41,8 +42,8 @@ def sigma_hat2(data: SpectralData, h, extra_ss: float = 0.0, extra_dof: float = 
     if h.shape != data.y.shape:
         raise ValueError("dimension error: h must match the retained spectrum")
     lam = data.spectrum.retained
-    resid2 = (1.0 - h) ** 2
-    denom = float(np.sum(resid2)) + float(extra_dof)
+    resid2, dof = _residual_factors(h)
+    denom = float(dof) + float(extra_dof)
     if not denom > 0.0:
         raise ValueError("variance estimation impossible: no residual degrees of freedom")
     num = float((lam * resid2) @ (data.y * data.y)) + float(extra_ss)
@@ -70,7 +71,7 @@ def _select_rows(table: PenaltyTable, y: np.ndarray, mode: str, sigma2: float | 
             raise ValueError("invalid input: known-sigma mode requires sigma2 >= 0")
     elif mode != "unknown":
         raise ValueError("invalid input: mode must be 'known' or 'unknown'")
-    denom = table.resid_dof + float(extra_dof)
+    denom = table.one_minus_h_norm2 + float(extra_dof)
     if mode == "unknown" and np.any(denom <= 0.0):
         raise ValueError("variance estimation impossible: a grid row has no residual degrees of freedom")
 

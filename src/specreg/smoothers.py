@@ -22,7 +22,6 @@ __all__ = [
     "OrderingReport",
     "h_values",
     "check_ordered",
-    "default_floor_rule",
     "default_grid",
 ]
 
@@ -202,26 +201,32 @@ def _first_violation(rows: np.ndarray, alphas: np.ndarray) -> OrderingViolation 
     return None
 
 
-def default_floor_rule(h: np.ndarray) -> bool:
-    """Require sum (1-h)^2 >= max(10, p/10): enough residual degrees of
-    freedom at the grid floor to estimate the noise level."""
-    resid = 1.0 - h
-    return float(resid @ resid) >= max(10.0, h.size / 10.0)
+def _residual_factors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The squared residual factors (1 - h)^2, formed in place (the same bits
+    as (1 - h) ** 2), and their sums over the last axis: the residual degrees
+    of freedom that the grid floor, the penalty table and the variance
+    estimates read."""
+    resid2 = 1.0 - h
+    resid2 *= resid2
+    return resid2, np.sum(resid2, axis=-1)
 
 
 def default_grid(
     family: SmootherFamily,
     spectrum: Spectrum,
     points: int | None = None,
-    floor_rule=default_floor_rule,
+    floor: bool = True,
 ) -> AlphaGrid:
     """Standard grid for a family.
 
     cutoff: the reciprocals {1/m : m = p..1} (``points`` is ignored).
     tikhonov/landweber: geometric with ``points`` values between
-    lambda(p)/10 and 10*lambda(1).  The lower end is then raised to the
-    first grid point satisfying ``floor_rule``; pass ``floor_rule=None`` to
-    keep the full range.
+    lambda(p)/10 and 10*lambda(1).  With ``floor`` the lower end is then
+    raised to the first grid point whose row keeps sum (1-h)^2 >=
+    max(10, p/10) residual degrees of freedom to estimate the noise level
+    from, summed as the penalty table's ``one_minus_h_norm2`` column, so the
+    table's floor row meets the bound exactly.  ``floor=False`` keeps the
+    full range.
     """
     lam = spectrum.retained
     if family.kind == "cutoff":
@@ -232,13 +237,10 @@ def default_grid(
         if points is None or points < 2:
             raise ValueError("invalid input: need points >= 2 for a geometric grid")
         values = np.geomspace(lam[-1] / 10.0, 10.0 * lam[0], int(points))
-    if floor_rule is not None:
-        keep = None
-        for i, a in enumerate(values):
-            if floor_rule(h_values(family, float(a), spectrum)):
-                keep = i
-                break
-        if keep is None:
+    if floor:
+        _, dof = _residual_factors(h_values(family, values, spectrum))
+        keep = np.flatnonzero(dof >= max(10.0, lam.size / 10.0))
+        if not keep.size:
             raise ValueError("alpha floor infeasible: no grid point satisfies the floor rule")
-        values = values[keep:]
+        values = values[keep[0]:]
     return AlphaGrid(values)

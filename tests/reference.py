@@ -3,7 +3,8 @@
 Each takes one smoother row ``h`` and evaluates its formula directly, with
 no penalty table: the exact risk, the penalized risk that ``risk_profile``
 evaluates on every grid row, and the full contrasts, which keep the sum
-y^2 that the selector drops.
+y^2 that the selector drops.  ``risk_profile_rows`` evaluates the risks of
+``risk_profile`` from a table's columns with one dot product per grid row.
 """
 
 from __future__ import annotations
@@ -41,6 +42,27 @@ def penalized_risk(model: SpectralModel, h, pen_total: float, q_plus_val: float,
     beta2 = model.coefficients * model.coefficients
     inflation = float(pen_total) * float((resid2 * lam) @ beta2) / denom
     return exact_risk(model, h) + (1.0 + gamma) * model.sigma ** 2 * float(q_plus_val) + inflation
+
+
+def risk_profile_rows(model: SpectralModel, table) -> tuple[np.ndarray, np.ndarray]:
+    """The exact and the penalized risk of every grid row of the table, one
+    row at a time; the penalized risk is inf on a row with no residual
+    degrees of freedom."""
+    lam = model.spectrum.retained
+    beta2 = model.coefficients * model.coefficients
+    sigma2 = model.sigma ** 2
+    risks = np.empty(table.alphas.size)
+    penalized = np.empty(table.alphas.size)
+    for i, resid2 in enumerate(table.resid2):
+        risks[i] = float(resid2 @ beta2) + sigma2 * float(table.h_lambda_norm2[i])
+        dof = float(table.one_minus_h_norm2[i])
+        if dof > 0.0:
+            inflation = float(table.pen_total[i]) * float((resid2 * lam) @ beta2) / dof
+            adaptive = (1.0 + table.gamma) * sigma2 * float(table.q_plus[i])
+            penalized[i] = risks[i] + adaptive + inflation
+        else:
+            penalized[i] = np.inf
+    return risks, penalized
 
 
 def contrast_known_sigma(data: SpectralData, h, pen: float, sigma2: float) -> float:

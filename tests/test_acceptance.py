@@ -66,7 +66,7 @@ def _criterion2_tables():
             spectrum = _spectrum(sname, p)
             for kind in FAMILY_KINDS:
                 family = SmootherFamily(kind)
-                grid = default_grid(family, spectrum, points=40, floor_rule=None)
+                grid = default_grid(family, spectrum, points=40, floor=False)
                 table = build_penalty_table(family, grid, spectrum, GAMMA)
                 tables[(p, sname, kind)] = (spectrum, table)
     return tables
@@ -180,7 +180,7 @@ def test_criterion_02_penalty_structure():
     log_rows = 0
     for (p, sname, kind), (_, table) in _criterion2_tables().items():
         broken, margin, n_log = _penalty_structure(table, rtol)
-        report = verify_penalty_inequalities(table, rtol=rtol)
+        report = verify_penalty_inequalities(table)
         if not all(v.startswith(_AUXILIARY_KIND) for v in report.violations):
             broken.append(f"verifier reports a non-auxiliary violation: {report.violations}")
         if report.total_violations != n_log:
@@ -247,7 +247,7 @@ def test_criterion_05_covariance_inequality():
     worst = np.inf
     for kind in FAMILY_KINDS:
         family = SmootherFamily(kind)
-        grid = default_grid(family, spectrum, points=25, floor_rule=None)
+        grid = default_grid(family, spectrum, points=25, floor=False)
         rows = np.array([h_values(family, a, spectrum) for a in grid.values])
         for i in range(len(grid.values)):
             for j in range(i + 1, len(grid.values)):
@@ -306,11 +306,12 @@ def test_criterion_07_oracle_behavior():
     beta = 1.0 / np.arange(1.0, p + 1.0)
     family = SmootherFamily.cutoff()
     grid = default_grid(family, spectrum)
+    table = build_penalty_table(family, grid, spectrum, GAMMA)
     ratios = {}
     report_at = {}
     for sigma in (0.05, 0.02):
         model = SpectralModel(spectrum, beta, sigma)
-        report = mc_run(model, family, grid, GAMMA, "unknown", 500, 20260809)
+        report = mc_run(model, table, "unknown", 500, 20260809)
         ratios[sigma] = report.oracle_ratio
         report_at[sigma] = report
     ratio_cap = 1.0  # FROZEN from the pilot run of this exact config: 0.8341
@@ -348,10 +349,10 @@ def test_criterion_08_severely_ill_posed_comparison():
     tails = {}
     for kappa in (0.5, 1.0, 2.0):
         spectrum = exponential_spectrum(p, kappa)
-        grid = default_grid(family, spectrum)
+        table = build_penalty_table(family, default_grid(family, spectrum), spectrum, GAMMA)
         model = SpectralModel(spectrum, beta, 0.1)
         for penalty in ("total", "unbiased"):
-            report = mc_run(model, family, grid, GAMMA, "unknown", 500, 8261, penalty=penalty)
+            report = mc_run(model, table, "unknown", 500, 8261, penalty=penalty)
             med = float(np.median(report.losses))
             q95 = float(np.quantile(report.losses, 0.95))
             medians[(kappa, penalty)] = med
@@ -383,7 +384,7 @@ def test_criterion_09_excess_statistic_stability():
     means = {}
     for p in (50, 200, 400):
         spectrum = polynomial_spectrum(p, 2.0)
-        grid = default_grid(family, spectrum, floor_rule=None)
+        grid = default_grid(family, spectrum, floor=False)
         table = build_penalty_table(family, grid, spectrum, GAMMA)
         total = 0.0
         for i in range(10_000):

@@ -26,7 +26,7 @@ from specreg import (
     sigma_hat2,
     simulate_observation,
 )
-from reference import exact_risk, penalized_risk
+from reference import exact_risk, penalized_risk, risk_profile_rows
 
 
 def _model(p=12, exponent=2.0, sigma=0.2, signal=1.0):
@@ -99,9 +99,9 @@ class TestPenalizedRisk:
 
 
 class TestRiskProfile:
-    def _table(self, model, floor_rule=None):
+    def _table(self, model):
         family = SmootherFamily.cutoff()
-        grid = default_grid(family, model.spectrum, floor_rule=floor_rule)
+        grid = default_grid(family, model.spectrum, floor=False)
         return build_penalty_table(family, grid, model.spectrum, 0.1), grid
 
     def test_degenerate_rows_flagged(self):
@@ -140,6 +140,40 @@ class TestRiskProfile:
         assert profile.oracle_index == int(np.argmin(redone))
         assert profile.r == pytest.approx(min(redone), rel=1e-14)
 
+    @pytest.mark.parametrize("kind", ["cutoff", "tikhonov", "landweber"])
+    def test_matches_per_row_reference(self, kind):
+        # one matrix-vector product per formula against one dot per row; the
+        # oracle lies in the same run of bit-identical rows, reported at its end
+        family = SmootherFamily(kind)
+        for s, floor in ((polynomial_spectrum(200, 2.0), True), (exponential_spectrum(100, 1.0), True),
+                         (polynomial_spectrum(60, 2.0), True), (polynomial_spectrum(30, 1.0), False)):
+            p = s.effective_rank
+            table = build_penalty_table(family, default_grid(family, s, points=30, floor=floor), s, 0.1)
+            model = SpectralModel(s, 1.0 / np.arange(1.0, p + 1.0), 0.1)
+            profile = risk_profile(model, table)
+            risks, penalized = risk_profile_rows(model, table)
+            np.testing.assert_allclose(profile.risks, risks, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(profile.penalized, penalized, rtol=1e-13, atol=0.0)
+            assert profile.degenerate_rows == tuple(np.flatnonzero(np.isinf(penalized)))
+            assert profile.oracle_index == table.tie_end[int(np.argmin(penalized))]
+            assert profile.r == np.min(profile.penalized)
+            assert profile.r == pytest.approx(np.min(penalized), rel=1e-13)
+
+    def test_oracle_reported_at_the_end_of_its_tied_run(self):
+        # every alpha >= 1 of this landweber grid maps to one iteration, so
+        # rows 16-21 hold bit-identical h: the oracle is that model, which
+        # selection reports at the last row of the run, and so does the oracle
+        s = polynomial_spectrum(60, 2.0)
+        family = SmootherFamily.landweber()
+        table = build_penalty_table(family, default_grid(family, s, points=30), s, 0.1)
+        model = SpectralModel(s, 1.0 / np.arange(1.0, 61.0), 0.1)
+        profile = risk_profile(model, table)
+        assert int(np.argmin(profile.penalized)) in range(16, 22)
+        assert profile.oracle_index == 21
+        report = mc_run(model, table, "unknown", 40, 7)
+        assert report.oracle_alpha_index == 21
+        assert not any(report.alpha_hat_histogram[16:21])
+
     def test_single_row(self):
         s = polynomial_spectrum(6, 1.0)
         model = SpectralModel(s, np.ones(6), 0.2)
@@ -173,7 +207,7 @@ class TestExcessSupStat:
     def _table(self, p=30):
         s = polynomial_spectrum(p, 2.0)
         family = SmootherFamily.cutoff()
-        grid = default_grid(family, s, floor_rule=None)
+        grid = default_grid(family, s, floor=False)
         return build_penalty_table(family, grid, s, 0.1)
 
     def test_zero_noise_hook(self):
@@ -207,8 +241,8 @@ class TestMcRun:
         beta = 1.0 / np.arange(1.0, p + 1.0)
         model = SpectralModel(s, beta, sigma)
         family = SmootherFamily.cutoff()
-        grid = default_grid(family, s)
-        return mc_run(model, family, grid, 0.1, mode, replications, 17, penalty=penalty)
+        table = build_penalty_table(family, default_grid(family, s), s, 0.1)
+        return mc_run(model, table, mode, replications, 17, penalty=penalty)
 
     def test_deterministic_reports(self):
         a = self._experiment()
@@ -224,9 +258,9 @@ class TestMcRun:
         beta = 1.0 / np.arange(1.0, p + 1.0)
         model = SpectralModel(s, beta, 0.0)
         family = SmootherFamily.cutoff()
-        grid = default_grid(family, s, floor_rule=None)
-        report = mc_run(model, family, grid, 0.1, "known", 3, 0, sigma2=0.0)
+        grid = default_grid(family, s, floor=False)
         table = build_penalty_table(family, grid, s, 0.1)
+        report = mc_run(model, table, "known", 3, 0, sigma2=0.0)
         best_bias = min(
             float(((1 - table.h_rows[i]) ** 2) @ (beta * beta)) for i in range(len(grid))
         )
@@ -316,9 +350,8 @@ class TestBatchedMcRun:
         spectrum = polynomial_spectrum(p, 2.0) if p == 80 else exponential_spectrum(p, 1.0)
         model = SpectralModel(spectrum, 1.0 / np.arange(1.0, p + 1.0), 0.1)
         family = SmootherFamily(kind)
-        grid = default_grid(family, spectrum, points=40)
-        report = mc_run(model, family, grid, 0.1, mode, 150, 23, penalty="unbiased")
-        table = build_penalty_table(family, grid, spectrum, 0.1)
+        table = build_penalty_table(family, default_grid(family, spectrum, points=40), spectrum, 0.1)
+        report = mc_run(model, table, mode, 150, 23, penalty="unbiased")
         picks, losses, sigma2s, excesses = self._loop(model, table, mode, 150, 23, "unbiased")
         assert np.array_equal(report.alpha_hat_indices, picks)
         np.testing.assert_allclose(report.losses, losses, rtol=1e-12, atol=0.0)
@@ -345,5 +378,6 @@ class TestBatchedMcRun:
         s = exponential_spectrum(p, kappa)
         model = SpectralModel(s, 1.0 / np.arange(1.0, p + 1.0), 0.1)
         family = SmootherFamily(kind)
-        report = mc_run(model, family, default_grid(family, s, points=40), 0.1, mode, 200, 7)
+        table = build_penalty_table(family, default_grid(family, s, points=40), s, 0.1)
+        report = mc_run(model, table, mode, 200, 7)
         assert report.oracle_ratio < 2.0

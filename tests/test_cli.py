@@ -295,6 +295,7 @@ class TestExitCodes:
         *(pytest.param(override, "bench", id=repr(override)) for override in (
             {"gamma": "abc"}, {"gamma": None}, {"replications": "ten"}, {"seed": "x"},
             {"family": "cutoff"}, {"grid": [1, 2]}, {"grid": {"points": "many"}},
+            {"grid": {"points": 20, "floor": "bogus"}},
             {"family": {"kind": "landweber", "tau": "big"}})),
         *(pytest.param(override, command, id=f"{command}-{override!r}")
           for override in ({"mode": "bogus"}, {"penalty": "bogus"}) for command in ("select", "bench")),
@@ -344,6 +345,32 @@ class TestExitCodes:
             assert run(argv) == 2, command
             assert "numerical failure: non-finite" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("override, command", [
+        *(pytest.param(override, command, id=f"{command}-{override!r}")
+          for override in ({"seed": -1}, {"seed": 1.9}, {"mode": "known", "sigma2": -0.01},
+                           {"sigma2": -0.01})
+          for command in ("select", "bench")),
+        *(pytest.param(override, "bench", id=repr(override))
+          for override in ({"replications": 2.9}, {"replications": True})),
+        *(pytest.param({"grid": {"points": 20.5}}, command, id=f"{command}-points")
+          for command in ("penalty-table", "check")),
+    ])
+    def test_out_of_range_or_fractional_value_is_config_error(self, tmp_path, capsys, override, command):
+        # these once exited 2 with a numerical failure, or were truncated to
+        # an integer and run
+        cfg = write_config(tmp_path, well_conditioned_config(**override))
+        assert run([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_fractional_dimension_and_negative_seed_flag_are_config_errors(self, tmp_path, capsys):
+        cfg = well_conditioned_config()
+        cfg["problem"]["generator"]["spectrum"]["p"] = 30.7
+        assert run(["penalty-table", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "config error: invalid 'p'" in capsys.readouterr().err
+        cfg = write_config(tmp_path, well_conditioned_config())
+        assert run(["bench", "--config", cfg, "--seed", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("config error: invalid 'seed': expected a value >= 0")
 
     def test_missing_seed_for_bench(self, tmp_path):
         cfg = well_conditioned_config()

@@ -37,9 +37,9 @@ from specreg.penalty import (
 FAMILIES = [SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()]
 
 
-def _cutoff_table(spectrum, gamma=0.1, floor_rule=None):
+def _cutoff_table(spectrum, gamma=0.1, floor=False):
     family = SmootherFamily.cutoff()
-    grid = default_grid(family, spectrum, floor_rule=floor_rule)
+    grid = default_grid(family, spectrum, floor=floor)
     return build_penalty_table(family, grid, spectrum, gamma), grid
 
 
@@ -331,9 +331,9 @@ _BISECTION_TABLES = {
     "landweber e^-k p=300": (SmootherFamily.landweber(), lambda: exponential_spectrum(300, 1.0),
                              {"points": 100}),
     "tikhonov e^-k p=500": (SmootherFamily.tikhonov(), lambda: exponential_spectrum(500, 1.0),
-                            {"points": 100, "floor_rule": None}),
+                            {"points": 100, "floor": False}),
     "landweber e^-k p=500": (SmootherFamily.landweber(), lambda: exponential_spectrum(500, 1.0),
-                             {"points": 100, "floor_rule": None}),
+                             {"points": 100, "floor": False}),
 }
 
 
@@ -476,7 +476,7 @@ class TestQPlus:
             lam = np.sort(10.0 ** rng.uniform(-5, 0, p))[::-1]
             s = Spectrum(lam)
             family = FAMILIES[int(rng.integers(0, 3))]
-            grid = default_grid(family, s, points=10, floor_rule=None)
+            grid = default_grid(family, s, points=10, floor=False)
             table = build_penalty_table(
                 family, AlphaGrid([grid.alpha_floor, grid.alpha_max]), s, 0.1)
             d, d_ref = table.d
@@ -493,7 +493,7 @@ class TestTotalPenalty:
 
     def test_gamma_boundaries_rejected(self):
         s = polynomial_spectrum(3, 1.0)
-        grid = default_grid(SmootherFamily.cutoff(), s, floor_rule=None)
+        grid = default_grid(SmootherFamily.cutoff(), s, floor=False)
         for gamma in (0.0, 0.25, -0.1, 1.0):
             with pytest.raises(ValueError, match="gamma"):
                 build_penalty_table(SmootherFamily.cutoff(), grid, s, gamma)
@@ -501,7 +501,7 @@ class TestTotalPenalty:
     def test_nonincreasing_along_grid(self):
         for spectrum in (polynomial_spectrum(40, 1.0), exponential_spectrum(25, 0.5)):
             for family in FAMILIES:
-                grid = default_grid(family, spectrum, points=15, floor_rule=None)
+                grid = default_grid(family, spectrum, points=15, floor=False)
                 table = build_penalty_table(family, grid, spectrum, 0.1)
                 pen = table.pen_total
                 assert np.all(np.diff(pen) <= 1e-9 * pen[:-1]), family.kind
@@ -525,10 +525,10 @@ class TestPenaltyTable:
             resid2 = (1.0 - h_rows) ** 2
             assert np.array_equal(table.noise_weights, h_rows * (2.0 - h_rows) / lam)
             assert np.array_equal(table.resid2, resid2)
-            assert np.array_equal(table.resid_dof, np.sum(resid2, axis=1))
+            assert np.array_equal(table.one_minus_h_norm2, np.sum(resid2, axis=1))
             for name in ("alphas", "pen_u", "pen_cv", "d", "mu", "q_plus", "pen_total",
                          "h_lambda_norm2", "one_minus_h_norm2", "max_h_over_lambda",
-                         "h_rows", "noise_weights", "resid2", "resid_dof"):
+                         "h_rows", "noise_weights", "resid2", "tie_end"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(table, name)[0] = 0.0
             # rho derived from the stored noise scale must be a unit vector
@@ -589,7 +589,7 @@ class TestPenaltyTable:
 
         for kind in ("cutoff", "tikhonov", "landweber"):
             family = SmootherFamily(kind)
-            grid = default_grid(family, s, points=40, floor_rule=None)
+            grid = default_grid(family, s, points=40, floor=False)
             table = build_penalty_table(family, grid, s, 0.1)
             with mp.workdps(50):
                 d_ref = noise(h_ref(kind, grid.alpha_max))[0]
@@ -645,7 +645,7 @@ class TestPenaltyTable:
         # row; NaN slips through every comparison and must be caught explicitly
         s = Spectrum([1.0, 0.5, 0.25, 1e-310])
         family = SmootherFamily.cutoff()
-        grid = default_grid(family, s, floor_rule=None)
+        grid = default_grid(family, s, floor=False)
         with pytest.raises(ArithmeticError, match="non-finite"):
             build_penalty_table(family, grid, s, 0.1)
 
@@ -719,7 +719,7 @@ class TestVerifyPenaltyInequalities:
             lam = np.sort(10.0 ** rng.uniform(-6, 0, p))[::-1]
             s = Spectrum(lam)
             family = FAMILIES[int(rng.integers(0, 3))]
-            grid = default_grid(family, s, points=12, floor_rule=None)
+            grid = default_grid(family, s, points=12, floor=False)
             table = build_penalty_table(family, grid, s, 0.1)
             report = verify_penalty_inequalities(table)
             for violation in report.violations:
@@ -740,7 +740,7 @@ class TestVerifyPenaltyInequalities:
     def test_flat_spectrum_tikhonov_passes(self):
         s = Spectrum(np.ones(5))
         family = SmootherFamily.tikhonov()
-        grid = default_grid(family, s, points=12, floor_rule=None)
+        grid = default_grid(family, s, points=12, floor=False)
         table = build_penalty_table(family, grid, s, 0.1)
         assert verify_penalty_inequalities(table).ok
 

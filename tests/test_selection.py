@@ -32,6 +32,11 @@ from specreg import (
 from reference import contrast_known_sigma, contrast_unknown_sigma, exact_risk
 
 
+# the cutoff grid of p = 20 from m = 17 down, which keeps at least 3
+# residual degrees of freedom on every row
+_KEEP_3_DOF = AlphaGrid(1.0 / np.arange(17, 0, -1, dtype=float))
+
+
 def _data(spectrum, y):
     return SpectralData(spectrum, np.asarray(y, dtype=float))
 
@@ -154,10 +159,10 @@ class TestContrastUnknownSigma:
 
 
 class TestSelectAlpha:
-    def _setup(self, p=20, gamma=0.1, floor_rule=None):
+    def _setup(self, p=20, gamma=0.1, grid=None):
         s = polynomial_spectrum(p, 2.0)
         family = SmootherFamily.cutoff()
-        grid = default_grid(family, s, floor_rule=floor_rule)
+        grid = default_grid(family, s, floor=False) if grid is None else grid
         table = build_penalty_table(family, grid, s, gamma)
         return s, family, grid, table
 
@@ -178,7 +183,7 @@ class TestSelectAlpha:
 
     def test_ties_break_to_largest_alpha(self):
         s = polynomial_spectrum(3, 1.0)
-        grid = default_grid(SmootherFamily.cutoff(), s, floor_rule=None)
+        grid = default_grid(SmootherFamily.cutoff(), s, floor=False)
         table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
         # signal lives entirely in the first component: every cutoff removes
         # nothing of it, so with zero penalty weight all contrasts tie at 0
@@ -209,11 +214,11 @@ class TestSelectAlpha:
         result = select_alpha(data, replace(table, pen_total=pen_total), "known", sigma2=1e6)
         assert (result.alpha_hat_index, result.alpha_hat) == (21, grid.values[21])
         assert int(np.argmin(result.contrasts)) == 18
-        report = mc_run(model, family, grid, 0.1, "unknown", 100, 7)
+        report = mc_run(model, table, "unknown", 100, 7)
         assert report.alpha_hat_histogram[21] > 0 and not any(report.alpha_hat_histogram[16:21])
 
     def test_scale_invariance_of_argmin(self):
-        s, _, grid, table = self._setup(floor_rule=lambda h: float((1 - h) @ (1 - h)) >= 3.0)
+        s, _, grid, table = self._setup(grid=_KEEP_3_DOF)
         rng = replication_stream(7, 0)
         beta = 1.0 / np.arange(1.0, 21.0)
         model = SpectralModel(s, beta, 0.1)
@@ -260,7 +265,7 @@ class TestSelectAlpha:
                 risk_profile(model, table)
 
     def test_contrasts_match_scalar_ops(self):
-        s, _, grid, table = self._setup(floor_rule=lambda h: float((1 - h) @ (1 - h)) >= 3.0)
+        s, _, grid, table = self._setup(grid=_KEEP_3_DOF)
         data = _data(s, np.linspace(1.0, 0.1, 20))
         result = select_alpha(data, table, "unknown")
         # the contrasts are relative to the smoothest row: the full scalar
@@ -275,7 +280,7 @@ class TestSelectAlpha:
         )
 
     def test_non_finite_contrast_is_numerical_failure(self):
-        s, _, grid, table = self._setup(floor_rule=lambda h: float((1 - h) @ (1 - h)) >= 3.0)
+        s, _, grid, table = self._setup(grid=_KEEP_3_DOF)
         y = np.ones(20)
         y[0] = 1e200  # y^2 overflows to inf
         for mode, sigma2 in (("known", 0.01), ("unknown", None)):
@@ -332,7 +337,7 @@ class TestContrastsAgainstMpmath:
             want = np.array([float(full(i)[0] - last) for i in rows])
             want_s2 = float(full(result.alpha_hat_index)[1])
         lam_y2 = s.retained * data.y * data.y
-        terms = np.abs(table.pen_total * (table.resid2 @ lam_y2) / table.resid_dof) + table.noise_weights @ lam_y2
+        terms = np.abs(table.pen_total * (table.resid2 @ lam_y2) / table.one_minus_h_norm2) + table.noise_weights @ lam_y2
         scale = (terms + terms[-1])[rows]
         assert np.all(np.abs(result.contrasts[rows] - want) <= 1e-12 * scale)
         assert result.sigma_hat2 == pytest.approx(want_s2, rel=1e-12)
@@ -388,7 +393,7 @@ class TestCovarianceInequality:
         s = polynomial_spectrum(p, 1.0)
         weights = rng.standard_normal((100, p))
         for family in (SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()):
-            grid = default_grid(family, s, points=20, floor_rule=None)
+            grid = default_grid(family, s, points=20, floor=False)
             rows = np.array([h_values(family, a, s) for a in grid.values])
             for i in range(len(grid)):
                 for j in range(i + 1, len(grid)):

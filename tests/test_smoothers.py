@@ -9,6 +9,7 @@ from specreg import (
     AlphaGrid,
     SmootherFamily,
     Spectrum,
+    build_penalty_table,
     check_ordered,
     default_grid,
     exponential_spectrum,
@@ -73,7 +74,7 @@ class TestHValues:
 
         s = exponential_spectrum(100, 1.0)
         family = SmootherFamily.landweber()
-        grid = default_grid(family, s, points=40, floor_rule=None)
+        grid = default_grid(family, s, points=40, floor=False)
         x = np.clip((1.0 / s.retained[0]) * s.retained, 0.0, 1.0)  # the default step
         with mp.workdps(80):
             for alpha in grid.values:
@@ -91,7 +92,7 @@ class TestHValues:
         s = exponential_spectrum(100, 1.0)
         family = SmootherFamily.landweber()
         alpha = 1.521277732760748e-10
-        assert alpha in default_grid(family, s, points=40, floor_rule=None).values
+        assert alpha in default_grid(family, s, points=40, floor=False).values
         x = np.clip((1.0 / s.retained[0]) * s.retained, 0.0, 1.0)
         with np.errstate(divide="ignore"):  # x[0] = 1 gives h = 1
             want = -np.expm1(6573421661.0 * np.log1p(-x))
@@ -158,7 +159,7 @@ class TestGridBroadcast:
 
     def test_cutoff_reciprocal_grid(self):
         s = polynomial_spectrum(500, 2.0)
-        grid = default_grid(SmootherFamily.cutoff(), s, floor_rule=None)
+        grid = default_grid(SmootherFamily.cutoff(), s, floor=False)
         self._assert_rows(SmootherFamily.cutoff(), grid.values, s)
 
     def test_cutoff_alphas_just_off_reciprocals(self):
@@ -173,14 +174,14 @@ class TestGridBroadcast:
 
     def test_tikhonov(self):
         s = polynomial_spectrum(200, 2.0)
-        grid = default_grid(SmootherFamily.tikhonov(), s, points=60, floor_rule=None)
+        grid = default_grid(SmootherFamily.tikhonov(), s, points=60, floor=False)
         self._assert_rows(SmootherFamily.tikhonov(), grid.values, s)
 
     @pytest.mark.parametrize("s", [polynomial_spectrum(300, 2.0), exponential_spectrum(100, 1.0)],
                              ids=["k^-2", "e^-k"])
     def test_landweber_default_step(self, s):
         family = SmootherFamily.landweber()
-        grid = default_grid(family, s, points=60, floor_rule=None)
+        grid = default_grid(family, s, points=60, floor=False)
         self._assert_rows(family, grid.values, s)
 
     def test_table_family(self):
@@ -213,7 +214,7 @@ class TestCheckOrdered:
         for _ in range(20):
             s = _random_spectrum(rng)
             for family in FAMILIES:
-                grid = default_grid(family, s, points=15, floor_rule=None)
+                grid = default_grid(family, s, points=15, floor=False)
                 report = check_ordered(family, grid, s)
                 assert report.ok, (family.kind, report.violation)
 
@@ -249,7 +250,7 @@ class TestCheckOrdered:
     def test_grid_monotone_smoothing(self):
         s = polynomial_spectrum(20, 1.5)
         for family in FAMILIES:
-            grid = default_grid(family, s, points=12, floor_rule=None)
+            grid = default_grid(family, s, points=12, floor=False)
             rows = [h_values(family, a, s) for a in grid.values]
             for i in range(len(rows) - 1):
                 assert np.all(rows[i] >= rows[i + 1] - 1e-12)
@@ -257,12 +258,12 @@ class TestCheckOrdered:
 
 class TestDefaultGrid:
     def test_cutoff_full_range(self):
-        grid = default_grid(SmootherFamily.cutoff(), polynomial_spectrum(4, 1.0), floor_rule=None)
+        grid = default_grid(SmootherFamily.cutoff(), polynomial_spectrum(4, 1.0), floor=False)
         assert np.allclose(grid.values, [0.25, 1 / 3, 0.5, 1.0])
 
     def test_geometric_two_points(self):
         s = polynomial_spectrum(10, 2.0)
-        grid = default_grid(SmootherFamily.tikhonov(), s, points=2, floor_rule=None)
+        grid = default_grid(SmootherFamily.tikhonov(), s, points=2, floor=False)
         assert np.allclose(grid.values, [s.retained[-1] / 10.0, 10.0 * s.retained[0]])
 
     def test_default_floor_keeps_at_most_90_of_100(self):
@@ -273,17 +274,35 @@ class TestDefaultGrid:
         h = h_values(SmootherFamily.cutoff(), grid.alpha_floor, s)
         assert np.sum(h) <= 90
 
+    @pytest.mark.parametrize("kind", ["cutoff", "tikhonov", "landweber"])
+    def test_floor_row_of_the_table_keeps_the_floor_dof(self, kind):
+        # the floor and the table's one_minus_h_norm2 column are one
+        # reduction, so the floor row meets the bound in the table too, and
+        # the grid point below the floor misses it
+        family = SmootherFamily(kind)
+        for s in (polynomial_spectrum(200, 2.0), polynomial_spectrum(60, 1.0),
+                  exponential_spectrum(100, 1.0), exponential_spectrum(40, 0.5)):
+            need = max(10.0, s.effective_rank / 10.0)
+            grid = default_grid(family, s, points=40)
+            table = build_penalty_table(family, grid, s, 0.1)
+            assert table.one_minus_h_norm2[0] >= need, (kind, s.effective_rank)
+            full = default_grid(family, s, points=40, floor=False).values
+            below = full[full < grid.alpha_floor]
+            if below.size:
+                resid = 1.0 - h_values(family, below[-1], s)
+                assert float(np.sum(resid * resid)) < need, (kind, s.effective_rank)
+
     def test_floor_infeasible(self):
         with pytest.raises(ValueError, match="alpha floor infeasible"):
             default_grid(SmootherFamily.cutoff(), polynomial_spectrum(4, 1.0))
 
     def test_geometric_needs_points(self):
         with pytest.raises(ValueError, match="points"):
-            default_grid(SmootherFamily.tikhonov(), polynomial_spectrum(5, 1.0), floor_rule=None)
+            default_grid(SmootherFamily.tikhonov(), polynomial_spectrum(5, 1.0), floor=False)
 
     def test_severely_ill_posed_grid_is_finite(self):
         s = exponential_spectrum(500, 1.0)
-        grid = default_grid(SmootherFamily.landweber(), s, points=20, floor_rule=None)
+        grid = default_grid(SmootherFamily.landweber(), s, points=20, floor=False)
         h = h_values(SmootherFamily.landweber(), grid.alpha_floor, s)
         assert np.all(np.isfinite(h))
 

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR
 
-Imports ``specreg`` from the source directory SRC, writes 56 configs (and
+Imports ``specreg`` from the source directory SRC, writes 62 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -43,7 +43,10 @@ Config matrix:
     table does not list, which pins the "is not tabulated" error (1);
   - a near-square 30x20 design matrix (below n = 11p/6, where LAPACK's SVD
     of X skips its own QR step) x 3 families, unknown mode with the
-    orthogonal residual (3).
+    orthogonal residual (3);
+  - configuration errors that exit 1 (6): a negative seed, a fractional
+    seed, a negative sigma2 in known mode, fractional and boolean
+    replications, a fractional p.
 """
 
 from __future__ import annotations
@@ -169,6 +172,16 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
         configs[f"matrix30-{kind}-orth1-unknown"] = dict(
             base, problem={"matrix": square}, family={"kind": kind}, grid=_grid(kind),
             include_orthogonal_residual=True, mode="unknown")
+
+    bad = dict(base, problem=_generator({"kind": "polynomial", "p": 30, "exponent": 2.0}),
+               family={"kind": "tikhonov"}, grid={"points": 10}, mode="unknown")
+    configs["bad-seed-negative"] = dict(bad, seed=-1)
+    configs["bad-seed-fraction"] = dict(bad, seed=1.9)
+    configs["bad-sigma2-negative-known"] = dict(bad, mode="known", sigma2=-0.01)
+    configs["bad-replications-fraction"] = dict(bad, replications=2.9)
+    configs["bad-replications-bool"] = dict(bad, replications=True)
+    configs["bad-p-fraction"] = dict(bad, problem=_generator(
+        {"kind": "polynomial", "p": 30.7, "exponent": 2.0}))
     return configs
 
 
