@@ -30,8 +30,8 @@ __all__ = [
 
 _EXCESS_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 # Replications per block of mc_run.  On a 900 x 1000 table with one BLAS
-# thread, blocks of 32 take about 5% longer than blocks of 64, but add 0.6-0.9%
-# to the peak memory of repeated runs where blocks of 64 add 1.8%.
+# thread, blocks of 32 take about 5% longer than blocks of 64, but the traced
+# peak of one mc_run (R=300) beyond the table is 2.2-3.0 MB, 3.9 MB with 64.
 _BLOCK = 32
 
 

@@ -124,15 +124,22 @@ def _get(section, key: str, kind=None, default=_REQUIRED):
         raise ConfigError(f"invalid {key!r}: {exc}") from None
 
 
+def _number(value, integer: bool = False):
+    """A ``kind`` for _get that accepts JSON numbers only, as a float, where
+    float() would read "0.1" and true as 1.0; with ``integer`` only JSON
+    integers, where int() would truncate 2.9 to 2."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"expected {'an integer' if integer else 'a number'}, got {value!r}")
+    return value if integer else float(value)
+
+
 def _at_least(low, integer: bool = False):
-    """A ``kind`` for _get that accepts numbers >= low; with ``integer`` only
-    JSON integers, where int() would truncate 2.9 to 2 and read true as 1."""
+    """A ``kind`` for _get that accepts numbers >= low, checked by _number."""
     def kind(value):
-        if integer and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"expected an integer, got {value!r}")
-        if not float(value) >= low:
+        number = _number(value, integer)
+        if not float(number) >= low:
             raise ValueError(f"expected a value >= {low}, got {value!r}")
-        return value if integer else float(value)
+        return number
     return kind
 
 
@@ -160,7 +167,7 @@ def _problem(config: dict) -> tuple[str, dict]:
 
 
 def _design(matrix: dict, rank_tol: float = 1e-12):
-    rank_tol = _get(matrix, "rank_tol", float, rank_tol)
+    rank_tol = _get(matrix, "rank_tol", _number, rank_tol)
     return decompose_design(_load_matrix(_get(matrix, "x")), rank_tol)
 
 
@@ -168,9 +175,9 @@ def _signal_values(signal: dict, p: int) -> np.ndarray:
     kind = _get(signal, "kind", default=None)
     k = np.arange(1, p + 1, dtype=float)
     if kind == "polynomial":
-        return k ** -_get(signal, "exponent", float)
+        return k ** -_get(signal, "exponent", _number)
     if kind == "exponential":
-        return np.exp(-_get(signal, "rate", float) * k)
+        return np.exp(-_get(signal, "rate", _number) * k)
     if kind == "zero":
         return np.zeros(p)
     if kind == "explicit":
@@ -184,13 +191,13 @@ def _generator_model(gen: dict) -> SpectralModel:
     p = _get(spec_cfg, "p", _at_least(1, integer=True))
     try:
         if kind == "polynomial":
-            spectrum = polynomial_spectrum(p, _get(spec_cfg, "exponent", float))
+            spectrum = polynomial_spectrum(p, _get(spec_cfg, "exponent", _number))
         elif kind == "exponential":
-            spectrum = exponential_spectrum(p, _get(spec_cfg, "kappa", float))
+            spectrum = exponential_spectrum(p, _get(spec_cfg, "kappa", _number))
         else:
             raise ConfigError(f"unknown spectrum kind {kind!r}")
         coef = _signal_values(_get(gen, "signal"), spectrum.effective_rank)
-        return SpectralModel(spectrum, coef, _get(gen, "sigma", float))
+        return SpectralModel(spectrum, coef, _get(gen, "sigma", _number))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -228,7 +235,7 @@ def _family(config: dict) -> SmootherFamily:
         if kind == "tikhonov":
             return SmootherFamily.tikhonov()
         if kind == "landweber":
-            return SmootherFamily.landweber(_get(fam, "tau", float, None))
+            return SmootherFamily.landweber(_get(fam, "tau", _number, None))
         if kind == "table":
             return SmootherFamily.from_table(_get(fam, "alphas"), _get(fam, "h_table"))
     except ValueError as exc:
@@ -249,7 +256,7 @@ def _grid(config: dict, family: SmootherFamily, spectrum: Spectrum) -> AlphaGrid
 
 
 def _gamma(config: dict) -> float:
-    gamma = _get(config, "gamma", float)
+    gamma = _get(config, "gamma", _number)
     if not 0.0 < gamma < 0.25:
         raise ConfigError("gamma must lie in (0, 1/4)")
     return gamma

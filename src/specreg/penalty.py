@@ -105,14 +105,17 @@ def cramer_term(x):
     return out if out.ndim else float(out)
 
 
-def _row_blocks(rho: np.ndarray) -> list[tuple[slice, int]]:
-    """Row slices of rho of about _ROW_BLOCK_ELEMS entries each, with the
-    width up to the block's last nonzero column."""
-    rows, p = rho.shape
+def _row_slices(rows: int, p: int) -> list[slice]:
+    """The row blocks of the table build and of the mu solve, of about _ROW_BLOCK_ELEMS entries."""
     step = max(1, _ROW_BLOCK_ELEMS // p)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _row_blocks(rho: np.ndarray) -> list[tuple[slice, int]]:
+    """The row slices of rho, each with the width up to the block's last
+    nonzero column."""
     blocks = []
-    for start in range(0, rows, step):
-        block = slice(start, min(start + step, rows))
+    for block in _row_slices(*rho.shape):
         used = np.flatnonzero(np.any(rho[block] != 0.0, axis=0))
         blocks.append((block, int(used[-1]) + 1 if used.size else 0))
     return blocks
@@ -262,29 +265,39 @@ def build_penalty_table(
         violation = _first_violation(h_rows, grid.values)
         if violation is not None:
             raise ValueError(f"invalid input: table family is not ordered ({violation})")
+    # One pass over the row blocks fills t, resid2 and the columns that need no
+    # d[-1], a second solves mu and q_plus; no other M x p matrix is formed.
+    blocks = _row_slices(*h_rows.shape)
+    t, resid2 = np.empty_like(h_rows), np.empty_like(h_rows)
+    pen_u_col, pen_cv_col, d, mu, q, h_lambda, one_minus, max_h_over_lam = (
+        np.empty(len(grid)) for _ in range(8))
     # Overflow and NaN below are caught by the checks on d and on the columns.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = h_rows * (2.0 - h_rows) / lam
-        d = _noise_scale_rows(t)
+        for block in blocks:
+            h = h_rows[block]
+            t[block] = h * (2.0 - h) / lam
+            d[block] = _noise_scale_rows(t[block])
+            h_lam = h / lam
+            pen_u_col[block], max_h_over_lam[block] = 2.0 * np.sum(h_lam, axis=1), np.max(h_lam, axis=1)
+            pen_cv_col[block], h_lambda[block] = 2.0 * np.sum(h, axis=1), np.sum(h * h / lam, axis=1)
+            resid2[block], one_minus[block] = _residual_factors(h)
         if np.any(d == 0.0):
             raise ValueError("degenerate smoother: h is identically zero on a grid row")
         if np.any(d[1:] > d[:-1] * (1.0 + 1e-12)):
             raise ValueError("invalid input: noise scale must be nonincreasing along the grid "
                              "(is the family ordered?)")
-        mu, q = _mu_q_rows(t, d, _log_ratio(d, d[-1]))
-        h_over_lam = h_rows / lam
-        pen_u_col, max_h_over_lam = 2.0 * np.sum(h_over_lam, axis=1), np.max(h_over_lam, axis=1)
-        del h_over_lam  # an M x p matrix: freed before the residual matrix
-        resid2, one_minus = _residual_factors(h_rows)
+        log_ratio = _log_ratio(d, d[-1])
+        for block in blocks:
+            mu[block], q[block] = _mu_q_rows(t[block], d[block], log_ratio[block])
         columns = {
             "alphas": grid.values,
             "pen_u": pen_u_col,
-            "pen_cv": 2.0 * np.sum(h_rows, axis=1),
+            "pen_cv": pen_cv_col,
             "d": d,
             "mu": mu,
             "q_plus": q,
             "pen_total": pen_u_col + (1.0 + gamma) * q,
-            "h_lambda_norm2": np.sum(h_rows * h_rows / lam, axis=1),
+            "h_lambda_norm2": h_lambda,
             "one_minus_h_norm2": one_minus,
             "max_h_over_lambda": max_h_over_lam,
         }

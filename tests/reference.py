@@ -5,13 +5,17 @@ no penalty table: the exact risk, the penalized risk that ``risk_profile``
 evaluates on every grid row, and the full contrasts, which keep the sum
 y^2 that the selector drops.  ``risk_profile_rows`` evaluates the risks of
 ``risk_profile`` from a table's columns with one dot product per grid row.
+``penalty_columns`` evaluates the penalty table's formulas on the whole
+M x p matrices at once, as the table build did before it worked in row
+blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from specreg import SpectralData, SpectralModel, sigma_hat2
+from specreg import SpectralData, SpectralModel, h_values, sigma_hat2
+from specreg.penalty import _solve_mu_rows
 
 
 def _as_h(size: int, h) -> np.ndarray:
@@ -78,3 +82,37 @@ def contrast_unknown_sigma(
 ) -> float:
     """sum (1-h)^2 y^2 + sigma_hat2 * pen."""
     return contrast_known_sigma(data, h, pen, sigma_hat2(data, h, extra_ss, extra_dof))
+
+
+def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarray]:
+    """The columns, mu, q_plus and row matrices of ``build_penalty_table``,
+    each formula evaluated on the whole M x p matrices, which the row-blocked
+    build must match bit for bit."""
+    lam = spectrum.retained
+    h = h_values(family, grid.values, spectrum)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = h * (2.0 - h) / lam
+        peak = np.max(t, axis=1, initial=0.0)
+        scaled = t / np.where(peak > 0.0, peak, 1.0)[:, None]
+        d = peak * np.sqrt(2.0 * np.einsum("ij,ij->i", scaled, scaled))
+        rho = np.sqrt(2.0) * t / d[:, None]
+        mu = _solve_mu_rows(rho, np.maximum(np.log(d) - np.log(d[-1]), 0.0))
+        q = 2.0 * d * mu * np.einsum("ij,ij->i", rho, rho / (1.0 - 2.0 * mu[:, None] * rho))
+        q = np.where(mu == 0.0, 0.0, q)
+        h_over_lam = h / lam
+        pen_u = 2.0 * np.sum(h_over_lam, axis=1)
+        resid2 = (1.0 - h) ** 2
+        return {
+            "pen_u": pen_u,
+            "pen_cv": 2.0 * np.sum(h, axis=1),
+            "d": d,
+            "mu": mu,
+            "q_plus": q,
+            "pen_total": pen_u + (1.0 + gamma) * q,
+            "h_lambda_norm2": np.sum(h * h / lam, axis=1),
+            "one_minus_h_norm2": np.sum(resid2, axis=1),
+            "max_h_over_lambda": np.max(h_over_lam, axis=1),
+            "h_rows": h,
+            "noise_weights": t,
+            "resid2": resid2,
+        }

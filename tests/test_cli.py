@@ -363,6 +363,53 @@ class TestExitCodes:
         assert run([command, "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    _REAL_KEYS = ("gamma", "sigma", "sigma2", "rank_tol", "tau", "exponent", "kappa", "rate")
+
+    @staticmethod
+    def _with_real(tmp_path, key, value):
+        """well_conditioned_config with the real-valued ``key`` set to ``value``,
+        in a problem or family that reads it."""
+        cfg = well_conditioned_config()
+        gen = cfg["problem"]["generator"]
+        if key in ("gamma", "sigma2"):
+            cfg[key] = value
+        elif key == "sigma":
+            gen["sigma"] = value
+        elif key == "exponent":
+            gen["spectrum"]["exponent"] = value
+        elif key == "kappa":
+            gen["spectrum"] = {"kind": "exponential", "p": 30, "kappa": value}
+        elif key == "rate":
+            gen["signal"] = {"kind": "exponential", "rate": value}
+        elif key == "tau":  # tau = 1 on a flat spectrum would make every h = 1
+            cfg["family"] = {"kind": "landweber", "tau": value}
+            gen["spectrum"]["exponent"] = 1.0
+        else:
+            rng = np.random.default_rng(5)
+            x = rng.standard_normal((60, 30))
+            np.savetxt(tmp_path / "x.csv", x, delimiter=",")
+            np.savetxt(tmp_path / "y.csv", x @ np.ones(30) + rng.standard_normal(60), delimiter=",")
+            cfg["problem"] = {"matrix": {"x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv"),
+                                         "rank_tol": value}}
+        return write_config(tmp_path, cfg)
+
+    @pytest.mark.parametrize("value", ["0.1", "1", True, False])
+    @pytest.mark.parametrize("key", _REAL_KEYS)
+    def test_real_value_that_is_no_json_number_is_config_error(self, tmp_path, capsys, key, value):
+        # float() once read "0.1" as 0.1 and true as 1.0
+        assert run(["select", "--config", self._with_real(tmp_path, key, value)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: invalid {key!r}: expected a number")
+
+    @pytest.mark.parametrize("key", [key for key in _REAL_KEYS if key != "gamma"])
+    def test_real_value_accepts_json_integers(self, tmp_path, key):
+        # gamma lies in (0, 1/4), which holds no integer
+        outputs = []
+        for value in (1, 1.0) if key != "rank_tol" else (0, 0.0):
+            out = tmp_path / f"{value!r}.json"
+            assert run(["select", "--config", self._with_real(tmp_path, key, value), "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+
     def test_fractional_dimension_and_negative_seed_flag_are_config_errors(self, tmp_path, capsys):
         cfg = well_conditioned_config()
         cfg["problem"]["generator"]["spectrum"]["p"] = 30.7

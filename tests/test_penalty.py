@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from specreg.penalty import (
     _mu_q_rows,
     _noise_scale_rows,
     _row_blocks,
+    _row_slices,
 )
+from reference import penalty_columns
 
 FAMILIES = [SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()]
 
@@ -648,6 +651,59 @@ class TestPenaltyTable:
         grid = default_grid(family, s, floor=False)
         with pytest.raises(ArithmeticError, match="non-finite"):
             build_penalty_table(family, grid, s, 0.1)
+
+
+def _tikhonov_table_family(p: int, rows: int) -> tuple[SmootherFamily, AlphaGrid, Spectrum]:
+    """An ordered table family of tikhonov rows on lambda(k) = 1/k, its grid
+    and spectrum."""
+    s = polynomial_spectrum(p, 1.0)
+    alphas = np.geomspace(1e-3 / p, 10.0, rows)
+    family = SmootherFamily.from_table(alphas, s.retained / (s.retained + alphas[:, None]))
+    return family, AlphaGrid(alphas), s
+
+
+class TestBlockedBuild:
+    """build_penalty_table walks the grid in row blocks; every column and
+    row matrix must equal the whole-matrix formulas bit for bit."""
+
+    @pytest.mark.parametrize("family, grid, spectrum", [
+        pytest.param(family, default_grid(family, s, points), s, id=name)
+        for name, family, s, points in (
+            ("cutoff", SmootherFamily.cutoff(), polynomial_spectrum(400, 2.0), None),
+            ("tikhonov", SmootherFamily.tikhonov(), polynomial_spectrum(200, 2.0), 400),
+            ("landweber", SmootherFamily.landweber(), polynomial_spectrum(200, 2.0), 700),
+            ("landweber-e^-k", SmootherFamily.landweber(), exponential_spectrum(100, 1.0), 800))
+    ] + [pytest.param(*_tikhonov_table_family(300, 250), id="table")])
+    def test_matches_whole_matrix_formulas(self, family, grid, spectrum):
+        table = build_penalty_table(family, grid, spectrum, 0.1)
+        blocks = _row_slices(*table.h_rows.shape)
+        # at least three blocks, the last one ragged
+        assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        for name, want in penalty_columns(family, grid, spectrum, 0.1).items():
+            assert np.array_equal(getattr(table, name), want), name
+
+    def test_single_row_grid(self):
+        s = polynomial_spectrum(50, 2.0)
+        family, grid = SmootherFamily.tikhonov(), AlphaGrid([0.01])
+        table = build_penalty_table(family, grid, s, 0.1)
+        for name, want in penalty_columns(family, grid, s, 0.1).items():
+            assert np.array_equal(getattr(table, name), want), name
+
+    def test_peak_memory_is_the_kept_rows(self):
+        # the mc-cutoff table (k^-2, p = 1000, M = 900): besides the three
+        # M x p row matrices it keeps, the build forms only row blocks
+        s = polynomial_spectrum(1000, 2.0)
+        family = SmootherFamily.cutoff()
+        grid = default_grid(family, s)
+        tracemalloc.start()
+        try:
+            table = build_penalty_table(family, grid, s, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(value.nbytes for value in vars(table).values() if isinstance(value, np.ndarray))
+        assert table.h_rows.shape == (900, 1000)
+        assert peak <= kept + 4e6, (peak, kept)
 
 
 class TestVarianceSpan:

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR
 
-Imports ``specreg`` from the source directory SRC, writes 62 configs (and
+Imports ``specreg`` from the source directory SRC, writes 63 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -46,7 +46,10 @@ Config matrix:
     orthogonal residual (3);
   - configuration errors that exit 1 (6): a negative seed, a fractional
     seed, a negative sigma2 in known mode, fractional and boolean
-    replications, a fractional p.
+    replications, a fractional p;
+  - tikhonov on k^-2 with p=200 and 400 points (M=332), whose table build
+    and mu solve span three row blocks of 163, 163 and 6 rows, with no zero
+    tail (1).
 """
 
 from __future__ import annotations
@@ -182,6 +185,10 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["bad-replications-bool"] = dict(bad, replications=True)
     configs["bad-p-fraction"] = dict(bad, problem=_generator(
         {"kind": "polynomial", "p": 30.7, "exponent": 2.0}))
+
+    configs["gen-poly200-tikhonov-multiblock"] = dict(
+        base, problem=_generator({"kind": "polynomial", "p": 200, "exponent": 2.0}),
+        family={"kind": "tikhonov"}, grid={"points": 400}, mode="unknown")
     return configs
 
 
