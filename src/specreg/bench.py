@@ -127,7 +127,7 @@ def excess_sup_stat(
     statistic per draw.
     """
     if xi is None:
-        xi = rng.standard_normal(table.h_rows.shape[1])
+        xi = rng.standard_normal(table.noise_weights.shape[1])
     xi = np.asarray(xi, dtype=float)
     excess = (table.noise_weights @ (xi * xi - 1.0).T).T - (1.0 + table.gamma) * table.q_plus
     sup = np.maximum(np.max(excess, axis=-1), 0.0)
@@ -232,7 +232,7 @@ def mc_run(
             ys[b] = simulate_observation(model, rng).y
             rng.standard_normal(out=xis[b])
         _, index, s2 = _select_rows(table, ys, mode, known_sigma2, penalty)
-        losses[block] = np.sum((beta - table.h_rows[index] * ys) ** 2, axis=1)
+        losses[block] = np.sum((beta - table.h(index) * ys) ** 2, axis=1)
         indices[block] = index
         sigma2s[block] = s2[np.arange(index.size), index]  # NaN on a row with no residual dof
         excesses[block] = excess_sup_stat(table, None, xis)

@@ -179,6 +179,10 @@ def decompose_design(x: np.ndarray, rank_tol: float = 1e-12) -> DecomposedDesign
     if not np.any(x):
         raise ValueError("degenerate design: all-zero matrix")
     reflectors, tau = np.linalg.qr(x, mode="raw")
+    # Since CPython 3.11 a caller that passes X as a temporary (the CLI passes
+    # the parsed CSV) leaves this frame its only reference, so X is freed here
+    # before the SVD workspace is allocated; on 3.10 the caller still holds it.
+    del x
     reflectors.setflags(write=False)  # a view of an array no one else holds
     r_left, sing, vt = np.linalg.svd(np.triu(reflectors[:, :p].T))
     lam = sing ** 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Spectrum
-from .smoothers import AlphaGrid, SmootherFamily, _first_violation, _residual_factors, h_values
+from .smoothers import AlphaGrid, SmootherFamily, _OrderingScan, _residual_factors, _row_slices, h_values
 
 __all__ = [
     "pen_u",
@@ -41,9 +41,6 @@ _HALLEY_STEPS = 30
 _EPS = np.finfo(float).eps
 # Relative slack of every comparison of verify_penalty_inequalities.
 _INEQUALITY_RTOL = 1e-9
-# Entries per row block of the Cramer row sums: a block's temporaries stay
-# in the L2 cache instead of streaming the whole table through memory.
-_ROW_BLOCK_ELEMS = 2 ** 15
 
 
 def _check_h(h, size: int) -> np.ndarray:
@@ -77,9 +74,10 @@ def _noise_scale_rows(t: np.ndarray) -> np.ndarray:
 
 
 def _cramer(x):
-    """cramer_term without its domain check, which the mu solve skips.  The
-    in-place steps round exactly as 0.5 * log1p(-2x) + x + 2x * x / (1 - 2x)
-    evaluated left to right, with fewer temporaries."""
+    """cramer_term without its domain check, which the mu solve skips, and
+    the 1 - 2x it divides by.  The in-place steps round exactly as
+    0.5 * log1p(-2x) + x + 2x * x / (1 - 2x) evaluated left to right, with
+    fewer temporaries; 1 + (-2x) rounds as 1 - 2x."""
     w = np.multiply(x, -2.0)
     out = np.log1p(w)
     out *= 0.5
@@ -89,7 +87,7 @@ def _cramer(x):
     q *= x
     q /= w
     out += q
-    return out
+    return out, w
 
 
 def cramer_term(x):
@@ -101,14 +99,8 @@ def cramer_term(x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x >= 0.5):
         raise ValueError("domain error: cramer_term requires 0 <= x < 1/2")
-    out = _cramer(x)
+    out = _cramer(x)[0]
     return out if out.ndim else float(out)
-
-
-def _row_slices(rows: int, p: int) -> list[slice]:
-    """The row blocks of the table build and of the mu solve, of about _ROW_BLOCK_ELEMS entries."""
-    step = max(1, _ROW_BLOCK_ELEMS // p)
-    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def _row_blocks(rho: np.ndarray) -> list[tuple[slice, int]]:
@@ -121,10 +113,12 @@ def _row_blocks(rho: np.ndarray) -> list[tuple[slice, int]]:
     return blocks
 
 
-def _cramer_rowsum(x: np.ndarray) -> np.ndarray:
+def _cramer_rowsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_k cramer_term(x(k)) for every row of x = mu * rho, rows of one row
-    block up to the block's last nonzero column."""
-    return np.sum(_cramer(x), axis=1)
+    block up to the block's last nonzero column, and the 1 - 2x of every
+    entry."""
+    terms, one_minus_2x = _cramer(x)
+    return np.sum(terms, axis=1), one_minus_2x
 
 
 def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
@@ -158,8 +152,9 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
             for _ in range(_HALLEY_STEPS if todo.size else 0):
                 m = -np.expm1(-u) / (2.0 * r)
                 x = m[:, None] * rows
-                g = _cramer_rowsum(x) - target
-                q = x / (1.0 - 2.0 * x)
+                g, one_minus_2x = _cramer_rowsum(x)
+                g -= target
+                q = np.divide(x, one_minus_2x, out=one_minus_2x)
                 q2 = q * q
                 q2_sum = np.sum(q2, axis=1)
                 fp = 2.0 * q2_sum / m
@@ -176,7 +171,8 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
                     break
                 todo, rows, target, r, s1, u, u_lo, u_hi = (
                     v[~done] for v in (todo, rows, target, r, s1, u, u_lo, u_hi))
-        resid = np.abs(_cramer_rowsum(mu[block, None] * rho[block, :width]) - np.maximum(log_ratio[block], 0.0))
+        rowsum = _cramer_rowsum(mu[block, None] * rho[block, :width])[0]
+        resid = np.abs(rowsum - np.maximum(log_ratio[block], 0.0))
         if np.any(resid > _MU_RESIDUAL_TOL * np.maximum(1.0, log_ratio[block])):
             raise ArithmeticError("mu solve did not reach the residual tolerance")
     return mu
@@ -207,19 +203,22 @@ class PenaltyTable:
     """Per-grid-point penalty quantities as read-only columns, entry i for
     grid point ``alphas[i]``, plus the grid-wide scalars and the spectrum.
 
-    The row matrices hold the damping factors ``h_rows`` and the kernels
-    that selection and benchmarking reuse on every replication: the noise
-    weights (2h - h^2) / lambda and the squared residual factors (1 - h)^2,
-    whose row sums are ``one_minus_h_norm2``.  ``tie_end[i]`` is the last
-    row of the run of bit-identical h rows that holds row i, which selection
-    counts as one model.  ``psi`` scales the variance-estimation error over
-    the grid range; it is NaN when the floor row has h = 1 everywhere, which
-    leaves no residual to estimate the variance from.
+    The row matrices hold the kernels that selection and benchmarking reuse
+    on every replication: the noise weights (2h - h^2) / lambda and the
+    squared residual factors (1 - h)^2, whose row sums are
+    ``one_minus_h_norm2``.  The damping factors themselves are not kept:
+    :meth:`h` forms the rows it is asked for from ``family``.
+    ``tie_end[i]`` is the last row of the run of bit-identical h rows that
+    holds row i, which selection counts as one model.  ``psi`` scales the
+    variance-estimation error over the grid range; it is NaN when the floor
+    row has h = 1 everywhere, which leaves no residual to estimate the
+    variance from.
     """
 
     gamma: float
     psi: float
     spectrum: Spectrum
+    family: SmootherFamily
     alphas: np.ndarray
     pen_u: np.ndarray
     pen_cv: np.ndarray
@@ -230,7 +229,6 @@ class PenaltyTable:
     h_lambda_norm2: np.ndarray
     one_minus_h_norm2: np.ndarray
     max_h_over_lambda: np.ndarray
-    h_rows: np.ndarray
     noise_weights: np.ndarray
     resid2: np.ndarray
     tie_end: np.ndarray
@@ -238,6 +236,11 @@ class PenaltyTable:
     @property
     def d_ref(self) -> float:
         return float(self.d[-1])
+
+    def h(self, index: int | slice | np.ndarray) -> np.ndarray:
+        """The h rows of the grid rows ``index`` (an int, an index array or a
+        slice), formed anew, bit-identical to the rows the table was built on."""
+        return h_values(self.family, self.alphas[index], self.spectrum)
 
 
 def build_penalty_table(
@@ -252,35 +255,43 @@ def build_penalty_table(
     (the smoothest model), so q_plus vanishes there exactly.  Requires the
     noise scale to be nonincreasing along the grid, which holds for every
     ordered family; the h rows of user-supplied table families additionally
-    go through the full ordering check before any penalty is computed.  Raises
-    ArithmeticError when a column is not finite, e.g. when an eigenvalue is
-    so small that h / lambda overflows.
+    go through the full ordering check before mu is solved.  The h rows are
+    formed one row block at a time and not kept.  Raises ArithmeticError
+    when a column is not finite, e.g. when an eigenvalue is so small that
+    h / lambda overflows.
     """
     gamma = float(gamma)
     if not 0.0 < gamma < 0.25:
         raise ValueError("invalid input: gamma must lie in (0, 1/4)")
     lam = spectrum.retained
-    h_rows = h_values(family, grid.values, spectrum)
-    if family.kind == "table":
-        violation = _first_violation(h_rows, grid.values)
-        if violation is not None:
-            raise ValueError(f"invalid input: table family is not ordered ({violation})")
-    # One pass over the row blocks fills t, resid2 and the columns that need no
-    # d[-1], a second solves mu and q_plus; no other M x p matrix is formed.
-    blocks = _row_slices(*h_rows.shape)
-    t, resid2 = np.empty_like(h_rows), np.empty_like(h_rows)
+    rows, alphas = len(grid), grid.values
+    ordering = _OrderingScan(alphas) if family.kind == "table" else None
+    # One pass over the row blocks forms each block's h and fills t, resid2,
+    # the columns that need no d[-1] and the ties between adjacent rows; a
+    # second solves mu and q_plus.  No other M x p matrix is formed.
+    blocks = _row_slices(rows, lam.size)
+    t, resid2 = np.empty((rows, lam.size)), np.empty((rows, lam.size))
     pen_u_col, pen_cv_col, d, mu, q, h_lambda, one_minus, max_h_over_lam = (
-        np.empty(len(grid)) for _ in range(8))
+        np.empty(rows) for _ in range(8))
+    tied = np.empty(rows - 1, dtype=bool)  # h row i equals h row i + 1
     # Overflow and NaN below are caught by the checks on d and on the columns.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for block in blocks:
-            h = h_rows[block]
+            h = h_values(family, alphas[block], spectrum)
+            if ordering is not None:
+                ordering.feed(block, h)
+            if block.start:
+                tied[block.start - 1] = np.array_equal(last, h[0])
+            tied[block.start:block.stop - 1] = np.all(h[1:] == h[:-1], axis=1)
+            last = h[-1]
             t[block] = h * (2.0 - h) / lam
             d[block] = _noise_scale_rows(t[block])
             h_lam = h / lam
             pen_u_col[block], max_h_over_lam[block] = 2.0 * np.sum(h_lam, axis=1), np.max(h_lam, axis=1)
             pen_cv_col[block], h_lambda[block] = 2.0 * np.sum(h, axis=1), np.sum(h * h / lam, axis=1)
             resid2[block], one_minus[block] = _residual_factors(h)
+        if ordering is not None and ordering.violation is not None:
+            raise ValueError(f"invalid input: table family is not ordered ({ordering.violation})")
         if np.any(d == 0.0):
             raise ValueError("degenerate smoother: h is identically zero on a grid row")
         if np.any(d[1:] > d[:-1] * (1.0 + 1e-12)):
@@ -290,7 +301,7 @@ def build_penalty_table(
         for block in blocks:
             mu[block], q[block] = _mu_q_rows(t[block], d[block], log_ratio[block])
         columns = {
-            "alphas": grid.values,
+            "alphas": alphas,
             "pen_u": pen_u_col,
             "pen_cv": pen_cv_col,
             "d": d,
@@ -305,13 +316,10 @@ def build_penalty_table(
         if not np.all(np.isfinite(column)):
             raise ArithmeticError(f"non-finite {name} in the penalty table "
                                   "(eigenvalues outside the floating-point range?)")
-    # Rows of an ordered family that hold the same h are adjacent and have
-    # equal d, so only those pairs are compared in full.
-    tie_end = np.arange(d.size)
-    for i in np.flatnonzero(d[1:] == d[:-1])[::-1]:
-        if np.array_equal(h_rows[i], h_rows[i + 1]):
-            tie_end[i] = tie_end[i + 1]
-    columns.update(h_rows=h_rows, noise_weights=t, resid2=resid2, tie_end=tie_end)
+    # each row's run of tied rows ends at the first row not tied to the next
+    ends = np.flatnonzero(np.append(~tied, True))
+    tie_end = ends[np.searchsorted(ends, np.arange(rows))]
+    columns.update(noise_weights=t, resid2=resid2, tie_end=tie_end)
     for column in columns.values():
         column.setflags(write=False)
     # psi: the iterated-logarithm envelope of the residual degrees of freedom
@@ -321,7 +329,7 @@ def build_penalty_table(
     if one_minus[0] > 0.0:
         envelope = np.sqrt(max(np.log(np.log1p(one_minus[-1] / one_minus[0])), 0.0))
         psi = float((envelope + np.log1p(pen_total[0] / pen_total[-1])) / np.sqrt(one_minus[0]))
-    return PenaltyTable(gamma=gamma, psi=psi, spectrum=spectrum, **columns)
+    return PenaltyTable(gamma=gamma, psi=psi, spectrum=spectrum, family=family, **columns)
 
 
 @dataclass(frozen=True)

@@ -134,5 +134,5 @@ def select_alpha(
         alpha_hat_index=index,
         sigma_hat2=float(s2[index]) if mode == "unknown" else None,
         contrasts=contrasts,
-        estimate=table.h_rows[index] * data.y,
+        estimate=table.h(index) * data.y,
     )

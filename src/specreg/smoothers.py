@@ -27,6 +27,10 @@ __all__ = [
 
 _KINDS = ("cutoff", "tikhonov", "landweber", "table")
 _ORDER_ATOL = 1e-12  # rounding slack of the ordering check
+# Entries per row block of the grid walks (the ordering check, the grid floor,
+# the penalty table build and its mu solve): a block's temporaries stay in
+# the L2 cache instead of streaming an M x p matrix through memory.
+_ROW_BLOCK_ELEMS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -34,8 +38,9 @@ class SmootherFamily:
     """A named smoother family plus its kind-specific parameters.
 
     ``tau`` is the landweber relaxation step (default 1/lambda(1)).  User
-    supplied tables carry explicit ``alphas`` and matching ``h_table`` rows;
-    they are accepted but should always be run through :func:`check_ordered`.
+    supplied tables carry explicit ``alphas`` and matching ``h_table`` rows,
+    kept as read-only copies; they are accepted but should always be run
+    through :func:`check_ordered`.
     """
 
     kind: str
@@ -47,10 +52,13 @@ class SmootherFamily:
         if self.kind not in _KINDS:
             raise ValueError(f"invalid input: unknown smoother kind {self.kind!r}")
         if self.kind == "table":
-            alphas = np.asarray(self.alphas, dtype=float)
-            table = np.asarray(self.h_table, dtype=float)
+            # read-only copies: a penalty table forms its h rows from them again
+            alphas = np.array(self.alphas, dtype=float)
+            table = np.array(self.h_table, dtype=float)
             if alphas.ndim != 1 or table.ndim != 2 or table.shape[0] != alphas.size:
                 raise ValueError("invalid input: table family needs matching alphas and rows")
+            for value in (alphas, table):
+                value.setflags(write=False)
             object.__setattr__(self, "alphas", alphas)
             object.__setattr__(self, "h_table", table)
 
@@ -122,8 +130,11 @@ def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectr
 
     Landweber is evaluated as -expm1(m * log1p(-tau*lambda)), which keeps
     full relative accuracy when tau*lambda is below the rounding unit of
-    1 - tau*lambda (the power form rounds h to 0 there).  All values are
-    clamped to [0, 1].
+    1 - tau*lambda (the power form rounds h to 0 there).  Landweber values
+    and tabulated rows are clamped to [0, 1]; cutoff rows are exactly 0 or 1
+    and tikhonov's lambda / (lambda + alpha) cannot round out of [0, 1].
+    Each row depends on its own alpha only, so rows formed for any subset of
+    a grid are bit-identical to the same rows of the whole grid.
     """
     alpha = np.asarray(alpha, dtype=float)
     if not np.all(np.isfinite(alpha) & (alpha > 0.0)):
@@ -145,6 +156,7 @@ def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectr
         x = np.clip(tau * lam, 0.0, 1.0)
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives h = 1
             h = -np.expm1(_iterations_from_alpha(column) * np.log1p(-x))
+        np.clip(h, 0.0, 1.0, out=h)
     else:
         match = np.abs(family.alphas - column) <= 1e-12 * np.maximum(1.0, column)
         found = match.any(axis=-1)
@@ -152,8 +164,10 @@ def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectr
             raise ValueError(f"invalid input: alpha {float(alpha[~found][0])!r} is not tabulated")
         if family.h_table.shape[1] != lam.size:
             raise ValueError("dimension error: tabulated h row does not match the spectrum")
-        h = family.h_table[np.argmax(match, axis=-1)]
-    return np.clip(h, 0.0, 1.0)
+        # take copies even for a scalar alpha, so the clip never writes h_table
+        h = np.take(family.h_table, np.argmax(match, axis=-1), axis=0)
+        np.clip(h, 0.0, 1.0, out=h)
+    return h
 
 
 @dataclass(frozen=True)
@@ -170,35 +184,59 @@ class OrderingReport:
     violation: OrderingViolation | None = None
 
 
+def _row_slices(rows: int, p: int) -> list[slice]:
+    """The row blocks of a walk over ``rows`` grid rows of width p, of about
+    _ROW_BLOCK_ELEMS entries each."""
+    step = max(1, _ROW_BLOCK_ELEMS // p)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
 def check_ordered(family: SmootherFamily, grid: AlphaGrid, spectrum: Spectrum) -> OrderingReport:
     """Verify the ordering of the family on the grid.
 
     Checks that each h profile is nondecreasing in lambda (equivalently
     nonincreasing in k) and that along the grid a larger alpha never exceeds
     a smaller one anywhere, which rules out crossings.  Returns the first
-    violating (alpha pair, component) triple on failure.
+    violating (alpha pair, component) triple on failure.  The h rows are
+    formed one row block at a time.
     """
-    violation = _first_violation(h_values(family, grid.values, spectrum), grid.values)
-    return OrderingReport(violation is None, violation)
+    scan = _OrderingScan(grid.values)
+    for block in _row_slices(len(grid), spectrum.retained.size):
+        scan.feed(block, h_values(family, grid.values[block], spectrum))
+    return OrderingReport(scan.violation is None, scan.violation)
 
 
-def _first_violation(rows: np.ndarray, alphas: np.ndarray) -> OrderingViolation | None:
-    """First ordering violation among the h rows of the grid points
-    ``alphas``, or None; see :func:`check_ordered`."""
-    alphas = alphas.tolist()  # Python floats, whose repr the violation prints
-    # argwhere is row-major, so its first hit is the first row, then component
-    rising = np.argwhere(np.diff(rows, axis=1) > _ORDER_ATOL)
-    if rising.size:
-        i, k = rising[0]
-        return OrderingViolation(alphas[i], alphas[i], int(k) + 1, "not monotone in lambda")
-    # consecutive rows suffice: pointwise dominance is transitive along the grid
-    diff = rows[1:] - rows[:-1]
-    above = np.argwhere(diff > _ORDER_ATOL)
-    if above.size:
-        i, k = above[0]
-        kind = "crossing" if np.any(diff[i] < -_ORDER_ATOL) else "grid direction"
-        return OrderingViolation(alphas[i], alphas[i + 1], int(k) + 1, kind)
-    return None
+class _OrderingScan:
+    """The check of :func:`check_ordered`, fed the h rows of the grid points
+    ``alphas`` one row block at a time, in grid order.  Once every block is
+    in, ``violation`` is the first violation, where a row not monotone in
+    lambda beats any violation between two rows."""
+
+    def __init__(self, alphas: np.ndarray):
+        self.alphas = alphas.tolist()  # Python floats, whose repr the violation prints
+        self.violation: OrderingViolation | None = None
+        self.last = None  # the previous block's last row, as a 1 x p block
+
+    def feed(self, block: slice, rows: np.ndarray) -> None:
+        if self.violation is not None and self.violation.kind == "not monotone in lambda":
+            return
+        # argwhere is row-major, so its first hit is the first row, then component
+        rising = np.argwhere(np.diff(rows, axis=1) > _ORDER_ATOL)
+        if rising.size:
+            i, k = block.start + rising[0][0], rising[0][1]
+            self.violation = OrderingViolation(self.alphas[i], self.alphas[i], int(k) + 1,
+                                               "not monotone in lambda")
+        elif self.violation is None:
+            # consecutive rows suffice: pointwise dominance is transitive along the grid
+            pairs = rows if self.last is None else np.concatenate((self.last, rows))
+            diff = pairs[1:] - pairs[:-1]
+            above = np.argwhere(diff > _ORDER_ATOL)
+            if above.size:
+                j, k = above[0]
+                i = block.stop - len(pairs) + j
+                kind = "crossing" if np.any(diff[j] < -_ORDER_ATOL) else "grid direction"
+                self.violation = OrderingViolation(self.alphas[i], self.alphas[i + 1], int(k) + 1, kind)
+        self.last = rows[-1:].copy()
 
 
 def _residual_factors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,9 +276,13 @@ def default_grid(
             raise ValueError("invalid input: need points >= 2 for a geometric grid")
         values = np.geomspace(lam[-1] / 10.0, 10.0 * lam[0], int(points))
     if floor:
-        _, dof = _residual_factors(h_values(family, values, spectrum))
-        keep = np.flatnonzero(dof >= max(10.0, lam.size / 10.0))
-        if not keep.size:
+        # walk the row blocks up to the first one that holds the floor row
+        for block in _row_slices(values.size, lam.size):
+            _, dof = _residual_factors(h_values(family, values[block], spectrum))
+            keep = np.flatnonzero(dof >= max(10.0, lam.size / 10.0))
+            if keep.size:
+                values = values[block.start + keep[0]:]
+                break
+        else:
             raise ValueError("alpha floor infeasible: no grid point satisfies the floor rule")
-        values = values[keep[0]:]
     return AlphaGrid(values)

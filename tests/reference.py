@@ -7,6 +7,8 @@ y^2 that the selector drops.  ``risk_profile_rows`` evaluates the risks of
 ``risk_profile`` from a table's columns with one dot product per grid row.
 ``penalty_columns`` evaluates the penalty table's formulas on the whole
 M x p matrices at once, as the table build did before it worked in row
+blocks, and ``first_violation`` is the ordering check on the whole M x p
+matrix of h rows, as :func:`check_ordered` made it before it worked in row
 blocks.
 """
 
@@ -85,9 +87,10 @@ def contrast_unknown_sigma(
 
 
 def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarray]:
-    """The columns, mu, q_plus and row matrices of ``build_penalty_table``,
-    each formula evaluated on the whole M x p matrices, which the row-blocked
-    build must match bit for bit."""
+    """The columns, mu, q_plus, row matrices and ``tie_end`` of
+    ``build_penalty_table``, each formula evaluated on the whole M x p
+    matrices, which the row-blocked build must match bit for bit, plus the
+    whole M x p matrix ``h`` whose rows the table's accessor forms."""
     lam = spectrum.retained
     h = h_values(family, grid.values, spectrum)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -102,6 +105,10 @@ def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarra
         h_over_lam = h / lam
         pen_u = 2.0 * np.sum(h_over_lam, axis=1)
         resid2 = (1.0 - h) ** 2
+        tie_end = np.arange(d.size)
+        for i in np.flatnonzero(d[1:] == d[:-1])[::-1]:
+            if np.array_equal(h[i], h[i + 1]):
+                tie_end[i] = tie_end[i + 1]
         return {
             "pen_u": pen_u,
             "pen_cv": 2.0 * np.sum(h, axis=1),
@@ -112,7 +119,27 @@ def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarra
             "h_lambda_norm2": np.sum(h * h / lam, axis=1),
             "one_minus_h_norm2": np.sum(resid2, axis=1),
             "max_h_over_lambda": np.max(h_over_lam, axis=1),
-            "h_rows": h,
+            "h": h,
             "noise_weights": t,
             "resid2": resid2,
+            "tie_end": tie_end,
         }
+
+
+def first_violation(rows: np.ndarray, alphas: np.ndarray):
+    """The first ordering violation among the h rows of the grid points
+    ``alphas`` as (alpha_low, alpha_high, k, kind), or None: a row not
+    monotone in lambda anywhere, else the first pair of consecutive rows
+    where the later one exceeds the earlier one."""
+    alphas = alphas.tolist()
+    rising = np.argwhere(np.diff(rows, axis=1) > 1e-12)
+    if rising.size:
+        i, k = rising[0]
+        return alphas[i], alphas[i], int(k) + 1, "not monotone in lambda"
+    diff = rows[1:] - rows[:-1]
+    above = np.argwhere(diff > 1e-12)
+    if above.size:
+        i, k = above[0]
+        kind = "crossing" if np.any(diff[i] < -1e-12) else "grid direction"
+        return alphas[i], alphas[i + 1], int(k) + 1, kind
+    return None

@@ -210,7 +210,7 @@ def test_criterion_03_root_solver():
     for (_, _, _), (spectrum, table) in _criterion2_tables().items():
         lam = spectrum.retained
         d_ref = table.d_ref
-        for i, h in enumerate(table.h_rows):
+        for i, h in enumerate(table.h(slice(None))):
             d, mu = float(table.d[i]), float(table.mu[i])
             log_ratio = max(math.log(d) - math.log(d_ref), 0.0)
             rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / d

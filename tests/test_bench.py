@@ -130,7 +130,7 @@ class TestRiskProfile:
         table, grid = self._table(model)
         profile = risk_profile(model, table)
         redone = []
-        for i, h in enumerate(table.h_rows):
+        for i, h in enumerate(table.h(slice(None))):
             if table.one_minus_h_norm2[i] == 0.0:
                 redone.append(np.inf)
                 continue
@@ -262,7 +262,7 @@ class TestMcRun:
         table = build_penalty_table(family, grid, s, 0.1)
         report = mc_run(model, table, "known", 3, 0, sigma2=0.0)
         best_bias = min(
-            float(((1 - table.h_rows[i]) ** 2) @ (beta * beta)) for i in range(len(grid))
+            float(((1 - h_values(family, alpha, s)) ** 2) @ (beta * beta)) for alpha in grid.values
         )
         assert report.empirical_risk == best_bias
         assert report.empirical_risk_se == 0.0
@@ -337,7 +337,7 @@ class TestBatchedMcRun:
                                penalty=penalty)
             picks.append(sel.alpha_hat_index)
             losses.append(float(np.sum((model.coefficients - sel.estimate) ** 2)))
-            sigma2s.append(sigma_hat2(data, table.h_rows[sel.alpha_hat_index]))
+            sigma2s.append(sigma_hat2(data, table.h(sel.alpha_hat_index)))
             excesses.append(excess_sup_stat(table, rng))
         return np.array(picks), np.array(losses), np.array(sigma2s), np.array(excesses)
 

@@ -27,7 +27,6 @@ from specreg import (
 )
 from specreg import penalty, smoothers
 from specreg.penalty import (
-    _ROW_BLOCK_ELEMS,
     _cramer,
     _cramer_rowsum,
     _mu_q_rows,
@@ -35,6 +34,7 @@ from specreg.penalty import (
     _row_blocks,
     _row_slices,
 )
+from specreg.smoothers import _ROW_BLOCK_ELEMS
 from reference import penalty_columns
 
 FAMILIES = [SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()]
@@ -105,7 +105,7 @@ class TestNoiseScale:
 
     def test_no_overflow_for_severe_spectra(self):
         table, _ = _cutoff_table(exponential_spectrum(500, 1.0))
-        assert np.all(table.h_rows[0] == 1.0)
+        assert np.all(table.h(0) == 1.0)
         assert np.isfinite(table.d[0]) and table.d[0] > 1e200
 
 
@@ -207,7 +207,8 @@ class TestCramerRowsum:
         x = mu[:, None] * rho
         want = np.sum(0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x), axis=1)
         for block, width in _row_blocks(rho):
-            got = _cramer_rowsum(mu[block, None] * rho[block, :width])
+            got, one_minus_2x = _cramer_rowsum(mu[block, None] * rho[block, :width])
+            assert np.array_equal(one_minus_2x, 1.0 - 2.0 * mu[block, None] * rho[block, :width])
             np.testing.assert_allclose(got, want[block], rtol=1e-14, atol=0.0)
             assert np.all(got[want[block] == 0.0] == 0.0)
 
@@ -244,8 +245,10 @@ class TestCramerRowsum:
         # the in-place _cramer against the left-to-right expression it replaces
         x = np.concatenate([np.linspace(0.0, 0.5 - 1e-13, 5001), 10.0 ** np.arange(-320.0, 0.0)])
         want = 0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x)
-        assert np.array_equal(_cramer(x), want)
-        assert np.array_equal(_cramer(x[:5319].reshape(-1, 3)), want[:5319].reshape(-1, 3))
+        assert np.array_equal(_cramer(x)[0], want)
+        assert np.array_equal(_cramer(x[:5319].reshape(-1, 3))[0], want[:5319].reshape(-1, 3))
+        # and the 1 - 2x it returns for the Halley step rounds as that expression
+        assert np.array_equal(_cramer(x)[1], 1.0 - 2.0 * x)
 
 
 def _bisection_mu(rho, log_ratio):
@@ -428,8 +431,10 @@ class TestMuBisectionReplay:
 
         def inflated(x):
             calls.append(np.max(x, axis=1))  # m r, with x = m rho and r = max rho
-            value = rowsum(x)
-            return log_ratio[:-1] + 1e3 * (value - log_ratio[:-1]) if len(calls) == 1 else value
+            value, one_minus_2x = rowsum(x)
+            if len(calls) == 1:
+                value = log_ratio[:-1] + 1e3 * (value - log_ratio[:-1])
+            return value, one_minus_2x
 
         monkeypatch.setattr(penalty, "_cramer_rowsum", inflated)
         mu = penalty._solve_mu_rows(rho, log_ratio)
@@ -523,19 +528,21 @@ class TestPenaltyTable:
                          "h_lambda_norm2", "one_minus_h_norm2", "max_h_over_lambda"):
                 col = getattr(table, name)
                 assert np.all(np.isfinite(col)) and np.all(col >= 0.0), name
-            # the stored row kernels are exactly their recomputation from h_rows
-            h_rows = table.h_rows
+            # the stored row kernels are exactly their recomputation from the
+            # whole-grid h, whose rows the accessor forms anew
+            h_rows = h_values(table.family, table.alphas, spectrum)
+            assert np.array_equal(table.h(slice(None)), h_rows)
             resid2 = (1.0 - h_rows) ** 2
             assert np.array_equal(table.noise_weights, h_rows * (2.0 - h_rows) / lam)
             assert np.array_equal(table.resid2, resid2)
             assert np.array_equal(table.one_minus_h_norm2, np.sum(resid2, axis=1))
             for name in ("alphas", "pen_u", "pen_cv", "d", "mu", "q_plus", "pen_total",
                          "h_lambda_norm2", "one_minus_h_norm2", "max_h_over_lambda",
-                         "h_rows", "noise_weights", "resid2", "tie_end"):
+                         "noise_weights", "resid2", "tie_end"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(table, name)[0] = 0.0
             # rho derived from the stored noise scale must be a unit vector
-            for i, h in enumerate(table.h_rows):
+            for i, h in enumerate(h_rows):
                 rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / table.d[i]
                 assert abs(float(rho @ rho) - 1.0) <= 1e-12
 
@@ -676,22 +683,52 @@ class TestBlockedBuild:
     ] + [pytest.param(*_tikhonov_table_family(300, 250), id="table")])
     def test_matches_whole_matrix_formulas(self, family, grid, spectrum):
         table = build_penalty_table(family, grid, spectrum, 0.1)
-        blocks = _row_slices(*table.h_rows.shape)
+        blocks = _row_slices(*table.resid2.shape)
         # at least three blocks, the last one ragged
         assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
-        for name, want in penalty_columns(family, grid, spectrum, 0.1).items():
-            assert np.array_equal(getattr(table, name), want), name
+        want = penalty_columns(family, grid, spectrum, 0.1)
+        h = want.pop("h")
+        for name, column in want.items():
+            assert np.array_equal(getattr(table, name), column), name
+        # the accessor's rows are the whole-matrix rows: all of them, each
+        # block, single rows, strided and random index sets
+        assert np.array_equal(table.h(slice(None)), h)
+        for block in blocks:
+            assert np.array_equal(table.h(block), h[block])
+        rows = len(grid)
+        rng = np.random.default_rng(rows)
+        for index in (0, rows // 2, rows - 1, np.arange(0, rows, 7), rng.integers(0, rows, 32),
+                      rng.permutation(rows)[:100]):
+            assert np.array_equal(table.h(index), h[index])
 
     def test_single_row_grid(self):
         s = polynomial_spectrum(50, 2.0)
         family, grid = SmootherFamily.tikhonov(), AlphaGrid([0.01])
         table = build_penalty_table(family, grid, s, 0.1)
-        for name, want in penalty_columns(family, grid, s, 0.1).items():
-            assert np.array_equal(getattr(table, name), want), name
+        want = penalty_columns(family, grid, s, 0.1)
+        assert np.array_equal(table.h(slice(None)), want.pop("h"))
+        for name, column in want.items():
+            assert np.array_equal(getattr(table, name), column), name
+
+    def test_ties_across_block_starts(self):
+        # landweber on k^-2, p = 200, 700 points (M = 559): blocks of 163
+        # rows start at 163, 326 and 489, and runs of bit-identical rows
+        # (equal iteration counts) run across the last two of them
+        s = polynomial_spectrum(200, 2.0)
+        family = SmootherFamily.landweber()
+        grid = default_grid(family, s, points=700)
+        table = build_penalty_table(family, grid, s, 0.1)
+        starts = [block.start for block in _row_slices(*table.resid2.shape)]
+        assert len(grid) == 559 and starts == [0, 163, 326, 489]
+        want = penalty_columns(family, grid, s, 0.1)["tie_end"]
+        assert np.array_equal(table.tie_end, want)
+        for start in (326, 489):
+            assert want[start - 1] > start - 1
 
     def test_peak_memory_is_the_kept_rows(self):
-        # the mc-cutoff table (k^-2, p = 1000, M = 900): besides the three
-        # M x p row matrices it keeps, the build forms only row blocks
+        # the mc-cutoff table (k^-2, p = 1000, M = 900): it keeps two M x p
+        # row kernels and its columns, and forms h and every other
+        # temporary one row block at a time
         s = polynomial_spectrum(1000, 2.0)
         family = SmootherFamily.cutoff()
         grid = default_grid(family, s)
@@ -701,9 +738,27 @@ class TestBlockedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(value.nbytes for value in vars(table).values() if isinstance(value, np.ndarray))
-        assert table.h_rows.shape == (900, 1000)
+        rows, p = table.resid2.shape
+        columns = sum(value.nbytes for value in vars(table).values()
+                      if isinstance(value, np.ndarray) and value.ndim == 1)
+        kept = 2 * rows * p * 8 + columns
+        assert (rows, p) == (900, 1000)
         assert peak <= kept + 4e6, (peak, kept)
+
+    def test_table_family_violation_across_blocks(self):
+        # the build checks a table family block by block, with the same
+        # verdict as check_ordered: a crossing in the first block loses to a
+        # row that rises in k in a later one
+        family, grid, s = _tikhonov_table_family(4096, 20)  # blocks of 8 rows
+        rows = family.h_table.copy()
+        rows[3, 0] = 0.5 * (rows[2, 0] + 1.0)
+        rows[17, [5, 6]] = rows[17, [6, 5]]
+        family = SmootherFamily.from_table(grid.values, rows)
+        violation = check_ordered(family, grid, s).violation
+        assert violation.kind == "not monotone in lambda" and violation.alpha_low == grid.values[17]
+        with pytest.raises(ValueError, match="not ordered") as excinfo:
+            build_penalty_table(family, grid, s, 0.1)
+        assert str(excinfo.value) == f"invalid input: table family is not ordered ({violation})"
 
 
 class TestVarianceSpan:
@@ -833,7 +888,7 @@ class TestVerifyPenaltyInequalities:
         table = build_penalty_table(
             SmootherFamily.cutoff(), AlphaGrid([1.0 / 217.0, 1.0 / 32.0, 1.0]), s, 0.1
         )
-        assert list(table.h_rows.sum(axis=1)) == [217.0, 32.0, 1.0]
+        assert list(table.h(slice(None)).sum(axis=1)) == [217.0, 32.0, 1.0]
         with mp.workdps(50):
             inv_lam = [1 / mpf(float(v)) for v in s.retained]
 

@@ -265,18 +265,18 @@ class TestSelectAlpha:
                 risk_profile(model, table)
 
     def test_contrasts_match_scalar_ops(self):
-        s, _, grid, table = self._setup(grid=_KEEP_3_DOF)
+        s, family, grid, table = self._setup(grid=_KEEP_3_DOF)
         data = _data(s, np.linspace(1.0, 0.1, 20))
         result = select_alpha(data, table, "unknown")
         # the contrasts are relative to the smoothest row: the full scalar
         # contrasts minus the last one, which cancels their shared sum y^2
         full = np.array([contrast_unknown_sigma(data, h, table.pen_total[i])
-                         for i, h in enumerate(table.h_rows)])
+                         for i, h in enumerate(table.h(slice(None)))])
         assert result.contrasts[-1] == 0.0
         np.testing.assert_allclose(result.contrasts, full - full[-1], rtol=1e-12,
                                    atol=1e-14 * np.max(np.abs(full)))
         assert np.array_equal(
-            result.estimate, table.h_rows[result.alpha_hat_index] * data.y
+            result.estimate, h_values(family, grid.values, s)[result.alpha_hat_index] * data.y
         )
 
     def test_non_finite_contrast_is_numerical_failure(self):
@@ -296,7 +296,7 @@ class TestSelectAlpha:
         table = build_penalty_table(family, grid, s, 0.1)
         beta = 1.0 / np.arange(1.0, p + 1.0)
         model = SpectralModel(s, beta, 0.05)
-        risks = [exact_risk(model, table.h_rows[i]) for i in range(len(grid))]
+        risks = [exact_risk(model, h_values(family, alpha, s)) for alpha in grid.values]
         oracle_index = int(np.argmin(risks))
         hits = 0
         reps = 300
@@ -329,7 +329,7 @@ class TestContrastsAgainstMpmath:
             y2 = [mpf(float(v)) ** 2 for v in data.y]
 
             def full(i):
-                resid2 = [(1 - mpf(float(v))) ** 2 for v in table.h_rows[i]]
+                resid2 = [(1 - mpf(float(v))) ** 2 for v in table.h(i)]
                 s2 = mp.fsum(l * r * y for l, r, y in zip(lam, resid2, y2)) / mp.fsum(resid2)
                 return mp.fsum(r * y for r, y in zip(resid2, y2)) + s2 * mpf(float(table.pen_total[i])), s2
 

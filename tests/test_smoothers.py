@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from specreg import (
     h_values,
     polynomial_spectrum,
 )
+from specreg.smoothers import _row_slices
+from reference import first_violation
 
 FAMILIES = [SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()]
 
@@ -201,11 +205,101 @@ class TestGridBroadcast:
             assert h.shape == (6,)
             assert np.array_equal(h, _reference_h(family, 0.25, s))
 
+    def test_table_clip_never_writes_the_table(self):
+        # tabulated rows are clamped to [0, 1] in a copy, for a scalar alpha
+        # (one row) as for an array of them
+        s = polynomial_spectrum(3, 1.0)
+        family = SmootherFamily.from_table(alphas=[1.0, 2.0], h_table=[[1.5, 0.5, -0.2], [0.9, 0.4, 0.1]])
+        for alpha in (1.0, [1.0, 2.0], [[1.0]]):
+            h = h_values(family, alpha, s)
+            assert np.array_equal(h, np.clip(family.h_table[np.searchsorted([1.0, 2.0], alpha)], 0.0, 1.0))
+            h[...] = 0.5  # a fresh array, not a view of the table
+        assert np.array_equal(family.h_table, [[1.5, 0.5, -0.2], [0.9, 0.4, 0.1]])
+
+    def test_table_family_keeps_read_only_copies(self):
+        # a penalty table forms its h rows from the family again, so later
+        # writes to the arrays the family was made from must not reach it
+        s = polynomial_spectrum(3, 1.0)
+        alphas, h_table = np.array([1.0, 2.0]), np.array([[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])
+        family = SmootherFamily.from_table(alphas, h_table)
+        table = build_penalty_table(family, AlphaGrid(alphas), s, 0.1)
+        alphas[0], h_table[:] = 3.0, 0.0
+        assert np.array_equal(table.h(slice(None)), [[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])
+        for value in (family.alphas, family.h_table):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+
     def test_first_untabulated_alpha_is_named(self):
         s = polynomial_spectrum(3, 1.0)
         family = SmootherFamily.from_table(alphas=[1.0, 2.0], h_table=[[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])
         with pytest.raises(ValueError, match=r"^invalid input: alpha 1\.5 is not tabulated$"):
             h_values(family, AlphaGrid([1.0, 1.5, 2.0, 2.5]).values, s)
+
+
+class TestRowSubsets:
+    """Rows formed for any subset of a grid equal the same rows of the
+    whole-grid matrix bit for bit, which the penalty table's accessor and
+    every row-blocked walk rely on."""
+
+    @pytest.mark.parametrize("s", [polynomial_spectrum(1000, 2.0), exponential_spectrum(500, 1.0),
+                                   polynomial_spectrum(333, 1.0)], ids=["k^-2", "e^-k", "k^-1"])
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.kind)
+    def test_subsets_match_the_whole_grid(self, family, s):
+        alphas = default_grid(family, s, points=300, floor=False).values
+        whole = h_values(family, alphas, s)
+        rng = np.random.default_rng(alphas.size)
+        subsets = [slice(block.start, block.stop) for block in _row_slices(alphas.size, s.effective_rank)]
+        subsets += [0, alphas.size // 3, alphas.size - 1, slice(1, None, 5), slice(None, None, -3),
+                    rng.integers(0, alphas.size, 32), rng.permutation(alphas.size)[:50]]
+        for index in subsets:
+            assert np.array_equal(h_values(family, alphas[index], s), whole[index])
+
+
+def _defective_table(defects) -> tuple[SmootherFamily, AlphaGrid, Spectrum]:
+    """Tikhonov rows on lambda(k) = 1/k, p = 4096 (row blocks of 8 rows),
+    on 20 grid points, with each (kind, row) defect of ``defects`` applied:
+    "rise" swaps two components so the row rises in k, "cross" lifts its
+    first component above the previous row's, "direction" lifts the whole
+    row above the previous one."""
+    s = polynomial_spectrum(4096, 1.0)
+    alphas = np.geomspace(1e-3, 10.0, 20)
+    rows = s.retained / (s.retained + alphas[:, None])
+    for kind, i in defects:
+        if kind == "rise":
+            rows[i, [5, 6]] = rows[i, [6, 5]]
+        elif kind == "cross":
+            rows[i, 0] = 0.5 * (rows[i - 1, 0] + 1.0)
+        else:
+            rows[i] = np.minimum(rows[i - 1] * 1.01, 1.0)
+    return SmootherFamily.from_table(alphas, rows), AlphaGrid(alphas), s
+
+
+class TestCheckOrderedBlocks:
+    """check_ordered walks the grid in row blocks of 8 rows here; its verdict
+    equals the whole-matrix check's."""
+
+    @pytest.mark.parametrize("defects", [
+        [], [("cross", 3)], [("cross", 8)], [("direction", 16)], [("cross", 3), ("rise", 17)],
+        [("rise", 9), ("rise", 2)], [("cross", 12), ("cross", 19)], [("direction", 8), ("cross", 2)],
+        [("rise", 0)], [("rise", 19), ("direction", 1)],
+    ], ids=str)
+    def test_matches_whole_matrix_check(self, defects):
+        family, grid, s = _defective_table(defects)
+        assert len(_row_slices(len(grid), s.effective_rank)) == 3
+        violation = check_ordered(family, grid, s).violation
+        want = first_violation(family.h_table, grid.values)
+        got = None if violation is None else (
+            violation.alpha_low, violation.alpha_high, violation.k, violation.kind)
+        assert got == want
+
+    def test_rising_row_in_a_later_block_beats_a_crossing(self):
+        family, grid, s = _defective_table([("cross", 3), ("rise", 17)])
+        violation = check_ordered(family, grid, s).violation
+        assert violation.kind == "not monotone in lambda"
+        assert violation.alpha_low == violation.alpha_high == grid.values[17]
+        family, grid, s = _defective_table([("cross", 3)])
+        violation = check_ordered(family, grid, s).violation
+        assert violation.kind == "crossing" and violation.alpha_high == grid.values[3]
 
 
 class TestCheckOrdered:
@@ -291,6 +385,32 @@ class TestDefaultGrid:
             if below.size:
                 resid = 1.0 - h_values(family, below[-1], s)
                 assert float(np.sum(resid * resid)) < need, (kind, s.effective_rank)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.kind)
+    def test_floor_row_is_the_first_of_the_whole_grid(self, family):
+        # the blocked walk stops at the first row of the whole grid that
+        # keeps the floor dof, on grids whose floor row lies past block 1
+        for s in (polynomial_spectrum(1000, 2.0), polynomial_spectrum(333, 1.0),
+                  exponential_spectrum(500, 1.0)):
+            full = default_grid(family, s, points=900, floor=False).values
+            resid = 1.0 - h_values(family, full, s)
+            dof = np.sum(resid * resid, axis=1)
+            first = np.flatnonzero(dof >= max(10.0, s.effective_rank / 10.0))[0]
+            grid = default_grid(family, s, points=900)
+            assert np.array_equal(grid.values, full[first:]), (family.kind, s.effective_rank)
+
+    def test_floor_walk_peak_memory(self):
+        # the mc-cutoff spectrum (k^-2, p = 1000): the floor row is row 100,
+        # in the fourth block of 32 rows, and no 1000 x 1000 matrix is formed
+        s = polynomial_spectrum(1000, 2.0)
+        tracemalloc.start()
+        try:
+            grid = default_grid(SmootherFamily.cutoff(), s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 900
+        assert peak <= 2e6, peak
 
     def test_floor_infeasible(self):
         with pytest.raises(ValueError, match="alpha floor infeasible"):

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR
 
-Imports ``specreg`` from the source directory SRC, writes 63 configs (and
+Imports ``specreg`` from the source directory SRC, writes 64 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -49,7 +49,10 @@ Config matrix:
     replications, a fractional p;
   - tikhonov on k^-2 with p=200 and 400 points (M=332), whose table build
     and mu solve span three row blocks of 163, 163 and 6 rows, with no zero
-    tail (1).
+    tail (1);
+  - landweber on k^-2 with p=200 and 700 points (M=559), whose runs of
+    bit-identical h rows cross the row-block starts 326 and 489, so the
+    table's ties are found across blocks (1).
 """
 
 from __future__ import annotations
@@ -189,6 +192,9 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["gen-poly200-tikhonov-multiblock"] = dict(
         base, problem=_generator({"kind": "polynomial", "p": 200, "exponent": 2.0}),
         family={"kind": "tikhonov"}, grid={"points": 400}, mode="unknown")
+    configs["gen-poly200-landweber-blockties"] = dict(
+        base, problem=_generator({"kind": "polynomial", "p": 200, "exponent": 2.0}),
+        family={"kind": "landweber"}, grid={"points": 700}, mode="unknown")
     return configs
 
 
