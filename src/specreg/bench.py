@@ -10,7 +10,7 @@ bitwise reproducible for a fixed configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -96,11 +96,13 @@ def risk_bound(
     gamma: float,
     c: float = 1.0,
 ) -> float:
-    """Reported upper bound on the selector risk in oracle terms.
+    """Upper bound on the selector risk in oracle terms.
 
-    ``c`` is a user constant (the analysis only provides its existence); the
-    bound is reporting-only and never asserted by the harness.  Raises when
-    the scale preconditions fail, flagged as "bound not evaluable".
+    ``c`` is a user constant (the analysis only provides its existence), so
+    the bound is a library function only: ``mc_run`` does not report it, as
+    with c = 1 its margin 1 - c span / gamma needs span < gamma < 1/4.
+    Raises when the scale preconditions fail, flagged as "bound not
+    evaluable".
     """
     if not (float(sigma2) > 0.0 and float(d_ref) > 0.0 and float(gamma) > 0.0):
         raise ValueError("bound not evaluable: need positive sigma2, d_ref and gamma")
@@ -155,45 +157,24 @@ class BenchReport:
     excess_sup_quantiles_norm: dict[float, float]
     d_ref: float
     psi: float
-    risk_bound: float | None
     losses: np.ndarray = field(repr=False)
     alpha_hat_indices: np.ndarray = field(repr=False)
     sigma_hat2s: np.ndarray = field(repr=False)
     excess_sups: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
-        """JSON-ready summary (per-replication arrays go to the CSV instead).
+        """JSON-ready summary: every field but the per-replication arrays,
+        which go to the CSV.  Non-finite floats map to null so the output
+        stays strict JSON."""
 
-        Non-finite scalars map to null so the output stays strict JSON.
-        """
+        def finite(value):
+            return None if isinstance(value, float) and not math.isfinite(value) else value
 
-        def scalar(value):
-            if value is None or not math.isfinite(value):
-                return None
-            return value
-
-        return {
-            "replications": self.replications,
-            "seed": self.seed,
-            "gamma": self.gamma,
-            "mode": self.mode,
-            "penalty": self.penalty,
-            "empirical_risk": scalar(self.empirical_risk),
-            "empirical_risk_se": scalar(self.empirical_risk_se),
-            "oracle_risk": scalar(self.oracle_risk),
-            "oracle_alpha_index": self.oracle_alpha_index,
-            "oracle_ratio": scalar(self.oracle_ratio),
-            "alpha_hat_histogram": list(self.alpha_hat_histogram),
-            "sigma_hat2_mean": scalar(self.sigma_hat2_mean),
-            "sigma_hat2_var": scalar(self.sigma_hat2_var),
-            "excess_sup_mean_norm": scalar(self.excess_sup_mean_norm),
-            "excess_sup_quantiles_norm": {
-                str(k): scalar(v) for k, v in self.excess_sup_quantiles_norm.items()
-            },
-            "d_ref": scalar(self.d_ref),
-            "psi": scalar(self.psi),
-            "risk_bound": scalar(self.risk_bound),
-        }
+        out = {f.name: finite(getattr(self, f.name)) for f in fields(self) if f.repr}
+        out["alpha_hat_histogram"] = list(self.alpha_hat_histogram)
+        out["excess_sup_quantiles_norm"] = {
+            str(q): finite(v) for q, v in self.excess_sup_quantiles_norm.items()}
+        return out
 
 
 def mc_run(
@@ -241,10 +222,6 @@ def mc_run(
     se = float(np.std(losses, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
     have_s2 = np.isfinite(sigma2s).any()
     d_ref = table.d_ref
-    try:
-        bound = risk_bound(profile.r, model.sigma ** 2, d_ref, table.psi, table.gamma)
-    except ValueError:
-        bound = None
     return BenchReport(
         replications=replications,
         seed=master_seed,
@@ -265,7 +242,6 @@ def mc_run(
         },
         d_ref=d_ref,
         psi=table.psi,
-        risk_bound=bound,
         losses=losses,
         alpha_hat_indices=indices,
         sigma_hat2s=sigma2s,

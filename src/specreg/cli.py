@@ -79,7 +79,7 @@ def _config(path: str | None) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -120,7 +120,7 @@ def _get(section, key: str, kind=None, default=_REQUIRED):
         return value
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"invalid {key!r}: {exc}") from None
 
 
@@ -131,6 +131,12 @@ def _number(value, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ValueError(f"expected {'an integer' if integer else 'a number'}, got {value!r}")
     return value if integer else float(value)
+
+
+def _numbers(value):
+    """A ``kind`` for _get that accepts a JSON number or a list of them,
+    nested to any depth, with every number checked by _number."""
+    return [_numbers(v) for v in value] if isinstance(value, list) else _number(value)
 
 
 def _at_least(low, integer: bool = False):
@@ -181,7 +187,7 @@ def _signal_values(signal: dict, p: int) -> np.ndarray:
     if kind == "zero":
         return np.zeros(p)
     if kind == "explicit":
-        return np.asarray(_get(signal, "values"), dtype=float)
+        return np.asarray(_get(signal, "values", _numbers), dtype=float)
     raise ConfigError(f"unknown signal kind {kind!r}")
 
 
@@ -207,8 +213,11 @@ def _model(config: dict) -> SpectralModel:
     if source == "generator":
         return _generator_model(section)
     if source == "spectral":
+        section = _config(section) if isinstance(section, str) else section
+        for key, kind in (("eigenvalues", _numbers), ("coefficients", _numbers), ("sigma", _number)):
+            _get(section, key, kind, None)  # model_from_json reports a missing key
         try:
-            return model_from_json(_config(section) if isinstance(section, str) else section)
+            return model_from_json(section)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     raise ConfigError("this command needs a spectral or generator problem source")
@@ -220,7 +229,7 @@ def _spectrum(config: dict) -> Spectrum:
         return _design(section).spectrum
     if source == "spectral_data":
         try:
-            return Spectrum(_get(section, "eigenvalues"))
+            return Spectrum(_get(section, "eigenvalues", _numbers))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return _model(config).spectrum
@@ -237,7 +246,8 @@ def _family(config: dict) -> SmootherFamily:
         if kind == "landweber":
             return SmootherFamily.landweber(_get(fam, "tau", _number, None))
         if kind == "table":
-            return SmootherFamily.from_table(_get(fam, "alphas"), _get(fam, "h_table"))
+            return SmootherFamily.from_table(
+                _get(fam, "alphas", _numbers), _get(fam, "h_table", _numbers))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown family kind {kind!r}")
@@ -248,7 +258,7 @@ def _grid(config: dict, family: SmootherFamily, spectrum: Spectrum) -> AlphaGrid
     floor = _get(grid_cfg, "floor", _choice("default", "none"), "default")
     try:
         if "values" in grid_cfg:
-            return AlphaGrid(np.asarray(grid_cfg["values"], dtype=float))
+            return AlphaGrid(_get(grid_cfg, "values", _numbers))
         points = _get(grid_cfg, "points", _at_least(2, integer=True), None)
         return default_grid(family, spectrum, points=points, floor=floor == "default")
     except ValueError as exc:
@@ -325,7 +335,7 @@ def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
         return to_spectral(design, y), 0.0, 0.0
     if source == "spectral_data":
         try:
-            data = SpectralData(Spectrum(_get(section, "eigenvalues")), _get(section, "y"))
+            data = SpectralData(Spectrum(_get(section, "eigenvalues", _numbers)), _get(section, "y", _numbers))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return data, 0.0, 0.0

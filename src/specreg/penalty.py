@@ -103,31 +103,21 @@ def cramer_term(x):
     return out if out.ndim else float(out)
 
 
-def _row_blocks(rho: np.ndarray) -> list[tuple[slice, int]]:
-    """The row slices of rho, each with the width up to the block's last
-    nonzero column."""
-    blocks = []
-    for block in _row_slices(*rho.shape):
-        used = np.flatnonzero(np.any(rho[block] != 0.0, axis=0))
-        blocks.append((block, int(used[-1]) + 1 if used.size else 0))
-    return blocks
-
-
 def _cramer_rowsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k cramer_term(x(k)) for every row of x = mu * rho, rows of one row
-    block up to the block's last nonzero column, and the 1 - 2x of every
-    entry."""
+    """sum_k cramer_term(x(k)) for every row of x = mu * rho, the rows of one
+    block up to its last nonzero column, and the 1 - 2x of every entry."""
     terms, one_minus_2x = _cramer(x)
     return np.sum(terms, axis=1), one_minus_2x
 
 
 def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
-    """Root of sum_k cramer_term(mu * rho(k)) = log_ratio for every row of rho
-    in [0, (1 - 1e-12) / (2 max rho)]; rows with log_ratio == 0 return 0.
+    """Root of sum_k cramer_term(mu * rho(k)) = log_ratio for every row of rho,
+    one block of rows, in [0, (1 - 1e-12) / (2 max rho)], with sums up to the
+    block's last nonzero column; rows with log_ratio == 0 return 0.
 
     Safeguarded Halley iteration (Newton's method with the second derivative)
-    per row block, in u = -log1p(-2 m r), r the row maximum of rho, which
-    moves the pole m = 1/(2r) to u = inf: m(u) = -expm1(-u) / (2r),
+    in u = -log1p(-2 m r), r the row maximum of rho, which moves the pole
+    m = 1/(2r) to u = inf: m(u) = -expm1(-u) / (2r),
     m' = -m'' = e^-u / (2r).  With q = x / (1 - 2x) at x = m rho,
     f' = 2 sum q^2 / m, as c'(x) = 2x / (1 - 2x)^2, and
     f'' = 2 sum q^2 (1 + 4q) / m^2.  The start is the geometric mean of the
@@ -139,42 +129,43 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
     last step unless it leaves the bracket.  Every row must then pass the
     residual check.
     """
+    used = np.flatnonzero(np.any(rho != 0.0, axis=0))
+    rho = rho[:, :used[-1] + 1 if used.size else 0]
     mu = np.zeros(rho.shape[0])
-    for block, width in _row_blocks(rho):
-        todo = block.start + np.flatnonzero(log_ratio[block] > 0.0)
-        rows, target = rho[todo, :width], log_ratio[todo]
-        r, s1, s2 = np.max(rows, axis=1, initial=0.0), np.sum(rows, axis=1), np.einsum("ij,ij->i", rows, rows)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            top = (1.0 - _MU_BRACKET_MARGIN) / (2.0 * r)
-            low = target / (target * r + np.sqrt((target * r) ** 2 + 2.0 * s2 * target))
-            m = np.sqrt(low * np.minimum(np.sqrt(target / s2), top))
-            u, u_lo, u_hi = -np.log1p(-2.0 * r * m), np.zeros(todo.size), -np.log1p(-2.0 * r * top)
-            for _ in range(_HALLEY_STEPS if todo.size else 0):
-                m = -np.expm1(-u) / (2.0 * r)
-                x = m[:, None] * rows
-                g, one_minus_2x = _cramer_rowsum(x)
-                g -= target
-                q = np.divide(x, one_minus_2x, out=one_minus_2x)
-                q2 = q * q
-                q2_sum = np.sum(q2, axis=1)
-                fp = 2.0 * q2_sum / m
-                fpp = 2.0 * (q2_sum + 4.0 * np.einsum("ij,ij->i", q2, q)) / (m * m)
-                done = np.abs(g) <= 32.0 * _EPS * (target + m * s1) / (1.0 - 2.0 * m * r)
-                u_lo, u_hi = np.where(g < 0.0, u, u_lo), np.where(g > 0.0, u, u_hi)
-                dm = np.exp(-u) / (2.0 * r)
-                g1, g2 = fp * dm, (fpp * dm - fp) * dm
-                step = u - 2.0 * g * g1 / (2.0 * g1 * g1 - g * g2)
-                inside = (step > u_lo) & (step < u_hi)
-                u = np.where(inside, step, np.where(done, u, 0.5 * (u_lo + u_hi)))
-                mu[todo] = -np.expm1(-u) / (2.0 * r)
-                if done.all():
-                    break
-                todo, rows, target, r, s1, u, u_lo, u_hi = (
-                    v[~done] for v in (todo, rows, target, r, s1, u, u_lo, u_hi))
-        rowsum = _cramer_rowsum(mu[block, None] * rho[block, :width])[0]
-        resid = np.abs(rowsum - np.maximum(log_ratio[block], 0.0))
-        if np.any(resid > _MU_RESIDUAL_TOL * np.maximum(1.0, log_ratio[block])):
-            raise ArithmeticError("mu solve did not reach the residual tolerance")
+    todo = np.flatnonzero(log_ratio > 0.0)
+    rows, target = rho[todo], log_ratio[todo]
+    r, s1, s2 = np.max(rows, axis=1, initial=0.0), np.sum(rows, axis=1), np.einsum("ij,ij->i", rows, rows)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        top = (1.0 - _MU_BRACKET_MARGIN) / (2.0 * r)
+        low = target / (target * r + np.sqrt((target * r) ** 2 + 2.0 * s2 * target))
+        m = np.sqrt(low * np.minimum(np.sqrt(target / s2), top))
+        u, u_lo, u_hi = -np.log1p(-2.0 * r * m), np.zeros(todo.size), -np.log1p(-2.0 * r * top)
+        for _ in range(_HALLEY_STEPS if todo.size else 0):
+            m = -np.expm1(-u) / (2.0 * r)
+            x = m[:, None] * rows
+            g, one_minus_2x = _cramer_rowsum(x)
+            g -= target
+            q = np.divide(x, one_minus_2x, out=one_minus_2x)
+            q2 = q * q
+            q2_sum = np.sum(q2, axis=1)
+            fp = 2.0 * q2_sum / m
+            fpp = 2.0 * (q2_sum + 4.0 * np.einsum("ij,ij->i", q2, q)) / (m * m)
+            done = np.abs(g) <= 32.0 * _EPS * (target + m * s1) / (1.0 - 2.0 * m * r)
+            u_lo, u_hi = np.where(g < 0.0, u, u_lo), np.where(g > 0.0, u, u_hi)
+            dm = np.exp(-u) / (2.0 * r)
+            g1, g2 = fp * dm, (fpp * dm - fp) * dm
+            step = u - 2.0 * g * g1 / (2.0 * g1 * g1 - g * g2)
+            inside = (step > u_lo) & (step < u_hi)
+            u = np.where(inside, step, np.where(done, u, 0.5 * (u_lo + u_hi)))
+            mu[todo] = -np.expm1(-u) / (2.0 * r)
+            if done.all():
+                break
+            todo, rows, target, r, s1, u, u_lo, u_hi = (
+                v[~done] for v in (todo, rows, target, r, s1, u, u_lo, u_hi))
+    rowsum = _cramer_rowsum(mu[:, None] * rho)[0]
+    resid = np.abs(rowsum - np.maximum(log_ratio, 0.0))
+    if np.any(resid > _MU_RESIDUAL_TOL * np.maximum(1.0, log_ratio)):
+        raise ArithmeticError("mu solve did not reach the residual tolerance")
     return mu
 
 

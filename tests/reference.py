@@ -18,6 +18,7 @@ import numpy as np
 
 from specreg import SpectralData, SpectralModel, h_values, sigma_hat2
 from specreg.penalty import _solve_mu_rows
+from specreg.smoothers import _row_slices
 
 
 def _as_h(size: int, h) -> np.ndarray:
@@ -90,7 +91,9 @@ def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarra
     """The columns, mu, q_plus, row matrices and ``tie_end`` of
     ``build_penalty_table``, each formula evaluated on the whole M x p
     matrices, which the row-blocked build must match bit for bit, plus the
-    whole M x p matrix ``h`` whose rows the table's accessor forms."""
+    whole M x p matrix ``h`` whose rows the table's accessor forms.  Only mu
+    is solved one row block at a time, as the build does, since each
+    block's row sums stop at its last nonzero column."""
     lam = spectrum.retained
     h = h_values(family, grid.values, spectrum)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -99,7 +102,10 @@ def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarra
         scaled = t / np.where(peak > 0.0, peak, 1.0)[:, None]
         d = peak * np.sqrt(2.0 * np.einsum("ij,ij->i", scaled, scaled))
         rho = np.sqrt(2.0) * t / d[:, None]
-        mu = _solve_mu_rows(rho, np.maximum(np.log(d) - np.log(d[-1]), 0.0))
+        log_ratio = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
+        mu = np.empty(d.size)
+        for block in _row_slices(*rho.shape):  # the blocks the build hands the solve
+            mu[block] = _solve_mu_rows(rho[block], log_ratio[block])
         q = 2.0 * d * mu * np.einsum("ij,ij->i", rho, rho / (1.0 - 2.0 * mu[:, None] * rho))
         q = np.where(mu == 0.0, 0.0, q)
         h_over_lam = h / lam

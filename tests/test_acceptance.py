@@ -318,7 +318,7 @@ def test_criterion_07_oracle_behavior():
     flat_slack = 0.02
     # the bound constant is user-supplied; a small value keeps the margin
     # precondition satisfiable for this wide grid span (c=1 is flagged
-    # not-evaluable, which the report records as risk_bound: null)
+    # not-evaluable, which is why the bench report carries no bound)
     bound = risk_bound(
         report_at[0.05].oracle_risk, 0.05 ** 2, report_at[0.05].d_ref,
         report_at[0.05].psi, GAMMA, c=0.01,

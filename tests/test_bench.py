@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -251,6 +253,16 @@ class TestMcRun:
         assert np.array_equal(a.losses, b.losses)
         assert np.array_equal(a.sigma_hat2s, b.sigma_hat2s)
         assert np.array_equal(a.excess_sups, b.excess_sups)
+
+    def test_to_dict_maps_non_finite_quantiles_to_null(self):
+        report = dataclasses.replace(self._experiment(), excess_sup_quantiles_norm={
+            0.5: float("nan"), 0.9: float("inf"), 0.99: 2.5})
+        summary = report.to_dict()
+        assert summary["excess_sup_quantiles_norm"] == {"0.5": None, "0.9": None, "0.99": 2.5}
+        # every field but the per-replication arrays, as strict JSON
+        arrays = {"losses", "alpha_hat_indices", "sigma_hat2s", "excess_sups"}
+        assert set(summary) == {f.name for f in dataclasses.fields(report)} - arrays
+        json.dumps(summary, allow_nan=False)
 
     def test_zero_noise_known_mode_hits_best_bias(self):
         p = 20

@@ -43,6 +43,35 @@ def well_conditioned_config(**overrides):
     return cfg
 
 
+def _table_family(alphas, h_table):
+    return {"family": {"kind": "table", "alphas": alphas, "h_table": h_table},
+            "grid": {"values": [0.1, 1.0]}}
+
+
+def _spectral(eigenvalues, coefficients, sigma=0.2):
+    return {"problem": {"spectral": {"eigenvalues": eigenvalues, "coefficients": coefficients,
+                                     "sigma": sigma}}}
+
+
+# (entry, config override with a string or boolean number in it, command)
+_ARRAY_ENTRIES = [
+    ("grid.values", {"grid": {"values": ["0.001", True, 2]}}, "penalty-table"),
+    ("signal.values", {"problem": {"generator": {
+        "spectrum": {"kind": "polynomial", "p": 30, "exponent": 0.0},
+        "signal": {"kind": "explicit", "values": ["1", True, *[0.5] * 28]}, "sigma": 0.2}}},
+     "bench"),
+    ("family.alphas", _table_family([0.1, "1"], [[0.5] * 30, [0.4] * 30]), "penalty-table"),
+    ("family.h_table", _table_family([0.1, 1.0], [[0.5] * 30, [True, *[0.4] * 29]]), "check"),
+    ("spectral_data.eigenvalues", {"problem": {"spectral_data": {
+        "eigenvalues": [1.0, "0.5"], "y": [0.1, 0.2]}}}, "penalty-table"),
+    ("spectral_data.y", {"problem": {"spectral_data": {
+        "eigenvalues": [1.0, 0.5], "y": [0.1, False]}}}, "select"),
+    ("spectral.eigenvalues", _spectral([1.0, True], [1.0, 0.5]), "bench"),
+    ("spectral.coefficients", _spectral([1.0, 0.5], ["1", 0.5]), "select"),
+    ("spectral.sigma", _spectral([1.0, 0.5], [1.0, 0.5], "0.2"), "bench"),
+]
+
+
 class TestCheck:
     def test_well_conditioned_config_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, well_conditioned_config())
@@ -270,6 +299,26 @@ class TestBench:
         assert run(["bench", "--config", cfg]) == 0
         assert report_path.exists() and reps_path.exists()
 
+    def test_report_keys_are_the_documented_set(self, tmp_path):
+        # the keys the README lists for the bench report
+        out = tmp_path / "report.json"
+        assert run(["bench", "--config", write_config(tmp_path, well_conditioned_config()),
+                    "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {
+            "replications", "seed", "gamma", "mode", "penalty", "empirical_risk",
+            "empirical_risk_se", "oracle_risk", "oracle_alpha_index", "oracle_ratio",
+            "alpha_hat_histogram", "sigma_hat2_mean", "sigma_hat2_var", "excess_sup_mean_norm",
+            "excess_sup_quantiles_norm", "d_ref", "psi"}
+
+    def test_non_finite_psi_is_null(self, tmp_path):
+        # a floorless cutoff grid keeps the floor row with h = 1, which leaves
+        # psi NaN; known mode selects without a variance estimate
+        cfg = well_conditioned_config(family={"kind": "cutoff"}, grid={"floor": "none"},
+                                      mode="known", sigma2=0.04)
+        out = tmp_path / "report.json"
+        assert run(["bench", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert '"psi": null' in out.read_text()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
@@ -291,19 +340,26 @@ class TestExitCodes:
         cfg = well_conditioned_config(gamma=0.3)
         assert run(["penalty-table", "--config", write_config(tmp_path, cfg)]) == 1
 
-    @pytest.mark.parametrize("override, command", [
-        *(pytest.param(override, "bench", id=repr(override)) for override in (
+    @pytest.mark.parametrize("override, command, key", [
+        *(pytest.param(override, "bench", None, id=repr(override)) for override in (
             {"gamma": "abc"}, {"gamma": None}, {"replications": "ten"}, {"seed": "x"},
             {"family": "cutoff"}, {"grid": [1, 2]}, {"grid": {"points": "many"}},
             {"grid": {"points": 20, "floor": "bogus"}},
             {"family": {"kind": "landweber", "tau": "big"}})),
-        *(pytest.param(override, command, id=f"{command}-{override!r}")
+        *(pytest.param(override, command, None, id=f"{command}-{override!r}")
           for override in ({"mode": "bogus"}, {"penalty": "bogus"}) for command in ("select", "bench")),
+        # array entries hold JSON numbers only, where float() would read "1"
+        # and true as 1.0
+        *(pytest.param(override, command, name.split(".")[-1], id=f"{command}-{name}")
+          for name, override, command in _ARRAY_ENTRIES),
     ])
-    def test_malformed_value_is_config_error(self, tmp_path, capsys, override, command):
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, override, command, key):
         cfg = write_config(tmp_path, well_conditioned_config(**override))
         assert run([command, "--config", cfg]) == 1
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        if key is not None:
+            assert err.startswith(f"config error: invalid {key!r}: expected a number, got ")
 
     def test_null_optional_values_count_as_absent(self, tmp_path, capsys):
         cfg = well_conditioned_config(family={"kind": "landweber", "tau": None}, sigma2=None)
@@ -345,6 +401,16 @@ class TestExitCodes:
             assert run(argv) == 2, command
             assert "numerical failure: non-finite" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        # nesting past the recursion limit, in the number check of array
+        # entries (depth 500, about two frames a level) and in the JSON parser
+        for depth, message in ((500, "invalid 'values'"), (100_000, "invalid JSON")):
+            text = json.dumps(well_conditioned_config(grid={"values": "NEST"}))
+            path = tmp_path / "config.json"
+            path.write_text(text.replace('"NEST"', "[" * depth + "1" + "]" * depth), encoding="utf-8")
+            assert run(["penalty-table", "--config", str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize("override, command", [
         *(pytest.param(override, command, id=f"{command}-{override!r}")

@@ -31,7 +31,6 @@ from specreg.penalty import (
     _cramer_rowsum,
     _mu_q_rows,
     _noise_scale_rows,
-    _row_blocks,
     _row_slices,
 )
 from specreg.smoothers import _ROW_BLOCK_ELEMS
@@ -197,6 +196,21 @@ def _zero_tailed_rho(rng, widths, p):
     return rho
 
 
+def _used_width(rows):
+    """The width of ``rows`` up to their last nonzero column."""
+    used = np.flatnonzero(np.any(rows != 0.0, axis=0))
+    return int(used[-1]) + 1 if used.size else 0
+
+
+def _solve_blocked(rho, log_ratio):
+    """mu of every row of rho, solved one row block at a time, as
+    build_penalty_table hands the rows to the solve."""
+    mu = np.empty(rho.shape[0])
+    for block in _row_slices(*rho.shape):
+        mu[block] = penalty._solve_mu_rows(rho[block], log_ratio[block])
+    return mu
+
+
 class TestCramerRowsum:
     @staticmethod
     def _check(rng, widths, p):
@@ -206,7 +220,8 @@ class TestCramerRowsum:
         mu = rng.uniform(0.0, 0.49, len(widths)) / np.maximum(np.max(rho, axis=1), 1.0)
         x = mu[:, None] * rho
         want = np.sum(0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x), axis=1)
-        for block, width in _row_blocks(rho):
+        for block in _row_slices(*rho.shape):
+            width = _used_width(rho[block])
             got, one_minus_2x = _cramer_rowsum(mu[block, None] * rho[block, :width])
             assert np.array_equal(one_minus_2x, 1.0 - 2.0 * mu[block, None] * rho[block, :width])
             np.testing.assert_allclose(got, want[block], rtol=1e-14, atol=0.0)
@@ -229,7 +244,7 @@ class TestCramerRowsum:
     def test_row_wider_than_block(self):
         rng = np.random.default_rng(43)
         p = _ROW_BLOCK_ELEMS + 7
-        assert [rows.stop - rows.start for rows, _ in _row_blocks(np.ones((3, p)))] == [1, 1, 1]
+        assert [rows.stop - rows.start for rows in _row_slices(3, p)] == [1, 1, 1]
         self._check(rng, [p, 5000, 0], p)
 
     def test_rows_without_zeros(self):
@@ -358,7 +373,7 @@ class TestMuBisectionReplay:
         # at most six Halley steps per block on average, plus the residual
         # check: a stop rule that misjudges the noise floor of noise-limited
         # rows (e^-k spectra, rows near the pole) runs them to the step cap
-        assert len(calls) <= 7 * len(_row_blocks(_mu_inputs(table)[0]))
+        assert len(calls) <= 7 * len(_row_slices(*table.noise_weights.shape))
 
     def test_ordered_table_family(self):
         s = polynomial_spectrum(40, 1.0)
@@ -374,7 +389,7 @@ class TestMuBisectionReplay:
         rho, log_ratio = _mu_inputs(build_penalty_table(
             family, default_grid(family, spectrum), spectrum, 0.1))
         log_ratio[::3] = 0.0
-        mu = penalty._solve_mu_rows(rho, log_ratio)
+        mu = _solve_blocked(rho, log_ratio)
         assert np.all(mu[::3] == 0.0)
         _assert_near_bisection(mu, rho, log_ratio)
 
@@ -384,16 +399,37 @@ class TestMuBisectionReplay:
         p = 400
         widths = rng.integers(1, p + 1, 700)
         rho = _zero_tailed_rho(rng, widths, p)
-        assert len(_row_blocks(rho)) > 5
+        assert len(_row_slices(*rho.shape)) > 5
         log_ratio = rng.uniform(0.01, 20.0, widths.size)
-        _assert_near_bisection(penalty._solve_mu_rows(rho, log_ratio), rho, log_ratio)
+        _assert_near_bisection(_solve_blocked(rho, log_ratio), rho, log_ratio)
 
     def test_row_wider_than_block(self):
         rng = np.random.default_rng(47)
         p = _ROW_BLOCK_ELEMS + 7
         rho = _zero_tailed_rho(rng, [p, 40, 5000, 1], p)
         log_ratio = np.array([3.0, 0.5, 12.0, 1.0])
-        _assert_near_bisection(penalty._solve_mu_rows(rho, log_ratio), rho, log_ratio)
+        assert len(_row_slices(*rho.shape)) == 4
+        _assert_near_bisection(_solve_blocked(rho, log_ratio), rho, log_ratio)
+
+    def test_trim_is_exact(self):
+        # the solve trims the rows it is handed to their last nonzero column:
+        # handing it the trimmed rows gives the same mu bit for bit, on the
+        # cutoff table's blocks (k^-2, p=400), random zero tails and an
+        # all-zero block with log ratio 0
+        rng = np.random.default_rng(48)
+        spectrum = polynomial_spectrum(400, 2.0)
+        family = SmootherFamily.cutoff()
+        rho, log_ratio = _mu_inputs(build_penalty_table(
+            family, default_grid(family, spectrum), spectrum, 0.1))
+        cases = [(rho[block], log_ratio[block]) for block in _row_slices(*rho.shape)]
+        cases += [(_zero_tailed_rho(rng, rng.integers(1, 300, 50), 400), rng.uniform(0.01, 20.0, 50)),
+                  (np.zeros((3, 50)), np.zeros(3))]
+        for rows, target in cases:
+            width = _used_width(rows)
+            assert width < rows.shape[1]
+            mu = penalty._solve_mu_rows(rows, target)
+            assert np.array_equal(mu, penalty._solve_mu_rows(rows[:, :width], target))
+        assert width == 0 and np.array_equal(mu, np.zeros(3))
 
     def test_random_extreme_rows(self, monkeypatch):
         # rows spanning 330 decades (subnormal entries included), flat rows,
@@ -412,7 +448,7 @@ class TestMuBisectionReplay:
             log_ratio[::5] = 0.0
             calls = _count_rowsums(monkeypatch)
             halley = penalty._solve_mu_rows(rho, log_ratio)
-            assert len(_row_blocks(rho)) == 1 and len(calls) <= 7
+            assert len(_row_slices(*rho.shape)) == 1 and len(calls) <= 7
             for name, mu in (("halley", halley), ("bisection", _bisection_mu(rho, log_ratio))):
                 worst[name] = max(worst[name], _assert_within_noise(mu, rho, log_ratio))
         print(f"worst error / bound: {worst}")
@@ -426,7 +462,7 @@ class TestMuBisectionReplay:
         family = SmootherFamily.tikhonov()
         rho, log_ratio = _mu_inputs(build_penalty_table(
             family, default_grid(family, spectrum, points=20), spectrum, 0.1))
-        assert len(_row_blocks(rho)) == 1 and log_ratio[-1] == 0.0 and np.all(log_ratio[:-1] > 0.0)
+        assert len(_row_slices(*rho.shape)) == 1 and log_ratio[-1] == 0.0 and np.all(log_ratio[:-1] > 0.0)
         rowsum, calls = penalty._cramer_rowsum, []
 
         def inflated(x):

@@ -1,6 +1,6 @@
 """Digest the CLI outputs of a fixed config matrix, for byte-identity checks.
 
-Usage: python tools/cli_digest.py SRC OUTDIR
+Usage: python tools/cli_digest.py SRC OUTDIR [--compare OLD_OUTPUT]
 
 Imports ``specreg`` from the source directory SRC, writes 64 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
@@ -24,6 +24,12 @@ keep these.  Another BLAS kernel can move the byte lines, so compare them
 under the same kernel, e.g. with the same ``OPENBLAS_CORETYPE`` (default,
 Haswell, Sandybridge, Prescott); the discrete lines agree across these
 four.
+
+With ``--compare OLD_OUTPUT``, the saved output of an earlier run, it
+prints instead one line per command that differs from that run: ``bytes
+moved:`` or ``discrete moved:`` and the config and command, or ``added:``
+and ``removed:`` for a command only this run or only the earlier one has.
+Two runs of the same tree print nothing.
 
 Config matrix:
   - generator k^-2 (p=60) and e^-k/2 (p=40) x cutoff/tikhonov/landweber
@@ -243,7 +249,37 @@ def _run(main, argv: list[str], files: list[Path]) -> tuple[str, int, str, list[
     return digest.hexdigest(), code, stdout.getvalue(), errors
 
 
+def _command_digests(output: str) -> dict[tuple[str, str, str], str]:
+    """(kind, config, command) -> digest for every command line of a digest
+    output, kind "bytes" or "discrete"; the overall lines are left out."""
+    digests = {}
+    for line in output.splitlines():
+        digest, _, rest = line.partition("  ")
+        fields = rest.split()
+        if len(fields) >= 3 and fields[2].startswith("exit="):
+            digests["discrete" if fields[-1] == "discrete" else "bytes", fields[0], fields[1]] = digest
+    return digests
+
+
+def compare(old: str, new: str) -> list[str]:
+    """The commands whose lines differ between the digest outputs ``old`` and
+    ``new``: moved byte lines, then moved discrete lines, each in run order,
+    then the commands only ``new`` has and those only ``old`` has."""
+    old_digests, new_digests = _command_digests(old), _command_digests(new)
+    moved = [f"{kind} moved: {name} {command}"
+             for (kind, name, command), digest in new_digests.items()
+             if old_digests.get((kind, name, command), digest) != digest]
+    added = [key[1:] for key in new_digests if key[0] == "bytes" and key not in old_digests]
+    removed = [key[1:] for key in old_digests if key[0] == "bytes" and key not in new_digests]
+    return (moved + [f"added: {name} {command}" for name, command in added]
+            + [f"removed: {name} {command}" for name, command in removed])
+
+
 def main(argv: list[str]) -> int:
+    old = None
+    if len(argv) == 4 and argv[2] == "--compare":
+        old = Path(argv[3]).read_text(encoding="utf-8")
+        argv = argv[:2]
     if len(argv) != 2:
         sys.stderr.write(__doc__.split("\n\n")[1] + "\n")
         return 1
@@ -271,10 +307,13 @@ def main(argv: list[str]) -> int:
             fields = _discrete(command, code, stdout, errors, alphas)
             lines.append(f"{digest}  {name} {command} exit={code}")
             discrete.append(f"{fields}  {name} {command} exit={code} discrete")
+    output = []
     for block, label in ((lines, "overall"), (discrete, "discrete overall")):
-        print("\n".join(block))
         overall = hashlib.sha256(("\n".join(block) + "\n").encode()).hexdigest()
-        print(f"{overall}  {label} ({len(block)} commands, {len(configs)} configs)")
+        output += [*block, f"{overall}  {label} ({len(block)} commands, {len(configs)} configs)"]
+    report = output if old is None else compare(old, "\n".join(output))
+    if report:
+        print("\n".join(report))
     return 0
 
 
