@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import SpectralModel, replication_stream, simulate_observation
+from .core import SpectralModel, replication_stream
 from .penalty import PenaltyTable
 from .selection import _select_rows
 
@@ -131,7 +131,8 @@ def excess_sup_stat(
     if xi is None:
         xi = rng.standard_normal(table.noise_weights.shape[1])
     xi = np.asarray(xi, dtype=float)
-    excess = (table.noise_weights @ (xi * xi - 1.0).T).T - (1.0 + table.gamma) * table.q_plus
+    noise = table._kernel_products((xi * xi - 1.0).T, resid=False)[0]
+    excess = noise.T - (1.0 + table.gamma) * table.q_plus
     sup = np.maximum(np.max(excess, axis=-1), 0.0)
     return float(sup) if sup.ndim == 0 else sup
 
@@ -193,12 +194,12 @@ def mc_run(
     observation draw, then the excess-statistic draw.  In known-sigma mode
     the true model variance is used unless ``sigma2`` overrides it.  The
     replications are drawn and evaluated in blocks of ``_BLOCK``, each
-    through one matrix product per row kernel of the table.
+    through one product per row kernel of the table.
     """
     if replications < 1:
         raise ValueError("invalid input: replications must be >= 1")
     profile = risk_profile(model, table)
-    beta = model.coefficients
+    beta, root_lam = model.coefficients, np.sqrt(model.spectrum.retained)
     known_sigma2 = model.sigma ** 2 if sigma2 is None else float(sigma2)
 
     losses = np.empty(replications)
@@ -210,8 +211,14 @@ def mc_run(
         ys, xis = np.empty((2, block.stop - start, beta.size))
         for b, i in enumerate(range(start, block.stop)):
             rng = replication_stream(master_seed, i)
-            ys[b] = simulate_observation(model, rng).y
+            rng.standard_normal(out=ys[b])
             rng.standard_normal(out=xis[b])
+        # the steps of simulate_observation, in its order, on the whole block
+        ys *= model.sigma
+        ys /= root_lam
+        ys += beta
+        if not np.all(np.isfinite(ys)):
+            raise ValueError("invalid input: non-finite observations")
         _, index, s2 = _select_rows(table, ys, mode, known_sigma2, penalty)
         losses[block] = np.sum((beta - table.h(index) * ys) ** 2, axis=1)
         indices[block] = index

@@ -172,8 +172,10 @@ def _problem(config: dict) -> tuple[str, dict]:
     return sources[0], problem[sources[0]]
 
 
-def _design(matrix: dict, rank_tol: float = 1e-12):
-    rank_tol = _get(matrix, "rank_tol", _number, rank_tol)
+def _design(matrix: dict, rank_tol: float | None = None):
+    # a given rank_tol (the --rank-tol flag) overrides the config's
+    if rank_tol is None:
+        rank_tol = _get(matrix, "rank_tol", _number, 1e-12)
     return decompose_design(_load_matrix(_get(matrix, "x")), rank_tol)
 
 
@@ -432,7 +434,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--seed", type=int, help="override the config seed")
         if name == "decompose":
             cmd.add_argument("--matrix", help="design matrix CSV (overrides config)")
-            cmd.add_argument("--rank-tol", type=float, default=1e-12)
+            cmd.add_argument("--rank-tol", type=float, help="relative eigenvalue cut (overrides config)")
         if name == "bench":
             cmd.add_argument("--rep-out", help="per-replication CSV path")
         cmd.set_defaults(handler=handler)

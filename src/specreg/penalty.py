@@ -233,6 +233,30 @@ class PenaltyTable:
         slice), formed anew, bit-identical to the rows the table was built on."""
         return h_values(self.family, self.alphas[index], self.spectrum)
 
+    def _kernel_products(self, v: np.ndarray, resid: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """``noise_weights @ v`` and, with ``resid``, ``resid2 @ v`` (else None),
+        for v of shape (p,) or a block (p, n) with one vector per column.
+
+        A cutoff row i is 1/lambda up to its cutoff m_i = pen_cv / 2 and 0
+        after it, its resid2 row 0 up to m_i and 1 after it.  So there the
+        products are the prefix sums of the products v / lambda, which the
+        matrix product forms too, at m_i, and the suffix sums of v after m_i.
+        They run in sequence along k, so each column of a block gives the
+        bits of its one-vector product.  Other families multiply the matrices.
+        """
+        if self.family.kind != "cutoff":
+            return self.noise_weights @ v, self.resid2 @ v if resid else None
+        lam, m = self.spectrum.retained, (self.pen_cv / 2.0).astype(np.intp)
+        col, top = (slice(None),) + (None,) * (v.ndim - 1), m.max()
+        prefix = (1.0 / lam[:top])[col] * v[:top]  # 1/lambda past every cutoff may overflow
+        noise = np.cumsum(prefix, axis=0, out=prefix)[m - 1]
+        del prefix
+        if not resid:
+            return noise, None
+        suffix = np.zeros((lam.size + 1,) + v.shape[1:])  # suffix[p] = 0: rows with m_i = p
+        np.cumsum(v[::-1], axis=0, out=suffix[-2::-1])
+        return noise, suffix[m]
+
 
 def build_penalty_table(
     family: SmootherFamily,

@@ -82,9 +82,10 @@ def _select_rows(table: PenaltyTable, y: np.ndarray, mode: str, sigma2: float | 
     y, col = y.T, (slice(None),) + (None,) * (y.ndim - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam_y2 = table.spectrum.retained[col] * (y * y)
-        s2 = (table.resid2 @ lam_y2 + float(extra_ss)) / denom[col]
+        noise, resid = table._kernel_products(lam_y2)
+        s2 = (resid + float(extra_ss)) / denom[col]
         weight = s2 if mode == "unknown" else float(sigma2)
-        contrasts = weight * pens[col] - table.noise_weights @ lam_y2
+        contrasts = weight * pens[col] - noise
         contrasts -= contrasts[-1]
     if not np.all(np.isfinite(contrasts)):
         raise ArithmeticError("non-finite contrast (observations too large for floating point?)")

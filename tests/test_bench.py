@@ -13,6 +13,7 @@ from specreg import (
     AlphaGrid,
     SmootherFamily,
     SpectralModel,
+    Spectrum,
     build_penalty_table,
     default_grid,
     excess_sup_stat,
@@ -333,9 +334,10 @@ class TestMcRun:
 
 
 class TestBatchedMcRun:
-    """mc_run evaluates blocks of replications with one matrix product per
-    row kernel; these tests hold it to a per-replication loop and to the
-    oracle on the spectra where the full contrasts cancel."""
+    """mc_run evaluates blocks of replications with one product per row
+    kernel, prefix and suffix sums on cutoff tables; these tests hold it to
+    a per-replication loop and to the oracle on the spectra where the full
+    contrasts cancel."""
 
     @staticmethod
     def _loop(model, table, mode, replications, seed, penalty="total"):
@@ -369,6 +371,17 @@ class TestBatchedMcRun:
         np.testing.assert_allclose(report.losses, losses, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(report.sigma_hat2s, sigma2s, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(report.excess_sups, excesses, rtol=1e-12, atol=0.0)
+        if kind == "cutoff":  # a block's sums are its one-vector sums, bit for bit
+            assert np.array_equal(report.excess_sups, excesses)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_observations(self):
+        # sigma g / sqrt(lambda) overflows where |g| > 2.6 past the first component
+        s = Spectrum([1.0] + [3e-308] * 49)
+        model = SpectralModel(s, np.zeros(50), 1.2e154)
+        table = build_penalty_table(SmootherFamily.cutoff(), AlphaGrid([1.0]), s, 0.1)
+        with pytest.raises(ValueError, match="invalid input: non-finite observations"):
+            mc_run(model, table, "known", 40, 3)
 
     def test_block_of_excess_draws(self):
         table = TestExcessSupStat()._table()

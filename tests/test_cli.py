@@ -117,6 +117,23 @@ class TestDecompose:
         np.savetxt(matrix, np.zeros((3, 2)), delimiter=",")
         assert run(["decompose", "--matrix", str(matrix)]) == 2
 
+    def test_rank_tol_flag_overrides_config(self, tmp_path):
+        # the column scales leave 4 eigenvalues within 1e-6 of the first and 7 within 1e-12
+        x = np.random.default_rng(3).standard_normal((30, 10)) * np.logspace(0, -8, 10)
+        matrix = tmp_path / "x.csv"
+        np.savetxt(matrix, x, delimiter=",", fmt="%.17g")
+        cfg = write_config(tmp_path, {"problem": {"matrix": {"x": str(matrix), "rank_tol": 1e-12}}})
+
+        def rank(*argv):
+            out = tmp_path / "decomp.json"
+            assert run(["decompose", *argv, "--out", str(out)]) == 0
+            return json.loads(out.read_text())["effective_rank"]
+
+        assert rank("--config", cfg) == 7
+        assert rank("--matrix", str(matrix)) == 7  # the default 1e-12
+        assert rank("--matrix", str(matrix), "--rank-tol", "1e-6") == 4
+        assert rank("--config", cfg, "--rank-tol", "1e-6") == 4
+
 
 class TestPenaltyTable:
     def test_byte_identical_reruns(self, tmp_path):

@@ -18,6 +18,7 @@ from specreg import (
     check_ordered,
     cramer_term,
     default_grid,
+    excess_sup_stat,
     exponential_spectrum,
     h_values,
     pen_cv,
@@ -33,6 +34,7 @@ from specreg.penalty import (
     _noise_scale_rows,
     _row_slices,
 )
+from specreg.selection import _select_rows
 from specreg.smoothers import _ROW_BLOCK_ELEMS
 from reference import penalty_columns
 
@@ -795,6 +797,86 @@ class TestBlockedBuild:
         with pytest.raises(ValueError, match="not ordered") as excinfo:
             build_penalty_table(family, grid, s, 0.1)
         assert str(excinfo.value) == f"invalid input: table family is not ordered ({violation})"
+
+
+def _kernel_table(name: str):
+    if name == "tikhonov" or name == "landweber":
+        s, family = polynomial_spectrum(80, 2.0), SmootherFamily(name)
+        return build_penalty_table(family, default_grid(family, s, points=40), s, 0.1)
+    if name == "explicit k^-2 p=60":
+        # 1/10.5 and 1/10.2 share the cutoff 11 (tied rows), and 0.01 <= 1/p
+        # keeps every component (m = p, a zero resid2 row)
+        s = polynomial_spectrum(60, 2.0)
+        grid = AlphaGrid([0.01, 1 / 10.5, 1 / 10.2, 0.2, 0.5, 1.0])
+        return build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
+    s = polynomial_spectrum(1000, 2.0) if name == "k^-2 p=1000" else exponential_spectrum(100, 1.0)
+    return _cutoff_table(s, floor=True)[0]
+
+
+_CUTOFF_TABLES = ["k^-2 p=1000", "e^-k p=100", "explicit k^-2 p=60"]
+
+
+class TestKernelProducts:
+    """PenaltyTable._kernel_products: prefix and suffix sums on cutoff
+    tables, which agree with the matrix products to rounding and give a
+    block the bits of its one-vector results; the matrix products
+    themselves on other families."""
+
+    @staticmethod
+    def _vectors(table, n=5):
+        # observations y = beta + sigma g / sqrt(lambda) and standard normal
+        # excess draws xi, then the vectors the two callers multiply: the
+        # lambda y^2 of selection and the xi^2 - 1 of both signs
+        lam = table.spectrum.retained
+        rng = np.random.default_rng(lam.size)
+        ys = 1.0 / np.arange(1.0, lam.size + 1.0) + 0.1 * rng.standard_normal((n, lam.size)) / np.sqrt(lam)
+        xis = rng.standard_normal((n, lam.size))
+        return ys, xis, (lam * ys * ys, xis * xis - 1.0)
+
+    @pytest.mark.parametrize("name", _CUTOFF_TABLES)
+    def test_cutoff_matches_matrix_products(self, name):
+        table = _kernel_table(name)
+        ys, _, blocks = self._vectors(table)
+        if name == "explicit k^-2 p=60":
+            m = table.pen_cv / 2.0
+            assert m[0] == ys.shape[1] and m[1] == m[2] == 11.0 and table.tie_end[1] == 2
+        for block in blocks:
+            for v in (block.T, block[0]):  # a block, one vector per column, and one vector
+                noise, resid = table._kernel_products(v)
+                for got, kernel in ((noise, table.noise_weights), (resid, table.resid2)):
+                    scale = np.abs(kernel) @ np.abs(v)
+                    assert np.all(np.abs(got - kernel @ v) <= 1e-13 * scale)
+                alone = table._kernel_products(v, resid=False)
+                assert np.array_equal(alone[0], noise) and alone[1] is None
+
+    @pytest.mark.parametrize("name", _CUTOFF_TABLES)
+    def test_cutoff_block_equals_one_vector(self, name):
+        table = _kernel_table(name)
+        ys, xis, blocks = self._vectors(table)
+        for block in blocks:
+            noise, resid = table._kernel_products(block.T)
+            for j, v in enumerate(block):
+                one = table._kernel_products(v)
+                assert np.array_equal(noise[:, j], one[0]) and np.array_equal(resid[:, j], one[1])
+        modes = ("known",) if table.one_minus_h_norm2[0] == 0.0 else ("known", "unknown")
+        for mode in modes:
+            contrasts, index, s2 = _select_rows(table, ys, mode, 0.01)
+            for j, y in enumerate(ys):
+                one = _select_rows(table, y, mode, 0.01)
+                assert np.array_equal(contrasts[j], one[0]) and index[j] == one[1]
+                assert np.array_equal(s2[j], one[2], equal_nan=True)
+        sups = excess_sup_stat(table, None, xis)
+        for j, xi in enumerate(xis):
+            assert sups[j] == excess_sup_stat(table, None, xi)
+
+    @pytest.mark.parametrize("name", ["tikhonov", "landweber"])
+    def test_other_families_multiply_the_matrices(self, name):
+        table = _kernel_table(name)
+        for block in self._vectors(table)[2]:
+            for v in (block.T, block[0]):
+                noise, resid = table._kernel_products(v)
+                assert np.array_equal(noise, table.noise_weights @ v)
+                assert np.array_equal(resid, table.resid2 @ v)
 
 
 class TestVarianceSpan:

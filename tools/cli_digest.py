@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR [--compare OLD_OUTPUT]
 
-Imports ``specreg`` from the source directory SRC, writes 64 configs (and
+Imports ``specreg`` from the source directory SRC, writes 65 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -58,7 +58,11 @@ Config matrix:
     tail (1);
   - landweber on k^-2 with p=200 and 700 points (M=559), whose runs of
     bit-identical h rows cross the row-block starts 326 and 489, so the
-    table's ties are found across blocks (1).
+    table's ties are found across blocks (1);
+  - cutoff on k^-2 (p=60) in known mode on an explicit grid with a row
+    that keeps every component (alpha = 0.01 <= 1/p) and two rows with one
+    cutoff m = 11 (alphas 1/10.5 and 1/10.2), the edge rows of the prefix
+    and suffix sums of cutoff tables (1).
 """
 
 from __future__ import annotations
@@ -201,6 +205,9 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["gen-poly200-landweber-blockties"] = dict(
         base, problem=_generator({"kind": "polynomial", "p": 200, "exponent": 2.0}),
         family={"kind": "landweber"}, grid={"points": 700}, mode="unknown")
+    configs["gen-poly60-cutoff-edgerows"] = dict(
+        base, problem=_generator(spectra["poly60"]), family={"kind": "cutoff"},
+        grid={"values": [0.01, 1 / 10.5, 1 / 10.2, 0.2, 0.5, 1.0]}, **_mode("known"))
     return configs
 
 
