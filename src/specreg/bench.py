@@ -59,17 +59,18 @@ def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
     sum (1-h)^2 beta^2 + sigma^2 sum h^2 / lambda and the penalized risk: the
     exact risk plus the adaptive term (1 + gamma) sigma^2 q_plus and the bias
     inflation pen_total sum lambda (1-h)^2 beta^2 / sum (1-h)^2 from plugging
-    in the variance estimate.  Each sum over the rows is one matrix-vector
-    product, which can round bit-identical rows differently."""
+    in the variance estimate.  The two sums of (1-h)^2 against beta^2 and
+    lambda beta^2 are the table's row-kernel products, one vector each,
+    which can round bit-identical rows differently."""
     lam = model.spectrum.retained
     if not np.array_equal(table.spectrum.retained, lam):
         raise ValueError("dimension error: table and model spectra differ")
     beta2 = model.coefficients * model.coefficients
     sigma2 = model.sigma ** 2
     dof = table.one_minus_h_norm2
-    risks = table.resid2 @ beta2 + sigma2 * table.h_lambda_norm2
+    risks = table._kernel_products(beta2, noise=False)[1] + sigma2 * table.h_lambda_norm2
     with np.errstate(divide="ignore", invalid="ignore"):
-        inflation = table.pen_total * (table.resid2 @ (lam * beta2)) / dof
+        inflation = table.pen_total * table._kernel_products(lam * beta2, noise=False)[1] / dof
     adaptive = (1.0 + table.gamma) * sigma2 * table.q_plus
     penalized = np.where(dof > 0.0, risks + adaptive + inflation, np.inf)
     best = int(np.argmin(penalized))
@@ -129,7 +130,7 @@ def excess_sup_stat(
     statistic per draw.
     """
     if xi is None:
-        xi = rng.standard_normal(table.noise_weights.shape[1])
+        xi = rng.standard_normal(table.spectrum.retained.size)
     xi = np.asarray(xi, dtype=float)
     noise = table._kernel_products((xi * xi - 1.0).T, resid=False)[0]
     excess = noise.T - (1.0 + table.gamma) * table.q_plus

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,6 @@ from .core import (
     polynomial_spectrum,
     replication_stream,
     simulate_observation,
-    to_spectral,
 )
 from .penalty import PenaltyTable, build_penalty_table, check_conditions, verify_penalty_inequalities
 from .selection import select_alpha
@@ -81,6 +81,15 @@ def _config(path: str | None) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError of the library calls in the block as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -197,7 +206,7 @@ def _generator_model(gen: dict) -> SpectralModel:
     spec_cfg = _get(gen, "spectrum")
     kind = _get(spec_cfg, "kind", default=None)
     p = _get(spec_cfg, "p", _at_least(1, integer=True))
-    try:
+    with _config_errors():
         if kind == "polynomial":
             spectrum = polynomial_spectrum(p, _get(spec_cfg, "exponent", _number))
         elif kind == "exponential":
@@ -206,8 +215,6 @@ def _generator_model(gen: dict) -> SpectralModel:
             raise ConfigError(f"unknown spectrum kind {kind!r}")
         coef = _signal_values(_get(gen, "signal"), spectrum.effective_rank)
         return SpectralModel(spectrum, coef, _get(gen, "sigma", _number))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _model(config: dict) -> SpectralModel:
@@ -218,10 +225,8 @@ def _model(config: dict) -> SpectralModel:
         section = _config(section) if isinstance(section, str) else section
         for key, kind in (("eigenvalues", _numbers), ("coefficients", _numbers), ("sigma", _number)):
             _get(section, key, kind, None)  # model_from_json reports a missing key
-        try:
+        with _config_errors():
             return model_from_json(section)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     raise ConfigError("this command needs a spectral or generator problem source")
 
 
@@ -230,17 +235,15 @@ def _spectrum(config: dict) -> Spectrum:
     if source == "matrix":
         return _design(section).spectrum
     if source == "spectral_data":
-        try:
+        with _config_errors():
             return Spectrum(_get(section, "eigenvalues", _numbers))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     return _model(config).spectrum
 
 
 def _family(config: dict) -> SmootherFamily:
     fam = _get(config, "family")
     kind = _get(fam, "kind", default=None)
-    try:
+    with _config_errors():
         if kind == "cutoff":
             return SmootherFamily.cutoff()
         if kind == "tikhonov":
@@ -250,21 +253,17 @@ def _family(config: dict) -> SmootherFamily:
         if kind == "table":
             return SmootherFamily.from_table(
                 _get(fam, "alphas", _numbers), _get(fam, "h_table", _numbers))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
 def _grid(config: dict, family: SmootherFamily, spectrum: Spectrum) -> AlphaGrid:
     grid_cfg = _get(config, "grid")
     floor = _get(grid_cfg, "floor", _choice("default", "none"), "default")
-    try:
+    with _config_errors():
         if "values" in grid_cfg:
             return AlphaGrid(_get(grid_cfg, "values", _numbers))
         points = _get(grid_cfg, "points", _at_least(2, integer=True), None)
         return default_grid(family, spectrum, points=points, floor=floor == "default")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _gamma(config: dict) -> float:
@@ -331,15 +330,13 @@ def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
     if source == "matrix":
         design = _design(section)
         y = _load_matrix(_get(section, "y")).ravel()
-        if _get(config, "include_orthogonal_residual", default=False):
-            data, extra_ss, extra_dof = _split_observation(design, y)  # one rotation of y
-            return data, extra_ss, float(extra_dof)
-        return to_spectral(design, y), 0.0, 0.0
+        data, extra_ss, extra_dof = _split_observation(design, y)  # one rotation of y
+        if not _get(config, "include_orthogonal_residual", default=False):
+            return data, 0.0, 0.0
+        return data, extra_ss, float(extra_dof)
     if source == "spectral_data":
-        try:
+        with _config_errors():
             data = SpectralData(Spectrum(_get(section, "eigenvalues", _numbers)), _get(section, "y", _numbers))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         return data, 0.0, 0.0
     model = _model(config)
     data = simulate_observation(model, replication_stream(_seed(config, args), 0))

@@ -197,7 +197,9 @@ class PenaltyTable:
     The row matrices hold the kernels that selection and benchmarking reuse
     on every replication: the noise weights (2h - h^2) / lambda and the
     squared residual factors (1 - h)^2, whose row sums are
-    ``one_minus_h_norm2``.  The damping factors themselves are not kept:
+    ``one_minus_h_norm2``.  Within the library only
+    :meth:`_kernel_products` reads them, and on cutoff tables not even it.
+    The damping factors themselves are not kept:
     :meth:`h` forms the rows it is asked for from ``family``.
     ``tie_end[i]`` is the last row of the run of bit-identical h rows that
     holds row i, which selection counts as one model.  ``psi`` scales the
@@ -233,9 +235,12 @@ class PenaltyTable:
         slice), formed anew, bit-identical to the rows the table was built on."""
         return h_values(self.family, self.alphas[index], self.spectrum)
 
-    def _kernel_products(self, v: np.ndarray, resid: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """``noise_weights @ v`` and, with ``resid``, ``resid2 @ v`` (else None),
-        for v of shape (p,) or a block (p, n) with one vector per column.
+    def _kernel_products(self, v: np.ndarray, noise: bool = True,
+                         resid: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``noise_weights @ v`` with ``noise`` and ``resid2 @ v`` with
+        ``resid`` (each None without its flag), for v of shape (p,) or a block
+        (p, n) with one vector per column; a v of another length is a
+        dimension error.
 
         A cutoff row i is 1/lambda up to its cutoff m_i = pen_cv / 2 and 0
         after it, its resid2 row 0 up to m_i and 1 after it.  So there the
@@ -244,18 +249,22 @@ class PenaltyTable:
         They run in sequence along k, so each column of a block gives the
         bits of its one-vector product.  Other families multiply the matrices.
         """
+        lam = self.spectrum.retained
+        if v.shape[:1] != lam.shape:
+            raise ValueError("dimension error: the vectors must match the retained spectrum")
         if self.family.kind != "cutoff":
-            return self.noise_weights @ v, self.resid2 @ v if resid else None
-        lam, m = self.spectrum.retained, (self.pen_cv / 2.0).astype(np.intp)
-        col, top = (slice(None),) + (None,) * (v.ndim - 1), m.max()
-        prefix = (1.0 / lam[:top])[col] * v[:top]  # 1/lambda past every cutoff may overflow
-        noise = np.cumsum(prefix, axis=0, out=prefix)[m - 1]
-        del prefix
-        if not resid:
-            return noise, None
-        suffix = np.zeros((lam.size + 1,) + v.shape[1:])  # suffix[p] = 0: rows with m_i = p
-        np.cumsum(v[::-1], axis=0, out=suffix[-2::-1])
-        return noise, suffix[m]
+            return self.noise_weights @ v if noise else None, self.resid2 @ v if resid else None
+        m, products = (self.pen_cv / 2.0).astype(np.intp), [None, None]
+        if noise:
+            col, top = (slice(None),) + (None,) * (v.ndim - 1), m.max()
+            prefix = (1.0 / lam[:top])[col] * v[:top]  # 1/lambda past every cutoff may overflow
+            products[0] = np.cumsum(prefix, axis=0, out=prefix)[m - 1]
+            del prefix
+        if resid:
+            suffix = np.zeros((lam.size + 1,) + v.shape[1:])  # suffix[p] = 0: rows with m_i = p
+            np.cumsum(v[::-1], axis=0, out=suffix[-2::-1])
+            products[1] = suffix[m]
+        return products[0], products[1]
 
 
 def build_penalty_table(

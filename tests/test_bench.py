@@ -177,6 +177,15 @@ class TestRiskProfile:
         assert report.oracle_alpha_index == 21
         assert not any(report.alpha_hat_histogram[16:21])
 
+    def test_no_noise_sums_formed(self):
+        # beta^2 / lambda overflows on the last component, which no risk
+        # weighs by 1 / lambda; RuntimeWarnings are errors in this suite
+        s = Spectrum([1.0, 1e-3, 1e-300])
+        model = SpectralModel(s, np.array([1.0, 1.0, 1e5]), 0.1)
+        table = build_penalty_table(SmootherFamily.cutoff(), AlphaGrid([0.2, 0.5, 1.0]), s, 0.1)
+        profile = risk_profile(model, table)
+        assert profile.degenerate_rows == (0,) and profile.oracle_index == 2
+
     def test_single_row(self):
         s = polynomial_spectrum(6, 1.0)
         model = SpectralModel(s, np.ones(6), 0.2)
@@ -235,6 +244,39 @@ class TestExcessSupStat:
         a = excess_sup_stat(table, replication_stream(5, 1))
         b = excess_sup_stat(table, replication_stream(5, 1))
         assert a == b
+
+    @pytest.mark.parametrize("shape", [(199,), (201,), (3, 210)])
+    @pytest.mark.parametrize("kind", ["cutoff", "tikhonov"])
+    def test_draws_of_another_length_rejected(self, kind, shape):
+        # a cutoff table sums prefixes, where no matrix product checks the length
+        s = polynomial_spectrum(200, 2.0)
+        family = SmootherFamily(kind)
+        table = build_penalty_table(family, default_grid(family, s, points=30), s, 0.1)
+        with pytest.raises(ValueError, match="dimension error"):
+            excess_sup_stat(table, None, np.ones(shape))
+
+
+def test_cutoff_results_read_no_kernel_matrix():
+    # PenaltyTable._kernel_products is the one reader of the row kernels, and
+    # on a cutoff table it takes sums instead: matrices of NaN change nothing
+    s = polynomial_spectrum(60, 2.0)
+    model = SpectralModel(s, 1.0 / np.arange(1.0, 61.0), 0.1)
+    family = SmootherFamily.cutoff()
+    table = build_penalty_table(family, default_grid(family, s), s, 0.1)
+    nan = np.full(table.resid2.shape, np.nan)
+    nan.setflags(write=False)
+    blind = dataclasses.replace(table, noise_weights=nan, resid2=nan)
+    data = simulate_observation(model, replication_stream(3, 0))
+    picks = [select_alpha(data, t, "unknown") for t in (table, blind)]
+    assert picks[0].alpha_hat_index == picks[1].alpha_hat_index
+    assert np.array_equal(picks[0].contrasts, picks[1].contrasts)
+    xi = replication_stream(4, 0).standard_normal((5, 60))
+    assert np.array_equal(excess_sup_stat(table, None, xi), excess_sup_stat(blind, None, xi))
+    profiles = [risk_profile(model, t) for t in (table, blind)]
+    assert np.array_equal(profiles[0].penalized, profiles[1].penalized)
+    assert profiles[0].oracle_index == profiles[1].oracle_index
+    reports = [mc_run(model, t, "unknown", 40, 7).to_dict() for t in (table, blind)]
+    assert reports[0] == reports[1]
 
 
 class TestMcRun:

@@ -848,6 +848,8 @@ class TestKernelProducts:
                     assert np.all(np.abs(got - kernel @ v) <= 1e-13 * scale)
                 alone = table._kernel_products(v, resid=False)
                 assert np.array_equal(alone[0], noise) and alone[1] is None
+                alone = table._kernel_products(v, noise=False)
+                assert alone[0] is None and np.array_equal(alone[1], resid)
 
     @pytest.mark.parametrize("name", _CUTOFF_TABLES)
     def test_cutoff_block_equals_one_vector(self, name):

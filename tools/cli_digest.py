@@ -29,7 +29,10 @@ With ``--compare OLD_OUTPUT``, the saved output of an earlier run, it
 prints instead one line per command that differs from that run: ``bytes
 moved:`` or ``discrete moved:`` and the config and command, or ``added:``
 and ``removed:`` for a command only this run or only the earlier one has.
-Two runs of the same tree print nothing.
+Two runs of the same tree print nothing.  It then exits 2 when it printed
+a ``discrete moved:`` or a ``removed:`` line, which no declared byte move
+may do, and 0 otherwise: moved byte lines and added commands exit 0.  A
+usage error exits 1.
 
 Config matrix:
   - generator k^-2 (p=60) and e^-k/2 (p=40) x cutoff/tikhonov/landweber
@@ -321,7 +324,7 @@ def main(argv: list[str]) -> int:
     report = output if old is None else compare(old, "\n".join(output))
     if report:
         print("\n".join(report))
-    return 0
+    return 2 if any(line.startswith(("discrete moved:", "removed:")) for line in report) else 0
 
 
 if __name__ == "__main__":
