@@ -25,6 +25,8 @@ from .core import (
     SpectralData,
     SpectralModel,
     Spectrum,
+    _check_rank_tol,
+    _check_y,
     _split_observation,
     decompose_design,
     exponential_spectrum,
@@ -185,6 +187,8 @@ def _design(matrix: dict, rank_tol: float | None = None):
     # a given rank_tol (the --rank-tol flag) overrides the config's
     if rank_tol is None:
         rank_tol = _get(matrix, "rank_tol", _number, 1e-12)
+    with _config_errors():
+        rank_tol = _check_rank_tol(rank_tol)
     return decompose_design(_load_matrix(_get(matrix, "x")), rank_tol)
 
 
@@ -329,7 +333,8 @@ def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
     source, section = _problem(config)
     if source == "matrix":
         design = _design(section)
-        y = _load_matrix(_get(section, "y")).ravel()
+        with _config_errors():  # y of another length than X's rows, or not finite
+            y = _check_y(design, _load_matrix(_get(section, "y")).ravel())
         data, extra_ss, extra_dof = _split_observation(design, y)  # one rotation of y
         if not _get(config, "include_orthogonal_residual", default=False):
             return data, 0.0, 0.0

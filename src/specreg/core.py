@@ -155,6 +155,13 @@ class SpectralData:
         object.__setattr__(self, "y", y)
 
 
+def _check_rank_tol(rank_tol) -> float:
+    rank_tol = float(rank_tol)
+    if not 0.0 <= rank_tol <= 1.0:  # NaN fails too
+        raise ValueError("invalid input: rank_tol must lie in [0, 1]")
+    return rank_tol
+
+
 def decompose_design(x: np.ndarray, rank_tol: float = 1e-12) -> DecomposedDesign:
     """Decompose a design matrix into spectral form.
 
@@ -166,8 +173,9 @@ def decompose_design(x: np.ndarray, rank_tol: float = 1e-12) -> DecomposedDesign
     For n >= 11p/6 LAPACK's SVD of X takes this route itself, and S and V
     are bit-identical to it.  Components with
     lambda(k) < rank_tol * lambda(1) are truncated and ``effective_rank``
-    reduced accordingly.
+    reduced accordingly; rank_tol must lie in [0, 1].
     """
+    rank_tol = _check_rank_tol(rank_tol)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("invalid input: X must be a 2-d matrix")
@@ -190,14 +198,18 @@ def decompose_design(x: np.ndarray, rank_tol: float = 1e-12) -> DecomposedDesign
     return DecomposedDesign(Spectrum(lam, rank), vt.T, n, reflectors, tau, r_left)
 
 
-def _rotate(design: DecomposedDesign, y: np.ndarray) -> np.ndarray:
-    """Q'Y, by the p Householder reflections H_0, ..., H_(p-1) in turn."""
+def _check_y(design: DecomposedDesign, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (design.n,):
         raise ValueError("dimension error: Y must have length n")
     if not np.all(np.isfinite(y)):
         raise ValueError("invalid input: non-finite entries")
-    z = y.copy()
+    return y
+
+
+def _rotate(design: DecomposedDesign, y: np.ndarray) -> np.ndarray:
+    """Q'Y, by the p Householder reflections H_0, ..., H_(p-1) in turn."""
+    z = _check_y(design, y).copy()
     for j, (row, tau) in enumerate(zip(design.reflectors, design.tau)):
         v = row[j + 1:]
         w = tau * (z[j] + v @ z[j + 1:])

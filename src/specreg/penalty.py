@@ -17,6 +17,7 @@ intermediates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -194,13 +195,11 @@ class PenaltyTable:
     """Per-grid-point penalty quantities as read-only columns, entry i for
     grid point ``alphas[i]``, plus the grid-wide scalars and the spectrum.
 
-    The row matrices hold the kernels that selection and benchmarking reuse
-    on every replication: the noise weights (2h - h^2) / lambda and the
-    squared residual factors (1 - h)^2, whose row sums are
-    ``one_minus_h_norm2``.  Within the library only
-    :meth:`_kernel_products` reads them, and on cutoff tables not even it.
-    The damping factors themselves are not kept:
-    :meth:`h` forms the rows it is asked for from ``family``.
+    The table keeps no M x p matrix: :meth:`h` forms the damping factors
+    of the rows it is asked for from ``family``, and
+    :meth:`_kernel_products` multiplies the row kernels that selection and
+    benchmarking reuse on every replication, which a cutoff table never
+    forms.
     ``tie_end[i]`` is the last row of the run of bit-identical h rows that
     holds row i, which selection counts as one model.  ``psi`` scales the
     variance-estimation error over the grid range; it is NaN when the floor
@@ -222,8 +221,6 @@ class PenaltyTable:
     h_lambda_norm2: np.ndarray
     one_minus_h_norm2: np.ndarray
     max_h_over_lambda: np.ndarray
-    noise_weights: np.ndarray
-    resid2: np.ndarray
     tie_end: np.ndarray
 
     @property
@@ -235,25 +232,42 @@ class PenaltyTable:
         slice), formed anew, bit-identical to the rows the table was built on."""
         return h_values(self.family, self.alphas[index], self.spectrum)
 
+    @cached_property
+    def _kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The noise weights h (2 - h) / lambda and the squared residual
+        factors (1 - h)^2 of every grid row, formed on first use, in place in
+        two M x p buffers (the second holds h first), and kept."""
+        h = self.h(slice(None))
+        t = 2.0 - h
+        t *= h
+        t /= self.spectrum.retained
+        np.subtract(1.0, h, out=h)
+        h *= h
+        for kernel in (t, h):
+            kernel.setflags(write=False)
+        return t, h
+
     def _kernel_products(self, v: np.ndarray, noise: bool = True,
                          resid: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
         """``noise_weights @ v`` with ``noise`` and ``resid2 @ v`` with
-        ``resid`` (each None without its flag), for v of shape (p,) or a block
-        (p, n) with one vector per column; a v of another length is a
-        dimension error.
+        ``resid`` (each None without its flag), the two :attr:`_kernels`
+        applied to v of shape (p,) or to a block (p, n) with one vector per
+        column; a v of another length is a dimension error.
 
         A cutoff row i is 1/lambda up to its cutoff m_i = pen_cv / 2 and 0
         after it, its resid2 row 0 up to m_i and 1 after it.  So there the
         products are the prefix sums of the products v / lambda, which the
         matrix product forms too, at m_i, and the suffix sums of v after m_i.
         They run in sequence along k, so each column of a block gives the
-        bits of its one-vector product.  Other families multiply the matrices.
+        bits of its one-vector product.  Other families multiply the kernels,
+        which a cutoff table never forms.
         """
         lam = self.spectrum.retained
         if v.shape[:1] != lam.shape:
             raise ValueError("dimension error: the vectors must match the retained spectrum")
         if self.family.kind != "cutoff":
-            return self.noise_weights @ v if noise else None, self.resid2 @ v if resid else None
+            noise_weights, resid2 = self._kernels
+            return noise_weights @ v if noise else None, resid2 @ v if resid else None
         m, products = (self.pen_cv / 2.0).astype(np.intp), [None, None]
         if noise:
             col, top = (slice(None),) + (None,) * (v.ndim - 1), m.max()
@@ -279,10 +293,12 @@ def build_penalty_table(
     (the smoothest model), so q_plus vanishes there exactly.  Requires the
     noise scale to be nonincreasing along the grid, which holds for every
     ordered family; the h rows of user-supplied table families additionally
-    go through the full ordering check before mu is solved.  The h rows are
-    formed one row block at a time and not kept.  Raises ArithmeticError
-    when a column is not finite, e.g. when an eigenvalue is so small that
-    h / lambda overflows.
+    go through the full ordering check.  The h rows are formed one row block
+    at a time and not kept.  Each block's mu is solved before these checks
+    on the whole grid run, and they still decide: the solve raises no error
+    on the rows they reject (a zero or non-finite d or d_ref gives mu = 0 or
+    NaN).  Raises ArithmeticError when a column is not finite, e.g. when an
+    eigenvalue is so small that h / lambda overflows.
     """
     gamma = float(gamma)
     if not 0.0 < gamma < 0.25:
@@ -290,30 +306,32 @@ def build_penalty_table(
     lam = spectrum.retained
     rows, alphas = len(grid), grid.values
     ordering = _OrderingScan(alphas) if family.kind == "table" else None
-    # One pass over the row blocks forms each block's h and fills t, resid2,
-    # the columns that need no d[-1] and the ties between adjacent rows; a
-    # second solves mu and q_plus.  No other M x p matrix is formed.
+    # One pass over the row blocks forms each block's h, its columns, its
+    # ties between adjacent rows and its mu and q_plus.  The last block is
+    # formed first, for the reference scale d[-1], and kept for its turn.
     blocks = _row_slices(rows, lam.size)
-    t, resid2 = np.empty((rows, lam.size)), np.empty((rows, lam.size))
     pen_u_col, pen_cv_col, d, mu, q, h_lambda, one_minus, max_h_over_lam = (
         np.empty(rows) for _ in range(8))
     tied = np.empty(rows - 1, dtype=bool)  # h row i equals h row i + 1
     # Overflow and NaN below are caught by the checks on d and on the columns.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h_last = h_values(family, alphas[blocks[-1]], spectrum)
+        d_ref = _noise_scale_rows(h_last * (2.0 - h_last) / lam)[-1]
         for block in blocks:
-            h = h_values(family, alphas[block], spectrum)
+            h = h_last if block.stop == rows else h_values(family, alphas[block], spectrum)
             if ordering is not None:
                 ordering.feed(block, h)
             if block.start:
                 tied[block.start - 1] = np.array_equal(last, h[0])
             tied[block.start:block.stop - 1] = np.all(h[1:] == h[:-1], axis=1)
             last = h[-1]
-            t[block] = h * (2.0 - h) / lam
-            d[block] = _noise_scale_rows(t[block])
+            t = h * (2.0 - h) / lam
+            d[block] = _noise_scale_rows(t)
             h_lam = h / lam
             pen_u_col[block], max_h_over_lam[block] = 2.0 * np.sum(h_lam, axis=1), np.max(h_lam, axis=1)
             pen_cv_col[block], h_lambda[block] = 2.0 * np.sum(h, axis=1), np.sum(h * h / lam, axis=1)
-            resid2[block], one_minus[block] = _residual_factors(h)
+            one_minus[block] = _residual_factors(h)[1]
+            mu[block], q[block] = _mu_q_rows(t, d[block], _log_ratio(d[block], d_ref))
         if ordering is not None and ordering.violation is not None:
             raise ValueError(f"invalid input: table family is not ordered ({ordering.violation})")
         if np.any(d == 0.0):
@@ -321,9 +339,6 @@ def build_penalty_table(
         if np.any(d[1:] > d[:-1] * (1.0 + 1e-12)):
             raise ValueError("invalid input: noise scale must be nonincreasing along the grid "
                              "(is the family ordered?)")
-        log_ratio = _log_ratio(d, d[-1])
-        for block in blocks:
-            mu[block], q[block] = _mu_q_rows(t[block], d[block], log_ratio[block])
         columns = {
             "alphas": alphas,
             "pen_u": pen_u_col,
@@ -343,7 +358,7 @@ def build_penalty_table(
     # each row's run of tied rows ends at the first row not tied to the next
     ends = np.flatnonzero(np.append(~tied, True))
     tie_end = ends[np.searchsorted(ends, np.arange(rows))]
-    columns.update(noise_weights=t, resid2=resid2, tie_end=tie_end)
+    columns["tie_end"] = tie_end
     for column in columns.values():
         column.setflags(write=False)
     # psi: the iterated-logarithm envelope of the residual degrees of freedom

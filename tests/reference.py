@@ -60,7 +60,8 @@ def risk_profile_rows(model: SpectralModel, table) -> tuple[np.ndarray, np.ndarr
     sigma2 = model.sigma ** 2
     risks = np.empty(table.alphas.size)
     penalized = np.empty(table.alphas.size)
-    for i, resid2 in enumerate(table.resid2):
+    for i, h in enumerate(table.h(slice(None))):
+        resid2 = (1.0 - h) ** 2
         risks[i] = float(resid2 @ beta2) + sigma2 * float(table.h_lambda_norm2[i])
         dof = float(table.one_minus_h_norm2[i])
         if dof > 0.0:
@@ -88,10 +89,11 @@ def contrast_unknown_sigma(
 
 
 def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarray]:
-    """The columns, mu, q_plus, row matrices and ``tie_end`` of
-    ``build_penalty_table``, each formula evaluated on the whole M x p
-    matrices, which the row-blocked build must match bit for bit, plus the
-    whole M x p matrix ``h`` whose rows the table's accessor forms.  Only mu
+    """The columns, mu, q_plus and ``tie_end`` of ``build_penalty_table`` and
+    the row kernels ``noise_weights`` and ``resid2`` of its ``_kernels``,
+    each formula evaluated on the whole M x p matrices, which the row-blocked
+    build must match bit for bit, plus the whole M x p matrix ``h`` whose
+    rows the table's accessor forms.  Only mu
     is solved one row block at a time, as the build does, since each
     block's row sums stop at its last nonzero column."""
     lam = spectrum.retained

@@ -134,6 +134,19 @@ class TestDecompose:
         assert rank("--matrix", str(matrix), "--rank-tol", "1e-6") == 4
         assert rank("--config", cfg, "--rank-tol", "1e-6") == 4
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "2", "-1"])
+    def test_rank_tol_out_of_range_is_config_error(self, tmp_path, capsys, value):
+        # these once exited 2 (effective_rank out of range), and -1 ran as 0
+        matrix = tmp_path / "x.csv"
+        np.savetxt(matrix, np.diag([2.0, 1.0]), delimiter=",")
+        runs = [["decompose", "--matrix", str(matrix), "--rank-tol", value]]
+        if value in ("2", "-1"):
+            cfg = write_config(tmp_path, {"problem": {"matrix": {"x": str(matrix), "rank_tol": float(value)}}})
+            runs.append(["decompose", "--config", cfg])
+        for argv in runs:
+            assert run(argv) == 1
+            assert capsys.readouterr().err == "config error: invalid input: rank_tol must lie in [0, 1]\n"
+
 
 class TestPenaltyTable:
     def test_byte_identical_reruns(self, tmp_path):
@@ -240,6 +253,28 @@ class TestSelect:
         payload = json.loads(out.read_text())
         assert len(payload["estimate"]) == 4
         assert len(rotations) == 1  # one rotation of y serves both terms
+
+    @pytest.mark.parametrize("y, status", [
+        (np.ones(11), "config error: dimension error: Y must have length n"),
+        (np.ones(13), "config error: dimension error: Y must have length n"),
+        (np.append(np.ones(11), np.nan), "config error: invalid input: non-finite entries"),
+        # a finite y whose rotation overflows is no fault of the config
+        (np.full(12, 1.5e308), "numerical failure: invalid input: non-finite observations"),
+    ])
+    def test_matrix_source_with_bad_y_is_config_error(self, tmp_path, capsys, y, status):
+        # a y of another length than X's 12 rows once exited 2; spectral data
+        # with a y that does not fit exits 1 too
+        x = np.random.default_rng(3).standard_normal((12, 4))
+        np.savetxt(tmp_path / "x.csv", x, delimiter=",")
+        np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+        cfg = write_config(tmp_path, {
+            "problem": {"matrix": {"x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}},
+            "family": {"kind": "tikhonov"}, "grid": {"points": 10, "floor": "none"},
+            "gamma": 0.1, "mode": "unknown"})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["select", "--config", cfg])
+        assert code == (1 if status.startswith("config") else 2)
+        assert capsys.readouterr().err == f"{status}\n"
 
     def test_spectral_problem_source(self, tmp_path):
         spec_doc = {

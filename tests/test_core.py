@@ -87,6 +87,17 @@ class TestDecompose:
         assert lam.effective_rank == 2
         assert np.all(lam.retained >= 1e-12 * lam.retained[0])
 
+    @pytest.mark.parametrize("rank_tol", [float("nan"), -1.0, -1e-300, 1.0 + 1e-15, 2.0, float("inf")])
+    def test_rank_tol_out_of_range_rejected(self, rank_tol):
+        # NaN once reached Spectrum as a rank of 0 and -1 kept every component
+        with pytest.raises(ValueError, match=r"^invalid input: rank_tol must lie in \[0, 1\]$"):
+            decompose_design(np.eye(3), rank_tol=rank_tol)
+
+    def test_rank_tol_ends_of_the_range(self):
+        x = np.diag([1.0, 0.5, 1e-3])
+        assert decompose_design(x, rank_tol=0.0).spectrum.effective_rank == 3
+        assert decompose_design(x, rank_tol=1.0).spectrum.effective_rank == 1
+
     def test_tall_design_matches_the_svd_bit_for_bit(self):
         # for n >= 11p/6 LAPACK's SVD of X itself factors X = QR first and
         # takes the SVD of R, the route decompose_design takes

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 from specreg import (
     AlphaGrid,
     SmootherFamily,
+    SpectralModel,
     Spectrum,
     build_penalty_table,
     check_conditions,
@@ -21,9 +22,14 @@ from specreg import (
     excess_sup_stat,
     exponential_spectrum,
     h_values,
+    mc_run,
     pen_cv,
     pen_u,
     polynomial_spectrum,
+    replication_stream,
+    risk_profile,
+    select_alpha,
+    simulate_observation,
     verify_penalty_inequalities,
 )
 from specreg import penalty, smoothers
@@ -45,6 +51,18 @@ def _cutoff_table(spectrum, gamma=0.1, floor=False):
     family = SmootherFamily.cutoff()
     grid = default_grid(family, spectrum, floor=floor)
     return build_penalty_table(family, grid, spectrum, gamma), grid
+
+
+def _kernel_matrices(table):
+    """The row kernels h (2 - h) / lambda and (1 - h)^2 of every grid row,
+    formed from the table's h rows."""
+    h = table.h(slice(None))
+    return h * (2.0 - h) / table.spectrum.retained, (1.0 - h) ** 2
+
+
+def _table_blocks(table):
+    """The row blocks the build walks."""
+    return _row_slices(table.alphas.size, table.spectrum.retained.size)
 
 
 class TestPenU:
@@ -290,7 +308,7 @@ def _bisection_mu(rho, log_ratio):
 def _mu_inputs(table):
     """rho and the log ratios that build_penalty_table hands to the mu solve."""
     d = table.d
-    return np.sqrt(2.0) * table.noise_weights / d[:, None], penalty._log_ratio(d, d[-1])
+    return np.sqrt(2.0) * _kernel_matrices(table)[0] / d[:, None], penalty._log_ratio(d, d[-1])
 
 
 def _count_rowsums(monkeypatch):
@@ -375,7 +393,7 @@ class TestMuBisectionReplay:
         # at most six Halley steps per block on average, plus the residual
         # check: a stop rule that misjudges the noise floor of noise-limited
         # rows (e^-k spectra, rows near the pole) runs them to the step cap
-        assert len(calls) <= 7 * len(_row_slices(*table.noise_weights.shape))
+        assert len(calls) <= 7 * len(_table_blocks(table))
 
     def test_ordered_table_family(self):
         s = polynomial_spectrum(40, 1.0)
@@ -566,19 +584,22 @@ class TestPenaltyTable:
                          "h_lambda_norm2", "one_minus_h_norm2", "max_h_over_lambda"):
                 col = getattr(table, name)
                 assert np.all(np.isfinite(col)) and np.all(col >= 0.0), name
-            # the stored row kernels are exactly their recomputation from the
+            # the row kernels are exactly their recomputation from the
             # whole-grid h, whose rows the accessor forms anew
             h_rows = h_values(table.family, table.alphas, spectrum)
             assert np.array_equal(table.h(slice(None)), h_rows)
             resid2 = (1.0 - h_rows) ** 2
-            assert np.array_equal(table.noise_weights, h_rows * (2.0 - h_rows) / lam)
-            assert np.array_equal(table.resid2, resid2)
+            noise_weights, kernel_resid2 = table._kernels
+            assert np.array_equal(noise_weights, h_rows * (2.0 - h_rows) / lam)
+            assert np.array_equal(kernel_resid2, resid2)
             assert np.array_equal(table.one_minus_h_norm2, np.sum(resid2, axis=1))
             for name in ("alphas", "pen_u", "pen_cv", "d", "mu", "q_plus", "pen_total",
-                         "h_lambda_norm2", "one_minus_h_norm2", "max_h_over_lambda",
-                         "noise_weights", "resid2", "tie_end"):
+                         "h_lambda_norm2", "one_minus_h_norm2", "max_h_over_lambda", "tie_end"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(table, name)[0] = 0.0
+            for kernel in table._kernels:
+                with pytest.raises(ValueError, match="read-only"):
+                    kernel[0] = 0.0
             # rho derived from the stored noise scale must be a unit vector
             for i, h in enumerate(h_rows):
                 rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / table.d[i]
@@ -721,11 +742,13 @@ class TestBlockedBuild:
     ] + [pytest.param(*_tikhonov_table_family(300, 250), id="table")])
     def test_matches_whole_matrix_formulas(self, family, grid, spectrum):
         table = build_penalty_table(family, grid, spectrum, 0.1)
-        blocks = _row_slices(*table.resid2.shape)
+        blocks = _table_blocks(table)
         # at least three blocks, the last one ragged
         assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
         want = penalty_columns(family, grid, spectrum, 0.1)
         h = want.pop("h")
+        for name, kernel in zip(("noise_weights", "resid2"), table._kernels):
+            assert np.array_equal(kernel, want.pop(name)), name
         for name, column in want.items():
             assert np.array_equal(getattr(table, name), column), name
         # the accessor's rows are the whole-matrix rows: all of them, each
@@ -745,6 +768,8 @@ class TestBlockedBuild:
         table = build_penalty_table(family, grid, s, 0.1)
         want = penalty_columns(family, grid, s, 0.1)
         assert np.array_equal(table.h(slice(None)), want.pop("h"))
+        for name, kernel in zip(("noise_weights", "resid2"), table._kernels):
+            assert np.array_equal(kernel, want.pop(name)), name
         for name, column in want.items():
             assert np.array_equal(getattr(table, name), column), name
 
@@ -756,7 +781,7 @@ class TestBlockedBuild:
         family = SmootherFamily.landweber()
         grid = default_grid(family, s, points=700)
         table = build_penalty_table(family, grid, s, 0.1)
-        starts = [block.start for block in _row_slices(*table.resid2.shape)]
+        starts = [block.start for block in _table_blocks(table)]
         assert len(grid) == 559 and starts == [0, 163, 326, 489]
         want = penalty_columns(family, grid, s, 0.1)["tie_end"]
         assert np.array_equal(table.tie_end, want)
@@ -764,9 +789,9 @@ class TestBlockedBuild:
             assert want[start - 1] > start - 1
 
     def test_peak_memory_is_the_kept_rows(self):
-        # the mc-cutoff table (k^-2, p = 1000, M = 900): it keeps two M x p
-        # row kernels and its columns, and forms h and every other
-        # temporary one row block at a time
+        # the mc-cutoff table (k^-2, p = 1000, M = 900): it keeps its columns
+        # and no M x p matrix, and forms h and every other temporary one
+        # row block at a time
         s = polynomial_spectrum(1000, 2.0)
         family = SmootherFamily.cutoff()
         grid = default_grid(family, s)
@@ -776,12 +801,27 @@ class TestBlockedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows, p = table.resid2.shape
-        columns = sum(value.nbytes for value in vars(table).values()
-                      if isinstance(value, np.ndarray) and value.ndim == 1)
-        kept = 2 * rows * p * 8 + columns
-        assert (rows, p) == (900, 1000)
-        assert peak <= kept + 4e6, (peak, kept)
+        arrays = [value for value in vars(table).values() if isinstance(value, np.ndarray)]
+        assert all(value.ndim == 1 for value in arrays)
+        columns = sum(value.nbytes for value in arrays)
+        assert (table.alphas.size, s.retained.size) == (900, 1000)
+        assert peak <= columns + 4e6, (peak, columns)
+
+    def test_peak_memory_of_the_kernels(self):
+        # a tikhonov table (k^-2, p = 1000, M = 774) forms its two M x p row
+        # kernels on first use, the second in the buffer of its h rows
+        s = polynomial_spectrum(1000, 2.0)
+        family = SmootherFamily.tikhonov()
+        table = build_penalty_table(family, default_grid(family, s, points=900), s, 0.1)
+        tracemalloc.start()
+        try:
+            table._kernels
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, p = table.alphas.size, s.retained.size
+        assert rows == 774
+        assert peak <= 2 * rows * p * 8 + 1e6, (peak, rows * p * 8)
 
     def test_table_family_violation_across_blocks(self):
         # the build checks a table family block by block, with the same
@@ -797,6 +837,18 @@ class TestBlockedBuild:
         with pytest.raises(ValueError, match="not ordered") as excinfo:
             build_penalty_table(family, grid, s, 0.1)
         assert str(excinfo.value) == f"invalid input: table family is not ordered ({violation})"
+
+    def test_zero_rows_in_the_last_block_are_degenerate(self):
+        # zero last rows make d_ref = 0, and the build solves mu on every
+        # block, with log ratios of inf, before it checks the whole grid:
+        # it still reports the degenerate smoother
+        family, grid, s = _tikhonov_table_family(4096, 20)  # blocks of 8 rows
+        rows = family.h_table.copy()
+        rows[18:] = 0.0
+        family = SmootherFamily.from_table(grid.values, rows)
+        assert len(_row_slices(len(grid), s.retained.size)) == 3
+        with pytest.raises(ValueError, match="degenerate smoother: h is identically zero"):
+            build_penalty_table(family, grid, s, 0.1)
 
 
 def _kernel_table(name: str):
@@ -836,6 +888,7 @@ class TestKernelProducts:
     @pytest.mark.parametrize("name", _CUTOFF_TABLES)
     def test_cutoff_matches_matrix_products(self, name):
         table = _kernel_table(name)
+        kernels = _kernel_matrices(table)
         ys, _, blocks = self._vectors(table)
         if name == "explicit k^-2 p=60":
             m = table.pen_cv / 2.0
@@ -843,7 +896,7 @@ class TestKernelProducts:
         for block in blocks:
             for v in (block.T, block[0]):  # a block, one vector per column, and one vector
                 noise, resid = table._kernel_products(v)
-                for got, kernel in ((noise, table.noise_weights), (resid, table.resid2)):
+                for got, kernel in zip((noise, resid), kernels):
                     scale = np.abs(kernel) @ np.abs(v)
                     assert np.all(np.abs(got - kernel @ v) <= 1e-13 * scale)
                 alone = table._kernel_products(v, resid=False)
@@ -871,14 +924,44 @@ class TestKernelProducts:
         for j, xi in enumerate(xis):
             assert sups[j] == excess_sup_stat(table, None, xi)
 
+    @pytest.mark.parametrize("name", ["cutoff", "tikhonov", "landweber", "table"])
+    def test_kernels_are_the_h_row_formulas(self, name):
+        if name == "table":
+            family, grid, s = _tikhonov_table_family(300, 250)
+            table = build_penalty_table(family, grid, s, 0.1)
+        else:
+            table = _kernel_table("k^-2 p=1000" if name == "cutoff" else name)
+        h = table.h(slice(None))
+        noise_weights, resid2 = table._kernels
+        assert np.array_equal(noise_weights, h * (2.0 - h) / table.spectrum.retained)
+        assert np.array_equal(resid2, (1.0 - h) ** 2)
+
+    def test_tikhonov_kernels_formed_once(self):
+        # the build and the checks on a table read its columns only; the
+        # first product forms the kernels, and every later one reuses them
+        table = _kernel_table("tikhonov")
+        check_conditions(table)
+        verify_penalty_inequalities(table)
+        assert "_kernels" not in vars(table)
+        p = table.spectrum.retained.size
+        model = SpectralModel(table.spectrum, 1.0 / np.arange(1.0, p + 1.0), 0.1)
+        select_alpha(simulate_observation(model, replication_stream(3, 0)), table, "unknown")
+        kernels = vars(table)["_kernels"]
+        select_alpha(simulate_observation(model, replication_stream(3, 1)), table, "unknown")
+        excess_sup_stat(table, None, replication_stream(4, 0).standard_normal((5, p)))
+        risk_profile(model, table)
+        mc_run(model, table, "unknown", 10, 7)
+        assert vars(table)["_kernels"] is kernels
+
     @pytest.mark.parametrize("name", ["tikhonov", "landweber"])
     def test_other_families_multiply_the_matrices(self, name):
         table = _kernel_table(name)
+        noise_weights, resid2 = _kernel_matrices(table)
         for block in self._vectors(table)[2]:
             for v in (block.T, block[0]):
                 noise, resid = table._kernel_products(v)
-                assert np.array_equal(noise, table.noise_weights @ v)
-                assert np.array_equal(resid, table.resid2 @ v)
+                assert np.array_equal(noise, noise_weights @ v)
+                assert np.array_equal(resid, resid2 @ v)
 
 
 class TestVarianceSpan:

@@ -337,7 +337,9 @@ class TestContrastsAgainstMpmath:
             want = np.array([float(full(i)[0] - last) for i in rows])
             want_s2 = float(full(result.alpha_hat_index)[1])
         lam_y2 = s.retained * data.y * data.y
-        terms = np.abs(table.pen_total * (table.resid2 @ lam_y2) / table.one_minus_h_norm2) + table.noise_weights @ lam_y2
+        h = table.h(slice(None))
+        noise_weights, resid2 = h * (2.0 - h) / s.retained, (1.0 - h) ** 2
+        terms = np.abs(table.pen_total * (resid2 @ lam_y2) / table.one_minus_h_norm2) + noise_weights @ lam_y2
         scale = (terms + terms[-1])[rows]
         assert np.all(np.abs(result.contrasts[rows] - want) <= 1e-12 * scale)
         assert result.sigma_hat2 == pytest.approx(want_s2, rel=1e-12)

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR [--compare OLD_OUTPUT]
 
-Imports ``specreg`` from the source directory SRC, writes 65 configs (and
+Imports ``specreg`` from the source directory SRC, writes 67 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -53,9 +53,10 @@ Config matrix:
   - a near-square 30x20 design matrix (below n = 11p/6, where LAPACK's SVD
     of X skips its own QR step) x 3 families, unknown mode with the
     orthogonal residual (3);
-  - configuration errors that exit 1 (6): a negative seed, a fractional
+  - configuration errors that exit 1 (8): a negative seed, a fractional
     seed, a negative sigma2 in known mode, fractional and boolean
-    replications, a fractional p;
+    replications, a fractional p, a design matrix with rank_tol 2 and one
+    with a y shorter than its rows (which only ``select`` reads);
   - tikhonov on k^-2 with p=200 and 400 points (M=332), whose table build
     and mu solve span three row blocks of 163, 163 and 6 rows, with no zero
     tail (1);
@@ -141,6 +142,7 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     x = rng.standard_normal((80, 20)) * np.linspace(1.0, 0.05, 20)
     y = x @ (1.0 / np.arange(1.0, 21.0)) + 0.1 * rng.standard_normal(80)
     matrix = {"x": _write_csv(data_dir / "x.csv", x), "y": _write_csv(data_dir / "y.csv", y)}
+    short_y = _write_csv(data_dir / "y79.csv", y[:-1])  # one entry short of x's rows
     for kind in FAMILIES:
         for orth in (False, True):
             for mode in ("known", "unknown"):
@@ -201,6 +203,8 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["bad-replications-bool"] = dict(bad, replications=True)
     configs["bad-p-fraction"] = dict(bad, problem=_generator(
         {"kind": "polynomial", "p": 30.7, "exponent": 2.0}))
+    configs["bad-matrix-rank-tol"] = dict(bad, problem={"matrix": dict(matrix, rank_tol=2.0)})
+    configs["bad-matrix-y-length"] = dict(bad, problem={"matrix": dict(matrix, y=short_y)})
 
     configs["gen-poly200-tikhonov-multiblock"] = dict(
         base, problem=_generator({"kind": "polynomial", "p": 200, "exponent": 2.0}),
