@@ -45,7 +45,6 @@ from .penalty import (
 from .selection import (
     SelectionResult,
     select_alpha,
-    sigma_hat2,
 )
 from .bench import (
     BenchReport,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import SpectralModel, replication_stream
+from .core import SpectralModel, _observe, replication_stream
 from .penalty import PenaltyTable
 from .selection import _select_rows
 
@@ -200,7 +200,7 @@ def mc_run(
     if replications < 1:
         raise ValueError("invalid input: replications must be >= 1")
     profile = risk_profile(model, table)
-    beta, root_lam = model.coefficients, np.sqrt(model.spectrum.retained)
+    beta = model.coefficients
     known_sigma2 = model.sigma ** 2 if sigma2 is None else float(sigma2)
 
     losses = np.empty(replications)
@@ -214,10 +214,7 @@ def mc_run(
             rng = replication_stream(master_seed, i)
             rng.standard_normal(out=ys[b])
             rng.standard_normal(out=xis[b])
-        # the steps of simulate_observation, in its order, on the whole block
-        ys *= model.sigma
-        ys /= root_lam
-        ys += beta
+        _observe(model, ys)
         if not np.all(np.isfinite(ys)):
             raise ValueError("invalid input: non-finite observations")
         _, index, s2 = _select_rows(table, ys, mode, known_sigma2, penalty)

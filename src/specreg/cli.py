@@ -160,6 +160,23 @@ def _at_least(low, integer: bool = False):
     return kind
 
 
+def _bool(value):
+    """A ``kind`` for _get that accepts JSON booleans only, where a string
+    such as "false" would read as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _path(value):
+    """A ``kind`` for _get that accepts JSON strings only, the file paths,
+    where Path() would raise TypeError on a number and np.loadtxt would read
+    a list of strings as CSV lines."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a path string, got {value!r}")
+    return value
+
+
 def _choice(*allowed: str):
     """A ``kind`` for _get that accepts only the given strings."""
     def kind(value):
@@ -189,7 +206,7 @@ def _design(matrix: dict, rank_tol: float | None = None):
         rank_tol = _get(matrix, "rank_tol", _number, 1e-12)
     with _config_errors():
         rank_tol = _check_rank_tol(rank_tol)
-    return decompose_design(_load_matrix(_get(matrix, "x")), rank_tol)
+    return decompose_design(_load_matrix(_get(matrix, "x", _path)), rank_tol)
 
 
 def _signal_values(signal: dict, p: int) -> np.ndarray:
@@ -334,9 +351,9 @@ def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
     if source == "matrix":
         design = _design(section)
         with _config_errors():  # y of another length than X's rows, or not finite
-            y = _check_y(design, _load_matrix(_get(section, "y")).ravel())
+            y = _check_y(design, _load_matrix(_get(section, "y", _path)).ravel())
         data, extra_ss, extra_dof = _split_observation(design, y)  # one rotation of y
-        if not _get(config, "include_orthogonal_residual", default=False):
+        if not _get(config, "include_orthogonal_residual", _bool, False):
             return data, 0.0, 0.0
         return data, extra_ss, float(extra_dof)
     if source == "spectral_data":
@@ -389,8 +406,8 @@ def _cmd_bench(args) -> int:
         sigma2=_get(config, "sigma2", _at_least(0.0), None),
     )
     outputs = _get(config, "outputs", default={})
-    _write_json(report.to_dict(), args.out or _get(outputs, "report", default=None))
-    rep_path = args.rep_out or _get(outputs, "replications_csv", default=None)
+    _write_json(report.to_dict(), args.out or _get(outputs, "report", _path, None))
+    rep_path = args.rep_out or _get(outputs, "replications_csv", _path, None)
     if rep_path is not None:
         lines = ["rep,alpha_hat_index,loss,sigma_hat2,excess_sup"]
         for i in range(report.replications):

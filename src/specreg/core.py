@@ -247,9 +247,10 @@ def orthogonal_residual2(design: DecomposedDesign, y: np.ndarray) -> tuple[float
     """Squared norm of the part of Y orthogonal to the column span of X.
 
     Returns the squared residual together with its degrees of freedom n - p.
-    This is the optional pure-noise component that :func:`selection.sigma_hat2`
-    can fold into the variance estimate in raw-matrix mode.  It is the sum
-    of squares of the last n - p entries of Q'Y, so it cannot cancel when Y
+    This is the optional pure-noise component that
+    :func:`selection.select_alpha` folds into its variance estimates in
+    raw-matrix mode, as ``extra_ss`` and ``extra_dof``.  It is the sum of
+    squares of the last n - p entries of Q'Y, so it cannot cancel when Y
     lies almost in the span of X.
     """
     return _split_observation(design, y)[1:]
@@ -261,9 +262,17 @@ def simulate_observation(model: SpectralModel, rng: np.random.Generator) -> Spec
     Consumes exactly ``effective_rank`` draws from ``rng``; an identical
     stream state yields bitwise identical output.
     """
-    lam = model.spectrum.retained
-    g = rng.standard_normal(lam.size)
-    return SpectralData(model.spectrum, model.coefficients + model.sigma * g / np.sqrt(lam))
+    g = rng.standard_normal(model.spectrum.effective_rank)
+    return SpectralData(model.spectrum, _observe(model, g))
+
+
+def _observe(model: SpectralModel, g: np.ndarray) -> np.ndarray:
+    """The observations beta + sigma * g / sqrt(lambda) of the standard normal
+    draws g, of shape (p,) or one row per observation, formed in place in g."""
+    g *= model.sigma
+    g /= np.sqrt(model.spectrum.retained)
+    g += model.coefficients
+    return g
 
 
 def reconstruct_estimate(design: DecomposedDesign, filtered: np.ndarray) -> np.ndarray:

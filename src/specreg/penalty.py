@@ -76,19 +76,16 @@ def _noise_scale_rows(t: np.ndarray) -> np.ndarray:
 
 def _cramer(x):
     """cramer_term without its domain check, which the mu solve skips, and
-    the 1 - 2x it divides by.  The in-place steps round exactly as
-    0.5 * log1p(-2x) + x + 2x * x / (1 - 2x) evaluated left to right, with
-    fewer temporaries; 1 + (-2x) rounds as 1 - 2x."""
+    its q = x / (1 - 2x), as x + 2x^2 / (1 - 2x) = q.  The in-place steps
+    round exactly as 0.5 * log1p(-2x) + x / (1 - 2x) left to right, with
+    1 + (-2x) rounding as 1 - 2x."""
     w = np.multiply(x, -2.0)
     out = np.log1p(w)
     out *= 0.5
-    out += x
     w += 1.0
-    q = np.multiply(x, 2.0)
-    q *= x
-    q /= w
+    q = x / w
     out += q
-    return out, w
+    return out, q
 
 
 def cramer_term(x):
@@ -106,21 +103,22 @@ def cramer_term(x):
 
 def _cramer_rowsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_k cramer_term(x(k)) for every row of x = mu * rho, the rows of one
-    block up to its last nonzero column, and the 1 - 2x of every entry."""
-    terms, one_minus_2x = _cramer(x)
-    return np.sum(terms, axis=1), one_minus_2x
+    block up to its last nonzero column, and the q of every entry."""
+    terms, q = _cramer(x)
+    return np.sum(terms, axis=1), q
 
 
-def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
-    """Root of sum_k cramer_term(mu * rho(k)) = log_ratio for every row of rho,
-    one block of rows, in [0, (1 - 1e-12) / (2 max rho)], with sums up to the
-    block's last nonzero column; rows with log_ratio == 0 return 0.
+def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root mu of sum_k cramer_term(mu * rho(k)) = log_ratio for every row of
+    rho, one block of rows, in [0, (1 - 1e-12) / (2 max rho)], with sums up
+    to the block's last nonzero column (rows with log_ratio == 0 return 0),
+    and sum_k rho q at x = mu rho, from the residual check's row sum.
 
     Safeguarded Halley iteration (Newton's method with the second derivative)
     in u = -log1p(-2 m r), r the row maximum of rho, which moves the pole
     m = 1/(2r) to u = inf: m(u) = -expm1(-u) / (2r),
-    m' = -m'' = e^-u / (2r).  With q = x / (1 - 2x) at x = m rho,
-    f' = 2 sum q^2 / m, as c'(x) = 2x / (1 - 2x)^2, and
+    m' = -m'' = e^-u / (2r).  With the q = x / (1 - 2x) of the row sum at
+    x = m rho, f' = 2 sum q^2 / m, as c'(x) = 2x / (1 - 2x)^2, and
     f'' = 2 sum q^2 (1 + 4q) / m^2.  The start is the geometric mean of the
     bounds on the root that x^2 <= c(x) <= 2x^2 / (1 - 2x) give, and a step
     that leaves the bracket of u known so far becomes the bracket midpoint.
@@ -143,10 +141,8 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
         u, u_lo, u_hi = -np.log1p(-2.0 * r * m), np.zeros(todo.size), -np.log1p(-2.0 * r * top)
         for _ in range(_HALLEY_STEPS if todo.size else 0):
             m = -np.expm1(-u) / (2.0 * r)
-            x = m[:, None] * rows
-            g, one_minus_2x = _cramer_rowsum(x)
+            g, q = _cramer_rowsum(m[:, None] * rows)
             g -= target
-            q = np.divide(x, one_minus_2x, out=one_minus_2x)
             q2 = q * q
             q2_sum = np.sum(q2, axis=1)
             fp = 2.0 * q2_sum / m
@@ -163,25 +159,25 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
                 break
             todo, rows, target, r, s1, u, u_lo, u_hi = (
                 v[~done] for v in (todo, rows, target, r, s1, u, u_lo, u_hi))
-    rowsum = _cramer_rowsum(mu[:, None] * rho)[0]
+    rowsum, q = _cramer_rowsum(mu[:, None] * rho)
     resid = np.abs(rowsum - np.maximum(log_ratio, 0.0))
     if np.any(resid > _MU_RESIDUAL_TOL * np.maximum(1.0, log_ratio)):
         raise ArithmeticError("mu solve did not reach the residual tolerance")
-    return mu
+    return mu, np.einsum("ij,ij->i", rho, q)
 
 
 def _mu_q_rows(t: np.ndarray, d: np.ndarray, log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Root mu and adaptive term q_plus = 2 * d * mu * sum rho^2 / (1 - 2*mu*rho)
-    of every row, from the noise weights t, their noise scales d and the
-    log ratios log(d / d_ref) >= 0, with rho = sqrt(2) * t / d.
+    = 2 * d * sum rho q (q at x = mu rho) of every row, from the noise
+    weights t, their noise scales d and the log ratios log(d / d_ref) >= 0,
+    with rho = sqrt(2) * t / d.
 
     q_plus is exactly zero where mu is; every denominator stays positive
     because the mu bracket ends strictly before 1 / (2 * max rho).
     """
     rho = np.sqrt(2.0) * t / d[:, None]
-    mu = _solve_mu_rows(rho, log_ratio)
-    q = 2.0 * d * mu * np.einsum("ij,ij->i", rho, rho / (1.0 - 2.0 * mu[:, None] * rho))
-    return mu, np.where(mu == 0.0, 0.0, q)
+    mu, rho_q = _solve_mu_rows(rho, log_ratio)
+    return mu, np.where(mu == 0.0, 0.0, 2.0 * d * rho_q)
 
 
 def _log_ratio(d, d_ref) -> np.ndarray:

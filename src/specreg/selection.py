@@ -22,32 +22,10 @@ import numpy as np
 
 from .core import SpectralData
 from .penalty import PenaltyTable
-from .smoothers import _residual_factors
 
-__all__ = ["sigma_hat2", "SelectionResult", "select_alpha"]
+__all__ = ["SelectionResult", "select_alpha"]
 
 _PENALTY_COLUMNS = {"total": "pen_total", "unbiased": "pen_u"}
-
-
-def sigma_hat2(data: SpectralData, h, extra_ss: float = 0.0, extra_dof: float = 0.0) -> float:
-    """Residual-based variance estimate in spectral coordinates.
-
-    Returns sum lambda (1-h)^2 y^2 / sum (1-h)^2.  By default only the
-    retained spectral components enter; when raw observations are available
-    the part of Y orthogonal to the column span of X can be folded in
-    through ``extra_ss`` (its squared norm) and ``extra_dof`` (n - p), which
-    adds pure-noise degrees of freedom.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.shape != data.y.shape:
-        raise ValueError("dimension error: h must match the retained spectrum")
-    lam = data.spectrum.retained
-    resid2, dof = _residual_factors(h)
-    denom = float(dof) + float(extra_dof)
-    if not denom > 0.0:
-        raise ValueError("variance estimation impossible: no residual degrees of freedom")
-    num = float((lam * resid2) @ (data.y * data.y)) + float(extra_ss)
-    return num / denom
 
 
 def _select_rows(table: PenaltyTable, y: np.ndarray, mode: str, sigma2: float | None = None,

@@ -2,9 +2,10 @@
 
 Each takes one smoother row ``h`` and evaluates its formula directly, with
 no penalty table: the exact risk, the penalized risk that ``risk_profile``
-evaluates on every grid row, and the full contrasts, which keep the sum
-y^2 that the selector drops.  ``risk_profile_rows`` evaluates the risks of
-``risk_profile`` from a table's columns with one dot product per grid row.
+evaluates on every grid row, the variance estimate and the full contrasts
+of the selector, which keep the sum y^2 that it drops.
+``risk_profile_rows`` evaluates the risks of ``risk_profile`` from a
+table's columns with one dot product per grid row.
 ``penalty_columns`` evaluates the penalty table's formulas on the whole
 M x p matrices at once, as the table build did before it worked in row
 blocks, and ``first_violation`` is the ordering check on the whole M x p
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from specreg import SpectralData, SpectralModel, h_values, sigma_hat2
+from specreg import SpectralData, SpectralModel, h_values
 from specreg.penalty import _solve_mu_rows
 from specreg.smoothers import _row_slices
 
@@ -73,6 +74,20 @@ def risk_profile_rows(model: SpectralModel, table) -> tuple[np.ndarray, np.ndarr
     return risks, penalized
 
 
+def sigma_hat2(data: SpectralData, h, extra_ss: float = 0.0, extra_dof: float = 0.0) -> float:
+    """Residual-based variance estimate in spectral coordinates,
+    sum lambda (1-h)^2 y^2 / sum (1-h)^2.  The part of Y orthogonal to the
+    column span of X enters through ``extra_ss`` (its squared norm) and
+    ``extra_dof`` (n - p), which adds pure-noise degrees of freedom."""
+    h = _as_h(data.y.size, h)
+    resid2 = (1.0 - h) ** 2
+    denom = float(np.sum(resid2)) + float(extra_dof)
+    if not denom > 0.0:
+        raise ValueError("variance estimation impossible: no residual degrees of freedom")
+    num = float((data.spectrum.retained * resid2) @ (data.y * data.y)) + float(extra_ss)
+    return num / denom
+
+
 def contrast_known_sigma(data: SpectralData, h, pen: float, sigma2: float) -> float:
     """sum (1-h)^2 y^2 + sigma2 * pen."""
     if not float(sigma2) >= 0.0:
@@ -93,9 +108,9 @@ def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarra
     the row kernels ``noise_weights`` and ``resid2`` of its ``_kernels``,
     each formula evaluated on the whole M x p matrices, which the row-blocked
     build must match bit for bit, plus the whole M x p matrix ``h`` whose
-    rows the table's accessor forms.  Only mu
-    is solved one row block at a time, as the build does, since each
-    block's row sums stop at its last nonzero column."""
+    rows the table's accessor forms.  Only mu and q_plus are formed one row
+    block at a time, as the build does, since each block's row sums stop at
+    its last nonzero column."""
     lam = spectrum.retained
     h = h_values(family, grid.values, spectrum)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -105,10 +120,13 @@ def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarra
         d = peak * np.sqrt(2.0 * np.einsum("ij,ij->i", scaled, scaled))
         rho = np.sqrt(2.0) * t / d[:, None]
         log_ratio = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
-        mu = np.empty(d.size)
+        mu, q = np.empty(d.size), np.empty(d.size)
         for block in _row_slices(*rho.shape):  # the blocks the build hands the solve
-            mu[block] = _solve_mu_rows(rho[block], log_ratio[block])
-        q = 2.0 * d * mu * np.einsum("ij,ij->i", rho, rho / (1.0 - 2.0 * mu[:, None] * rho))
+            mu[block] = _solve_mu_rows(rho[block], log_ratio[block])[0]
+            used = np.flatnonzero(np.any(rho[block] != 0.0, axis=0))
+            rows = rho[block, :used[-1] + 1 if used.size else 0]
+            x = mu[block, None] * rows
+            q[block] = 2.0 * d[block] * np.einsum("ij,ij->i", rows, x / (1.0 - 2.0 * x))
         q = np.where(mu == 0.0, 0.0, q)
         h_over_lam = h / lam
         pen_u = 2.0 * np.sum(h_over_lam, axis=1)

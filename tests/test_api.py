@@ -19,15 +19,16 @@ def test_every_export_resolves(name):
 
 
 def test_selection_and_bench_exports():
-    # the scalar risk and contrast formulas are test references
+    # the scalar risk, variance and contrast formulas are test references
     # (tests/reference.py), not part of the package
     import specreg
 
-    assert set(specreg.selection.__all__) == {"sigma_hat2", "SelectionResult", "select_alpha"}
+    assert set(specreg.selection.__all__) == {"SelectionResult", "select_alpha"}
     assert set(specreg.bench.__all__) == {
         "RiskProfile", "risk_profile", "growth_term", "risk_bound", "excess_sup_stat",
         "BenchReport", "mc_run"}
-    for name in ("exact_risk", "penalized_risk", "contrast_known_sigma", "contrast_unknown_sigma"):
+    for name in ("exact_risk", "penalized_risk", "sigma_hat2", "contrast_known_sigma",
+                 "contrast_unknown_sigma"):
         assert not hasattr(specreg, name), name
 
 

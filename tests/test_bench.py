@@ -27,10 +27,9 @@ from specreg import (
     risk_bound,
     risk_profile,
     select_alpha,
-    sigma_hat2,
     simulate_observation,
 )
-from reference import exact_risk, penalized_risk, risk_profile_rows
+from reference import exact_risk, penalized_risk, risk_profile_rows, sigma_hat2
 
 
 def _model(p=12, exponent=2.0, sigma=0.2, signal=1.0):

@@ -541,3 +541,48 @@ class TestExitCodes:
         cfg = well_conditioned_config()
         del cfg["seed"]
         assert run(["bench", "--config", write_config(tmp_path, cfg)]) == 1
+
+    @staticmethod
+    def _matrix_config(tmp_path, **overrides):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((100, 40))
+        np.savetxt(tmp_path / "x.csv", x, delimiter=",")
+        np.savetxt(tmp_path / "y.csv", x @ (1.0 / np.arange(1.0, 41.0)) + rng.standard_normal(100),
+                   delimiter=",")
+        return {"problem": {"matrix": {"x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}},
+                "family": {"kind": "tikhonov"}, "grid": {"points": 10}, "gamma": 0.1,
+                "mode": "unknown", **overrides}
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
+    def test_orthogonal_residual_flag_must_be_boolean(self, tmp_path, capsys, value):
+        # the string "false" once switched the residual on, as a truthy value
+        cfg = self._matrix_config(tmp_path, include_orthogonal_residual=value)
+        assert run(["select", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid 'include_orthogonal_residual': expected true or false, got ")
+
+    def test_orthogonal_residual_flag_switches_the_estimate(self, tmp_path):
+        s2 = {}
+        for value in (False, True):
+            out = tmp_path / f"{value}.json"
+            cfg = self._matrix_config(tmp_path, include_orthogonal_residual=value)
+            assert run(["select", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+            s2[value] = json.loads(out.read_text())["sigma_hat2"]
+        assert s2[False] != s2[True]
+
+    @pytest.mark.parametrize("section, key, value, command", [
+        ("matrix", "x", 5, "select"),
+        ("matrix", "x", ["1,2", "3,4"], "decompose"),  # once read as inline CSV lines
+        ("matrix", "y", ["1"], "select"),
+        ("outputs", "report", 5, "bench"),  # once a TypeError out of main
+        ("outputs", "replications_csv", 5, "bench"),
+    ])
+    def test_path_that_is_no_json_string_is_config_error(self, tmp_path, capsys, section, key, value, command):
+        if section == "matrix":
+            cfg = self._matrix_config(tmp_path)
+            cfg["problem"]["matrix"][key] = value
+        else:
+            cfg = well_conditioned_config(outputs={key: value})
+        assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: invalid {key!r}: expected a path string, got ")

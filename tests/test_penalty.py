@@ -227,7 +227,7 @@ def _solve_blocked(rho, log_ratio):
     build_penalty_table hands the rows to the solve."""
     mu = np.empty(rho.shape[0])
     for block in _row_slices(*rho.shape):
-        mu[block] = penalty._solve_mu_rows(rho[block], log_ratio[block])
+        mu[block] = penalty._solve_mu_rows(rho[block], log_ratio[block])[0]
     return mu
 
 
@@ -239,11 +239,12 @@ class TestCramerRowsum:
         rho = _zero_tailed_rho(rng, widths, p)
         mu = rng.uniform(0.0, 0.49, len(widths)) / np.maximum(np.max(rho, axis=1), 1.0)
         x = mu[:, None] * rho
-        want = np.sum(0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x), axis=1)
+        want = np.sum(0.5 * np.log1p(-2.0 * x) + x / (1.0 - 2.0 * x), axis=1)
         for block in _row_slices(*rho.shape):
             width = _used_width(rho[block])
-            got, one_minus_2x = _cramer_rowsum(mu[block, None] * rho[block, :width])
-            assert np.array_equal(one_minus_2x, 1.0 - 2.0 * mu[block, None] * rho[block, :width])
+            x_block = mu[block, None] * rho[block, :width]
+            got, q = _cramer_rowsum(x_block)
+            assert np.array_equal(q, x_block / (1.0 - 2.0 * x_block))
             np.testing.assert_allclose(got, want[block], rtol=1e-14, atol=0.0)
             assert np.all(got[want[block] == 0.0] == 0.0)
 
@@ -279,11 +280,11 @@ class TestCramerRowsum:
     def test_cramer_rounds_as_the_closed_form(self):
         # the in-place _cramer against the left-to-right expression it replaces
         x = np.concatenate([np.linspace(0.0, 0.5 - 1e-13, 5001), 10.0 ** np.arange(-320.0, 0.0)])
-        want = 0.5 * np.log1p(-2.0 * x) + x + 2.0 * x * x / (1.0 - 2.0 * x)
+        want = 0.5 * np.log1p(-2.0 * x) + x / (1.0 - 2.0 * x)
         assert np.array_equal(_cramer(x)[0], want)
         assert np.array_equal(_cramer(x[:5319].reshape(-1, 3))[0], want[:5319].reshape(-1, 3))
-        # and the 1 - 2x it returns for the Halley step rounds as that expression
-        assert np.array_equal(_cramer(x)[1], 1.0 - 2.0 * x)
+        # and the q it returns for the Halley step rounds as that expression
+        assert np.array_equal(_cramer(x)[1], x / (1.0 - 2.0 * x))
 
 
 def _bisection_mu(rho, log_ratio):
@@ -447,8 +448,8 @@ class TestMuBisectionReplay:
         for rows, target in cases:
             width = _used_width(rows)
             assert width < rows.shape[1]
-            mu = penalty._solve_mu_rows(rows, target)
-            assert np.array_equal(mu, penalty._solve_mu_rows(rows[:, :width], target))
+            mu = penalty._solve_mu_rows(rows, target)[0]
+            assert np.array_equal(mu, penalty._solve_mu_rows(rows[:, :width], target)[0])
         assert width == 0 and np.array_equal(mu, np.zeros(3))
 
     def test_random_extreme_rows(self, monkeypatch):
@@ -467,7 +468,7 @@ class TestMuBisectionReplay:
             log_ratio = 10.0 ** rng.uniform(-16.0, 3.0, len(t))
             log_ratio[::5] = 0.0
             calls = _count_rowsums(monkeypatch)
-            halley = penalty._solve_mu_rows(rho, log_ratio)
+            halley = penalty._solve_mu_rows(rho, log_ratio)[0]
             assert len(_row_slices(*rho.shape)) == 1 and len(calls) <= 7
             for name, mu in (("halley", halley), ("bisection", _bisection_mu(rho, log_ratio))):
                 worst[name] = max(worst[name], _assert_within_noise(mu, rho, log_ratio))
@@ -487,13 +488,13 @@ class TestMuBisectionReplay:
 
         def inflated(x):
             calls.append(np.max(x, axis=1))  # m r, with x = m rho and r = max rho
-            value, one_minus_2x = rowsum(x)
+            value, q = rowsum(x)
             if len(calls) == 1:
                 value = log_ratio[:-1] + 1e3 * (value - log_ratio[:-1])
-            return value, one_minus_2x
+            return value, q
 
         monkeypatch.setattr(penalty, "_cramer_rowsum", inflated)
-        mu = penalty._solve_mu_rows(rho, log_ratio)
+        mu = penalty._solve_mu_rows(rho, log_ratio)[0]
         # u = -log1p(-2 m r); the first bracket is (0, u0) or (u0, u(hi))
         r = np.max(rho[:-1], axis=1)
         u0, u1, u_hi = (-np.log1p(-2.0 * mr) for mr in (calls[0], calls[1], r * (1.0 - 1e-12) / (2.0 * r)))
@@ -532,6 +533,25 @@ class TestQPlus:
         mu = brentq(objective, 0.0, (1 - 1e-13) / (2 * rho.max()), xtol=1e-15, rtol=1e-15)
         want = 2.0 * d * mu * float(np.sum(rho * rho / (1.0 - 2.0 * mu * rho)))
         assert abs(table.q_plus[0] - want) <= 1e-9 * want
+
+    def test_rounding_against_mpmath(self):
+        # 40-digit q_plus = 2 d mu sum rho^2 / (1 - 2 mu rho) at the table's
+        # own float d, mu and rho, on every second row of tikhonov on e^-k/2
+        # (p = 500, 200 points), where mu rho comes closest to 1/2
+        from mpmath import mp, mpf
+
+        spectrum = exponential_spectrum(500, 0.5)
+        family = SmootherFamily.tikhonov()
+        table = build_penalty_table(family, default_grid(family, spectrum, points=200), spectrum, 0.1)
+        rho = _mu_inputs(table)[0]
+        worst = 0.0
+        with mp.workdps(40):
+            for i in np.flatnonzero(table.mu > 0.0)[::2]:
+                mu = mpf(float(table.mu[i]))
+                total = mp.fsum(mpf(float(r)) ** 2 / (1 - 2 * mu * mpf(float(r))) for r in rho[i] if r)
+                want = 2 * mpf(float(table.d[i])) * mu * total
+                worst = max(worst, float(abs(mpf(float(table.q_plus[i])) - want) / want))
+        assert worst <= 64.0 * np.finfo(float).eps, worst / np.finfo(float).eps
 
     def test_dominates_root_log_scale(self):
         rng = np.random.default_rng(33)

@@ -25,11 +25,10 @@ from specreg import (
     replication_stream,
     risk_profile,
     select_alpha,
-    sigma_hat2,
     simulate_observation,
     to_spectral,
 )
-from reference import contrast_known_sigma, contrast_unknown_sigma, exact_risk
+from reference import contrast_known_sigma, contrast_unknown_sigma, exact_risk, sigma_hat2
 
 
 # the cutoff grid of p = 20 from m = 17 down, which keeps at least 3
