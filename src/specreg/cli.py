@@ -73,16 +73,48 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _config(path: str | None) -> dict:
+# The keys each config section may hold, over all commands, by dotted path ("" the top).
+_KEYS = {
+    "": {"problem", "family", "grid", "gamma", "seed", "mode", "sigma2", "penalty",
+         "replications", "include_orthogonal_residual", "outputs"},
+    "problem": {"matrix", "spectral", "spectral_data", "generator"},
+    "problem.matrix": {"x", "y", "rank_tol"},
+    "problem.spectral": {"eigenvalues", "coefficients", "sigma"},
+    "problem.spectral_data": {"eigenvalues", "y"},
+    "problem.generator": {"spectrum", "signal", "sigma"},
+    "problem.generator.spectrum": {"kind", "p", "exponent", "kappa"},
+    "problem.generator.signal": {"kind", "exponent", "rate", "values"},
+    "family": {"kind", "tau", "alphas", "h_table"},
+    "grid": {"values", "points", "floor"},
+    "outputs": {"report", "replications_csv"},
+}
+
+
+def _check_keys(section, path: str = "") -> None:
+    """Raise a ConfigError naming the first key of ``section`` (at ``path``)
+    or of its sections that _KEYS does not list; non-objects are left to _get."""
+    if path not in _KEYS or not isinstance(section, dict):
+        return
+    for key, value in section.items():
+        name = f"{path}.{key}" if path else key
+        if key not in _KEYS[path]:
+            raise ConfigError(f"unknown config key {name!r}")
+        _check_keys(value, name)
+
+
+def _config(path: str | None, section: str = "") -> dict:
+    """The JSON document at ``path``, the config section ``section``, keys checked."""
     if path is None:
         raise ConfigError("this command needs --config")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            config = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    _check_keys(config, section)
+    return config
 
 
 @contextlib.contextmanager
@@ -243,7 +275,7 @@ def _model(config: dict) -> SpectralModel:
     if source == "generator":
         return _generator_model(section)
     if source == "spectral":
-        section = _config(section) if isinstance(section, str) else section
+        section = _config(section, "problem.spectral") if isinstance(section, str) else section
         for key, kind in (("eigenvalues", _numbers), ("coefficients", _numbers), ("sigma", _number)):
             _get(section, key, kind, None)  # model_from_json reports a missing key
         with _config_errors():
@@ -394,6 +426,9 @@ def _cmd_select(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _config(args.config)
+    outputs = _get(config, "outputs", default={})
+    report_path = args.out or _get(outputs, "report", _path, None)
+    rep_path = args.rep_out or _get(outputs, "replications_csv", _path, None)
     model = _model(config)
     table = _table(config, model.spectrum)
     report = mc_run(
@@ -405,9 +440,7 @@ def _cmd_bench(args) -> int:
         penalty=_get(config, "penalty", _PENALTY, "total"),
         sigma2=_get(config, "sigma2", _at_least(0.0), None),
     )
-    outputs = _get(config, "outputs", default={})
-    _write_json(report.to_dict(), args.out or _get(outputs, "report", _path, None))
-    rep_path = args.rep_out or _get(outputs, "replications_csv", _path, None)
+    _write_json(report.to_dict(), report_path)
     if rep_path is not None:
         lines = ["rep,alpha_hat_index,loss,sigma_hat2,excess_sup"]
         for i in range(report.replications):

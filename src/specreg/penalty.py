@@ -66,12 +66,16 @@ def pen_cv(h) -> float:
     return 2.0 * float(np.sum(h))
 
 
-def _noise_scale_rows(t: np.ndarray) -> np.ndarray:
-    """sqrt(2 * sum_k t(k)^2) for every row of the noise weights t, scaled by
-    the row maximum so that the squares cannot overflow; 0 on a zero row."""
+def _unit_rows(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Noise scale d = sqrt(2 * sum_k t(k)^2) and unit row rho = t / |t| of
+    every row of the noise weights t, squaring t over its row maximum so that
+    the squares cannot overflow; d = 0 and rho = 0 on a zero row."""
     peak = np.max(t, axis=1, initial=0.0)
-    scaled = t / np.where(peak > 0.0, peak, 1.0)[:, None]
-    return peak * np.sqrt(2.0 * np.einsum("ij,ij->i", scaled, scaled))
+    rho = t / np.where(peak > 0.0, peak, 1.0)[:, None]
+    norm2 = np.einsum("ij,ij->i", rho, rho)
+    d = peak * np.sqrt(2.0 * norm2)
+    rho /= np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))[:, None]
+    return d, rho
 
 
 def _cramer(x):
@@ -164,20 +168,6 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> tuple[np.ndarray, 
     if np.any(resid > _MU_RESIDUAL_TOL * np.maximum(1.0, log_ratio)):
         raise ArithmeticError("mu solve did not reach the residual tolerance")
     return mu, np.einsum("ij,ij->i", rho, q)
-
-
-def _mu_q_rows(t: np.ndarray, d: np.ndarray, log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Root mu and adaptive term q_plus = 2 * d * mu * sum rho^2 / (1 - 2*mu*rho)
-    = 2 * d * sum rho q (q at x = mu rho) of every row, from the noise
-    weights t, their noise scales d and the log ratios log(d / d_ref) >= 0,
-    with rho = sqrt(2) * t / d.
-
-    q_plus is exactly zero where mu is; every denominator stays positive
-    because the mu bracket ends strictly before 1 / (2 * max rho).
-    """
-    rho = np.sqrt(2.0) * t / d[:, None]
-    mu, rho_q = _solve_mu_rows(rho, log_ratio)
-    return mu, np.where(mu == 0.0, 0.0, 2.0 * d * rho_q)
 
 
 def _log_ratio(d, d_ref) -> np.ndarray:
@@ -306,13 +296,13 @@ def build_penalty_table(
     # ties between adjacent rows and its mu and q_plus.  The last block is
     # formed first, for the reference scale d[-1], and kept for its turn.
     blocks = _row_slices(rows, lam.size)
-    pen_u_col, pen_cv_col, d, mu, q, h_lambda, one_minus, max_h_over_lam = (
+    pen_u_col, pen_cv_col, d, mu, rho_q, h_lambda, one_minus, max_h_over_lam = (
         np.empty(rows) for _ in range(8))
     tied = np.empty(rows - 1, dtype=bool)  # h row i equals h row i + 1
     # Overflow and NaN below are caught by the checks on d and on the columns.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         h_last = h_values(family, alphas[blocks[-1]], spectrum)
-        d_ref = _noise_scale_rows(h_last * (2.0 - h_last) / lam)[-1]
+        d_ref = _unit_rows(h_last[-1:] * (2.0 - h_last[-1:]) / lam)[0][0]
         for block in blocks:
             h = h_last if block.stop == rows else h_values(family, alphas[block], spectrum)
             if ordering is not None:
@@ -321,13 +311,12 @@ def build_penalty_table(
                 tied[block.start - 1] = np.array_equal(last, h[0])
             tied[block.start:block.stop - 1] = np.all(h[1:] == h[:-1], axis=1)
             last = h[-1]
-            t = h * (2.0 - h) / lam
-            d[block] = _noise_scale_rows(t)
+            d[block], rho = _unit_rows(h * (2.0 - h) / lam)
             h_lam = h / lam
             pen_u_col[block], max_h_over_lam[block] = 2.0 * np.sum(h_lam, axis=1), np.max(h_lam, axis=1)
             pen_cv_col[block], h_lambda[block] = 2.0 * np.sum(h, axis=1), np.sum(h * h / lam, axis=1)
             one_minus[block] = _residual_factors(h)[1]
-            mu[block], q[block] = _mu_q_rows(t, d[block], _log_ratio(d[block], d_ref))
+            mu[block], rho_q[block] = _solve_mu_rows(rho, _log_ratio(d[block], d_ref))
         if ordering is not None and ordering.violation is not None:
             raise ValueError(f"invalid input: table family is not ordered ({ordering.violation})")
         if np.any(d == 0.0):
@@ -335,6 +324,8 @@ def build_penalty_table(
         if np.any(d[1:] > d[:-1] * (1.0 + 1e-12)):
             raise ValueError("invalid input: noise scale must be nonincreasing along the grid "
                              "(is the family ordered?)")
+        # q_plus = 2 d mu sum rho^2 / (1 - 2 mu rho) = 2 d sum rho q, exactly 0 where mu is
+        q = np.where(mu == 0.0, 0.0, 2.0 * d * rho_q)
         columns = {
             "alphas": alphas,
             "pen_u": pen_u_col,

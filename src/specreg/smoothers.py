@@ -37,10 +37,10 @@ _ROW_BLOCK_ELEMS = 2 ** 15
 class SmootherFamily:
     """A named smoother family plus its kind-specific parameters.
 
-    ``tau`` is the landweber relaxation step (default 1/lambda(1)).  User
-    supplied tables carry explicit ``alphas`` and matching ``h_table`` rows,
-    kept as read-only copies; they are accepted but should always be run
-    through :func:`check_ordered`.
+    ``tau`` is the landweber relaxation step (default 1/lambda(1)), finite
+    and positive when given.  User supplied tables carry explicit ``alphas``
+    and matching ``h_table`` rows, kept as read-only copies; they are
+    accepted but should always be run through :func:`check_ordered`.
     """
 
     kind: str
@@ -51,6 +51,8 @@ class SmootherFamily:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"invalid input: unknown smoother kind {self.kind!r}")
+        if self.tau is not None and not (np.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"invalid input: tau must be positive and finite, got {self.tau!r}")
         if self.kind == "table":
             # read-only copies: a penalty table forms its h rows from them again
             alphas = np.array(self.alphas, dtype=float)
@@ -148,8 +150,6 @@ def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectr
         h = lam / (lam + column)
     elif family.kind == "landweber":
         tau = family.tau if family.tau is not None else 1.0 / lam[0]
-        if tau <= 0.0:
-            raise ValueError("invalid input: tau must be positive")
         # small slack covers the rounding of the default step 1/lambda(1)
         if tau * lam[0] > 1.0 + 1e-9:
             raise ValueError("unstable step: tau * lambda(1) > 1")

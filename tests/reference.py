@@ -117,8 +117,9 @@ def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarra
         t = h * (2.0 - h) / lam
         peak = np.max(t, axis=1, initial=0.0)
         scaled = t / np.where(peak > 0.0, peak, 1.0)[:, None]
-        d = peak * np.sqrt(2.0 * np.einsum("ij,ij->i", scaled, scaled))
-        rho = np.sqrt(2.0) * t / d[:, None]
+        norm2 = np.einsum("ij,ij->i", scaled, scaled)
+        d = peak * np.sqrt(2.0 * norm2)
+        rho = scaled / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))[:, None]
         log_ratio = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
         mu, q = np.empty(d.size), np.empty(d.size)
         for block in _row_slices(*rho.shape):  # the blocks the build hands the solve

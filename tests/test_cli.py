@@ -586,3 +586,53 @@ class TestExitCodes:
         assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
         assert capsys.readouterr().err.startswith(
             f"config error: invalid {key!r}: expected a path string, got ")
+
+    @pytest.mark.parametrize("grid", [{"values": [0.1, 0.5, 1.0]}, {"points": 20, "floor": "none"},
+                                      {"points": 20}], ids=["explicit", "floorless", "floor"])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_landweber_tau_that_is_not_positive_is_config_error(self, tmp_path, capsys, tau, grid):
+        # once a numerical failure (exit 2) on the first h rows, or with the
+        # default floor a config error that NaN made "alpha floor infeasible"
+        cfg = well_conditioned_config(family={"kind": "landweber", "tau": tau}, grid=grid)
+        assert run(["penalty-table", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error: invalid input: tau must be positive")
+
+    def test_bench_checks_its_output_paths_before_the_run(self, tmp_path, capsys, monkeypatch):
+        from specreg import cli
+        monkeypatch.setattr(cli, "mc_run", lambda *args, **kwargs: pytest.fail("mc_run was called"))
+        for outputs in ({"report": 5}, {"replications_csv": 5}, {"report": "r.json", "bogus": 1}):
+            cfg = well_conditioned_config(outputs=outputs)
+            assert run(["bench", "--config", write_config(tmp_path, cfg)]) == 1
+            assert capsys.readouterr().err.startswith("config error:")
+
+    _SOURCES = {
+        "matrix": {"x": "x.csv", "y": "y.csv"},
+        "spectral": {"eigenvalues": [1.0, 0.5], "coefficients": [1.0, 0.5], "sigma": 0.2},
+        "spectral_data": {"eigenvalues": [1.0, 0.5], "y": [1.0, 0.5]},
+    }
+
+    @pytest.mark.parametrize("path", [
+        "penality", "problem.generater", "problem.generator.noise", "problem.generator.spectrum.q",
+        "problem.generator.signal.scale", "family.step", "grid.point", "outputs.reports",
+        "problem.matrix.z", "problem.spectral.lambda", "problem.spectral_data.x",
+    ])
+    @pytest.mark.parametrize("command", ["decompose", "penalty-table", "select", "bench", "check"])
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys, path, command):
+        # a misspelt key once fell back to its default: "penality" ran the
+        # total penalty and exited 0; the check comes before any file is read
+        cfg = well_conditioned_config()
+        *sections, key = path.split(".")
+        if sections[1:] and sections[1] in self._SOURCES:
+            cfg["problem"] = {sections[1]: dict(self._SOURCES[sections[1]])}
+        section = cfg
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = 1.0
+        assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: unknown config key {path!r}\n"
+
+    def test_unknown_key_in_a_spectral_file_is_config_error(self, tmp_path, capsys):
+        spectral = dict(self._SOURCES["spectral"], sigma2=0.04)
+        cfg = well_conditioned_config(problem={"spectral": write_config(tmp_path, spectral, "spectral.json")})
+        assert run(["select", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == "config error: unknown config key 'problem.spectral.sigma2'\n"

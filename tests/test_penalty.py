@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,9 +37,8 @@ from specreg import penalty, smoothers
 from specreg.penalty import (
     _cramer,
     _cramer_rowsum,
-    _mu_q_rows,
-    _noise_scale_rows,
     _row_slices,
+    _unit_rows,
 )
 from specreg.selection import _select_rows
 from specreg.smoothers import _ROW_BLOCK_ELEMS
@@ -104,15 +104,15 @@ def _scalar_kernels(h, spectrum, log_ratio):
     """Noise scale and root of a single h against a free target log ratio,
     through the table's row kernels."""
     t = (h * (2.0 - h) / spectrum.retained)[None, :]
-    d = _noise_scale_rows(t)
-    mu, _ = _mu_q_rows(t, d, np.array([log_ratio]))
+    d, rho = _unit_rows(t)
+    mu, _ = penalty._solve_mu_rows(rho, np.array([log_ratio]))
     return t[0], float(d[0]), float(mu[0])
 
 
 class TestNoiseScale:
     def test_small_cases(self):
         assert _one_row_table(np.ones(2), Spectrum([1.0, 1.0])).d[0] == 2.0
-        assert _noise_scale_rows(np.zeros((1, 2)))[0] == 0.0
+        assert _unit_rows(np.zeros((1, 2)))[0][0] == 0.0
 
     def test_exponential_growth_rate(self):
         # log D(m) for cutoff on lambda(k) = exp(-k) grows affinely with slope 1
@@ -126,6 +126,32 @@ class TestNoiseScale:
         table, _ = _cutoff_table(exponential_spectrum(500, 1.0))
         assert np.all(table.h(0) == 1.0)
         assert np.isfinite(table.d[0]) and table.d[0] > 1e200
+
+    def test_unit_rows_against_mpmath(self):
+        from mpmath import mp, mpf
+
+        rng = np.random.default_rng(22)
+        t = 10.0 ** rng.uniform(-300.0, 0.0, (6, 40))
+        t[0, :3] = [5e-324, 1e-310, 1.0]  # subnormal entries beside the peak
+        t[1] = 1.0
+        t[2] = 1e-300
+        t[3] = 1e300  # its squares overflow without the max scaling
+        t[4] = np.geomspace(1e-10, 1e-320, 40)  # a small peak; subnormal entries of t and rho
+        d, rho = _unit_rows(t)
+        peak = t.max(axis=1)[:, None]
+        assert np.array_equal(rho.max(axis=1), 1.0 / np.sqrt(np.einsum("ij,ij->i", t / peak, t / peak)))
+        with mp.workdps(40):
+            for i, row in enumerate(t):
+                want = mp.sqrt(2 * mp.fsum(mpf(float(v)) ** 2 for v in row))
+                assert abs(mpf(float(d[i])) / want - 1) <= 4 * np.finfo(float).eps, i
+                assert abs(mp.fsum(mpf(float(v)) ** 2 for v in rho[i]) - 1) <= 4 * np.finfo(float).eps, i
+
+    def test_unit_rows_of_a_zero_row(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, rho = _unit_rows(np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 1.0]]))
+        assert d[0] == 0.0 and np.all(rho[0] == 0.0)
+        assert d[1] == math.sqrt(10.0) and np.array_equal(rho[1], np.array([0.0, 2.0, 1.0]) / math.sqrt(5.0))
 
 
 class TestCramerTerm:
@@ -309,7 +335,7 @@ def _bisection_mu(rho, log_ratio):
 def _mu_inputs(table):
     """rho and the log ratios that build_penalty_table hands to the mu solve."""
     d = table.d
-    return np.sqrt(2.0) * _kernel_matrices(table)[0] / d[:, None], penalty._log_ratio(d, d[-1])
+    return _unit_rows(_kernel_matrices(table)[0])[1], penalty._log_ratio(d, d[-1])
 
 
 def _count_rowsums(monkeypatch):

@@ -107,6 +107,12 @@ class TestHValues:
         with pytest.raises(ValueError, match="unstable step"):
             h_values(SmootherFamily.landweber(tau=1.0), 0.5, s)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_landweber_tau_must_be_positive_and_finite(self, tau):
+        # once checked only by h_values, which let NaN through
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            SmootherFamily.landweber(tau)
+
     def test_alpha_must_be_positive(self):
         s = polynomial_spectrum(3, 1.0)
         with pytest.raises(ValueError, match="alpha"):

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR [--compare OLD_OUTPUT]
 
-Imports ``specreg`` from the source directory SRC, writes 69 configs (and
+Imports ``specreg`` from the source directory SRC, writes 71 configs (and
 the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
 ``select``, ``check`` and, where the problem has a model, ``bench`` on each
 of them in-process.  For every command it prints one sha256 over the exit
@@ -53,12 +53,14 @@ Config matrix:
   - a near-square 30x20 design matrix (below n = 11p/6, where LAPACK's SVD
     of X skips its own QR step) x 3 families, unknown mode with the
     orthogonal residual (3);
-  - configuration errors that exit 1 (10): a negative seed, a fractional
+  - configuration errors that exit 1 (12): a negative seed, a fractional
     seed, a negative sigma2 in known mode, fractional and boolean
     replications, a fractional p, a design matrix with rank_tol 2, one
     with a y shorter than its rows and one with the string "false" for
-    include_orthogonal_residual (both of which only ``select`` reads), and
-    a number for the report path in outputs (which only ``bench`` reads);
+    include_orthogonal_residual (both of which only ``select`` reads), a
+    number for the report path in outputs (which only ``bench`` reads), a
+    landweber tau of NaN on an explicit grid, and a misspelt top-level key
+    ("penality");
   - tikhonov on k^-2 with p=200 and 400 points (M=332), whose table build
     and mu solve span three row blocks of 163, 163 and 6 rows, with no zero
     tail (1);
@@ -210,6 +212,9 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["bad-matrix-orthogonal-string"] = dict(
         bad, problem={"matrix": matrix}, include_orthogonal_residual="false")
     configs["bad-outputs-report-number"] = dict(bad, outputs={"report": 5})
+    configs["bad-landweber-tau-nan"] = dict(
+        bad, family={"kind": "landweber", "tau": float("nan")}, grid={"values": [0.1, 0.5, 1.0]})
+    configs["bad-key-misspelt"] = dict(bad, penality="unbiased")
 
     configs["gen-poly200-tikhonov-multiblock"] = dict(
         base, problem=_generator({"kind": "polynomial", "p": 200, "exponent": 2.0}),
