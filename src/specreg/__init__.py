@@ -8,52 +8,11 @@ selector tracks the penalized oracle even when the noise level is unknown;
 a seeded Monte Carlo harness validates that behavior.
 """
 
-from .core import (
-    DecomposedDesign,
-    SpectralData,
-    SpectralModel,
-    Spectrum,
-    decompose_design,
-    exponential_spectrum,
-    model_from_json,
-    orthogonal_residual2,
-    polynomial_spectrum,
-    reconstruct_estimate,
-    replication_stream,
-    simulate_observation,
-    to_spectral,
-)
-from .smoothers import (
-    AlphaGrid,
-    OrderingReport,
-    SmootherFamily,
-    check_ordered,
-    default_grid,
-    h_values,
-)
-from .penalty import (
-    ConditionsReport,
-    PenaltyInequalityReport,
-    PenaltyTable,
-    build_penalty_table,
-    check_conditions,
-    cramer_term,
-    pen_cv,
-    pen_u,
-    verify_penalty_inequalities,
-)
-from .selection import (
-    SelectionResult,
-    select_alpha,
-)
-from .bench import (
-    BenchReport,
-    RiskProfile,
-    excess_sup_stat,
-    growth_term,
-    mc_run,
-    risk_bound,
-    risk_profile,
-)
+# each module's __all__ is the one list of the names the package exports
+from .core import *
+from .smoothers import *
+from .penalty import *
+from .selection import *
+from .bench import *
 
 __version__ = "0.1.0"

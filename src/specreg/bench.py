@@ -29,9 +29,10 @@ __all__ = [
 ]
 
 _EXCESS_QUANTILES = (0.5, 0.9, 0.95, 0.99)
-# Replications per block of mc_run.  On a 900 x 1000 table with one BLAS
-# thread, blocks of 32 take about 5% longer than blocks of 64, but the traced
-# peak of one mc_run (R=300) beyond the table is 2.2-3.0 MB, 3.9 MB with 64.
+# Replications per block of mc_run.  On the 900 x 1000 cutoff table of k^-2
+# with one BLAS thread (2-vCPU AVX-512 Xeon), one mc_run (R=300) takes 0.043 s
+# with blocks of 32 and 0.044 s with 64 (medians of 7 interleaved runs), and
+# its traced peak beyond the table is 2.5 MB, against 4.9 MB with 64.
 _BLOCK = 32
 
 

@@ -73,7 +73,9 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-# The keys each config section may hold, over all commands, by dotted path ("" the top).
+# The keys each config section may hold, over all commands, by dotted path ("" the
+# top).  A section whose keys depend on its kind maps each kind to its keys; a grid
+# is of kind "values" when it lists them, else of kind "points".
 _KEYS = {
     "": {"problem", "family", "grid", "gamma", "seed", "mode", "sigma2", "penalty",
          "replications", "include_orthogonal_residual", "outputs"},
@@ -82,23 +84,35 @@ _KEYS = {
     "problem.spectral": {"eigenvalues", "coefficients", "sigma"},
     "problem.spectral_data": {"eigenvalues", "y"},
     "problem.generator": {"spectrum", "signal", "sigma"},
-    "problem.generator.spectrum": {"kind", "p", "exponent", "kappa"},
-    "problem.generator.signal": {"kind", "exponent", "rate", "values"},
-    "family": {"kind", "tau", "alphas", "h_table"},
-    "grid": {"values", "points", "floor"},
+    "problem.generator.spectrum": {"polynomial": {"kind", "p", "exponent"},
+                                   "exponential": {"kind", "p", "kappa"}},
+    "problem.generator.signal": {"polynomial": {"kind", "exponent"}, "exponential": {"kind", "rate"},
+                                 "zero": {"kind"}, "explicit": {"kind", "values"}},
+    "family": {"cutoff": {"kind"}, "tikhonov": {"kind"}, "landweber": {"kind", "tau"},
+               "table": {"kind", "alphas", "h_table"}},
+    "grid": {"values": {"values"}, "points": {"points", "floor"}},
     "outputs": {"report", "replications_csv"},
 }
 
 
 def _check_keys(section, path: str = "") -> None:
     """Raise a ConfigError naming the first key of ``section`` (at ``path``)
-    or of its sections that _KEYS does not list; non-objects are left to _get."""
+    or of its sections that _KEYS does not list, or lists only for another
+    kind; non-objects are left to _get and unknown kinds to the readers."""
     if path not in _KEYS or not isinstance(section, dict):
         return
+    keys, kind_keys = _KEYS[path], None
+    if isinstance(keys, dict):
+        kind = ("values" if "values" in section else "points") if path == "grid" else section.get("kind")
+        kind_keys = keys.get(kind) if isinstance(kind, str) else None
+        keys = set().union(*keys.values())
     for key, value in section.items():
         name = f"{path}.{key}" if path else key
-        if key not in _KEYS[path]:
+        if key not in keys:
             raise ConfigError(f"unknown config key {name!r}")
+        if kind_keys is not None and key not in kind_keys:
+            raise ConfigError(f"config key {name!r} does not apply to {path.rsplit('.', 1)[-1]} "
+                              f"kind {kind!r}")
         _check_keys(value, name)
 
 
@@ -382,8 +396,11 @@ def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
     source, section = _problem(config)
     if source == "matrix":
         design = _design(section)
+        y = _load_matrix(_get(section, "y", _path))
+        if 1 not in y.shape:
+            raise ConfigError(f"y must be one row or one column, not {y.shape[0]} x {y.shape[1]}")
         with _config_errors():  # y of another length than X's rows, or not finite
-            y = _check_y(design, _load_matrix(_get(section, "y", _path)).ravel())
+            y = _check_y(design, y.ravel())
         data, extra_ss, extra_dof = _split_observation(design, y)  # one rotation of y
         if not _get(config, "include_orthogonal_residual", _bool, False):
             return data, 0.0, 0.0

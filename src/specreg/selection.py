@@ -53,9 +53,11 @@ def _select_rows(table: PenaltyTable, y: np.ndarray, mode: str, sigma2: float | 
     if mode == "unknown" and np.any(denom <= 0.0):
         raise ValueError("variance estimation impossible: a grid row has no residual degrees of freedom")
 
-    # The products run table @ y.T, one observation per column: for a block
-    # BLAS then packs the large table into its smaller panel, which halves
-    # the packing buffer it keeps resident (1.1 -> 0.5 MB at 900 x 1000).
+    # The products run table @ y.T, one observation per column.  On
+    # tikhonov, landweber and table families, whose products are matrix
+    # products, BLAS then packs the large table into its smaller panel for a
+    # block, which halves the packing buffer it keeps resident (1.1 -> 0.5 MB
+    # at 900 x 1000); cutoff tables take prefix sums and pack nothing.
     # Overflow and NaN are caught by the finiteness check on the contrasts.
     y, col = y.T, (slice(None),) + (None,) * (y.ndim - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

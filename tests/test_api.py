@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
+import json
+import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
 from specreg import SmootherFamily, build_penalty_table, default_grid, penalty, polynomial_spectrum
 
+_ROOT = Path(__file__).resolve().parents[1]
+_MODULES = ("core", "smoothers", "penalty", "selection", "bench")
 
-@pytest.mark.parametrize("name", ("core", "smoothers", "penalty", "selection", "bench"))
+
+@pytest.mark.parametrize("name", _MODULES)
 def test_every_export_resolves(name):
     # tools walk __all__ with getattr, so a stale export breaks them
     module = importlib.import_module(f"specreg.{name}")
@@ -56,3 +64,35 @@ def test_mu_solve_names_the_tracer_binds(monkeypatch):
     family = SmootherFamily.cutoff()
     build_penalty_table(family, default_grid(family, spectrum), spectrum, 0.1)
     assert len(calls) == 5
+
+
+def test_package_exports_the_modules_exports():
+    # each module's __all__ is the one declaration of the package's names
+    import specreg
+
+    exports = set().union(*(importlib.import_module(f"specreg.{name}").__all__ for name in _MODULES))
+    public = {name for name in vars(specreg) if not name.startswith("_")}
+    submodules = {module.name for module in pkgutil.iter_modules(specreg.__path__)}
+    assert set(_MODULES) <= public
+    assert public - submodules == exports
+
+
+def test_every_per_layer_metric_is_traced(monkeypatch):
+    # a metric whose function was renamed reads null in a traced benchmark run
+    # while the run itself still succeeds
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("layertrace", _ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    metrics = json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    tracer = layertrace.Tracer()
+    tracer.start()
+    try:
+        keys = {*tracer.counts, *(f"{span}.calls" for span in tracer.calls),
+                *(f"{span}.self_s" for span in tracer.self_s)}
+    finally:
+        tracer.stop()
+    # run.py measures these three itself
+    own = {"cli.bytes_in", "cli.bytes_out", "trace_overhead_s"}
+    missing = [m["name"] for m in metrics if m["name"] not in own | keys]
+    assert not missing, f"per-layer metrics no traced function gives: {missing}"

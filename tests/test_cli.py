@@ -260,6 +260,9 @@ class TestSelect:
         (np.append(np.ones(11), np.nan), "config error: invalid input: non-finite entries"),
         # a finite y whose rotation overflows is no fault of the config
         (np.full(12, 1.5e308), "numerical failure: invalid input: non-finite observations"),
+        # a y of two columns or two rows was once flattened to its 12 entries
+        (np.ones((6, 2)), "config error: y must be one row or one column, not 6 x 2"),
+        (np.ones((2, 6)), "config error: y must be one row or one column, not 2 x 6"),
     ])
     def test_matrix_source_with_bad_y_is_config_error(self, tmp_path, capsys, y, status):
         # a y of another length than X's 12 rows once exited 2; spectral data
@@ -636,3 +639,32 @@ class TestExitCodes:
         cfg = well_conditioned_config(problem={"spectral": write_config(tmp_path, spectral, "spectral.json")})
         assert run(["select", "--config", write_config(tmp_path, cfg)]) == 1
         assert capsys.readouterr().err == "config error: unknown config key 'problem.spectral.sigma2'\n"
+
+    _POLYNOMIAL = {"kind": "polynomial", "p": 30, "exponent": 2.0}
+
+    @pytest.mark.parametrize("path, section, kind", [
+        ("family.tau", {"family": {"kind": "cutoff", "tau": -5.0}}, "family kind 'cutoff'"),
+        ("family.alphas", {"family": {"kind": "tikhonov", "alphas": "junk"}}, "family kind 'tikhonov'"),
+        ("grid.points", {"grid": {"values": [0.1, 1.0], "points": "many"}}, "grid kind 'values'"),
+        ("grid.floor", {"grid": {"values": [0.1, 1.0], "floor": "none"}}, "grid kind 'values'"),
+        ("problem.generator.spectrum.kappa", {"problem": {"generator": {
+            "spectrum": dict(_POLYNOMIAL, kappa=1.0), "signal": {"kind": "zero"}, "sigma": 0.2}}},
+         "spectrum kind 'polynomial'"),
+        ("problem.generator.signal.rate", {"problem": {"generator": {
+            "spectrum": _POLYNOMIAL, "signal": {"kind": "polynomial", "exponent": 1.0, "rate": 1.0},
+            "sigma": 0.2}}}, "signal kind 'polynomial'"),
+        ("problem.generator.signal.values", {"problem": {"generator": {
+            "spectrum": _POLYNOMIAL, "signal": {"kind": "zero", "values": [1.0]}, "sigma": 0.2}}},
+         "signal kind 'zero'"),
+    ])
+    @pytest.mark.parametrize("command", ["decompose", "penalty-table", "select", "bench", "check"])
+    def test_key_of_another_kind_is_config_error(self, tmp_path, capsys, path, section, kind, command):
+        # such a key was once ignored: a cutoff family with tau -5 ran to exit 0
+        cfg = write_config(tmp_path, well_conditioned_config(**section))
+        assert run([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: config key {path!r} does not apply to {kind}\n"
+
+    def test_unknown_kind_stays_the_readers_error(self, tmp_path, capsys):
+        cfg = well_conditioned_config(family={"kind": "bogus", "tau": 1.0})
+        assert run(["penalty-table", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == "config error: unknown family kind 'bogus'\n"

@@ -2,15 +2,16 @@
 
 Usage: python tools/cli_digest.py SRC OUTDIR [--compare OLD_OUTPUT]
 
-Imports ``specreg`` from the source directory SRC, writes 71 configs (and
-the CSV inputs they read) under OUTDIR, and runs ``penalty-table``,
-``select``, ``check`` and, where the problem has a model, ``bench`` on each
-of them in-process.  For every command it prints one sha256 over the exit
-code, stdout, the CLI's error lines on stderr and the output files (the
-line also shows the exit code), then one overall digest over those lines.
-Run it on two checkouts and compare: equal lines mean byte-identical
-outputs.  The rest of stderr is left out, because numpy warnings print
-source lines.
+Imports ``specreg`` from the source directory SRC, writes the configs
+listed below (and the CSV and JSON inputs they read) under OUTDIR, and runs
+``penalty-table``, ``select`` and ``check`` on each of them in-process, plus
+``bench`` where the problem has a model and ``decompose`` where it has a
+design matrix.  For every command it prints one sha256 over the exit code,
+stdout, the CLI's error lines on stderr and the output files (the line also
+shows the exit code), then one overall digest over those lines, with the
+number of commands and configs.  Run it on two checkouts and compare: equal
+lines mean byte-identical outputs.  The rest of stderr is left out, because
+numpy warnings print source lines.
 
 After them come the discrete lines, one per command and one overall, each
 a sha256 over the fields that hold no rounded float: the exit code and the
@@ -18,12 +19,12 @@ error lines, the ``penalty-table`` row count, the grid index of the
 ``select`` alpha_hat (looked up in the alpha column of the same config's
 ``penalty-table``, so that it does not move with the last bits of an SVD
 the grid is built from), the ``bench`` alpha_hat_histogram and
-oracle_alpha_index, and the ``check`` verdict lines with every float
-literal replaced by ``<float>``.  A change that declares moved bytes must
-keep these.  Another BLAS kernel can move the byte lines, so compare them
-under the same kernel, e.g. with the same ``OPENBLAS_CORETYPE`` (default,
-Haswell, Sandybridge, Prescott); the discrete lines agree across these
-four.
+oracle_alpha_index, the ``decompose`` effective rank and row count, and the
+``check`` verdict lines with every float literal replaced by ``<float>``.
+A change that declares moved bytes must keep these.  Another BLAS kernel
+can move the byte lines, so compare them under the same kernel, e.g. with
+the same ``OPENBLAS_CORETYPE`` (default, Haswell, Sandybridge, Prescott);
+the discrete lines agree across these four.
 
 With ``--compare OLD_OUTPUT``, the saved output of an earlier run, it
 prints instead one line per command that differs from that run: ``bytes
@@ -36,41 +37,44 @@ usage error exits 1.
 
 Config matrix:
   - generator k^-2 (p=60) and e^-k/2 (p=40) x cutoff/tikhonov/landweber
-    x known/unknown x total/unbiased penalty (24);
+    x known/unknown x total/unbiased penalty;
   - an 80x20 design matrix x 3 families x include_orthogonal_residual
-    x known/unknown (12);
-  - spectral data x 3 families x penalty, plus one known-mode config (7);
+    x known/unknown;
+  - spectral data x 3 families x penalty, plus one known-mode config;
+  - a spectral model (the ``spectral`` source) x 3 families given inline,
+    and one given as the path of a JSON file;
   - floorless tikhonov, ill-posed landweber on e^-k (p=100), an ordered
     table family and one for each ordering violation (grid direction, not
-    monotone in lambda, crossing), and a subnormal eigenvalue (7);
+    monotone in lambda, crossing), and a subnormal eigenvalue;
   - cutoff on k^-2 with p=400 (M=360), whose mu solve spans five row
-    blocks, each ending in a zero tail (1);
+    blocks, each ending in a zero tail;
   - cutoff on a flat spectrum (p=60, every eigenvalue 1), whose rows hold
     equal rho entries, where the start bounds of the mu solve are loosest
-    (its Halley steps stay inside their bracket there) (1);
+    (its Halley steps stay inside their bracket there);
   - the ordered table family on an explicit grid that holds an alpha the
-    table does not list, which pins the "is not tabulated" error (1);
+    table does not list, which pins the "is not tabulated" error;
   - a near-square 30x20 design matrix (below n = 11p/6, where LAPACK's SVD
     of X skips its own QR step) x 3 families, unknown mode with the
-    orthogonal residual (3);
-  - configuration errors that exit 1 (12): a negative seed, a fractional
-    seed, a negative sigma2 in known mode, fractional and boolean
-    replications, a fractional p, a design matrix with rank_tol 2, one
-    with a y shorter than its rows and one with the string "false" for
-    include_orthogonal_residual (both of which only ``select`` reads), a
-    number for the report path in outputs (which only ``bench`` reads), a
-    landweber tau of NaN on an explicit grid, and a misspelt top-level key
-    ("penality");
+    orthogonal residual;
+  - configuration errors that exit 1: a negative seed, a fractional seed, a
+    negative sigma2 in known mode, fractional and boolean replications, a
+    fractional p, a design matrix with rank_tol 2, one with a y shorter
+    than its rows, one with a y of two columns and one with the string
+    "false" for include_orthogonal_residual (the last three only
+    ``select`` reads), a number for the report path in outputs (which only
+    ``bench`` reads), a landweber tau of NaN on an explicit grid, a
+    misspelt top-level key ("penality") and a family key of another kind
+    (a cutoff family with a tau);
   - tikhonov on k^-2 with p=200 and 400 points (M=332), whose table build
     and mu solve span three row blocks of 163, 163 and 6 rows, with no zero
-    tail (1);
+    tail;
   - landweber on k^-2 with p=200 and 700 points (M=559), whose runs of
     bit-identical h rows cross the row-block starts 326 and 489, so the
-    table's ties are found across blocks (1);
+    table's ties are found across blocks;
   - cutoff on k^-2 (p=60) in known mode on an explicit grid with a row
     that keeps every component (alpha = 0.01 <= 1/p) and two rows with one
     cutoff m = 11 (alphas 1/10.5 and 1/10.2), the edge rows of the prefix
-    and suffix sums of cutoff tables (1).
+    and suffix sums of cutoff tables.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ def _table_family(defect: str) -> dict:
 
 
 def build_configs(data_dir: Path) -> dict[str, dict]:
-    """Name -> config; generator configs also run ``bench``."""
+    """Name -> config; _commands picks the commands each one runs."""
     base = {"gamma": 0.1, "seed": SEED, "replications": REPLICATIONS}
     configs = {}
     spectra = {
@@ -147,6 +151,7 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     y = x @ (1.0 / np.arange(1.0, 21.0)) + 0.1 * rng.standard_normal(80)
     matrix = {"x": _write_csv(data_dir / "x.csv", x), "y": _write_csv(data_dir / "y.csv", y)}
     short_y = _write_csv(data_dir / "y79.csv", y[:-1])  # one entry short of x's rows
+    wide_y = _write_csv(data_dir / "y40x2.csv", y.reshape(40, 2))  # all of y, in two columns
     for kind in FAMILIES:
         for orth in (False, True):
             for mode in ("known", "unknown"):
@@ -164,6 +169,15 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
                 penalty=penalty, mode="unknown")
     configs["spectral-cutoff-known"] = dict(
         base, problem=spectral_data, family={"kind": "cutoff"}, grid={}, **_mode("known"))
+    model = {"eigenvalues": (k ** -1.5).tolist(), "coefficients": (1.0 / k).tolist(), "sigma": 0.05}
+    model_file = data_dir / "model.json"
+    model_file.write_text(json.dumps(model), encoding="utf-8")
+    for kind in FAMILIES:
+        configs[f"model-{kind}-inline"] = dict(
+            base, problem={"spectral": model}, family={"kind": kind}, grid=_grid(kind), mode="unknown")
+    configs["model-tikhonov-file"] = dict(
+        base, problem={"spectral": str(model_file)}, family={"kind": "tikhonov"},
+        grid=_grid("tikhonov"), mode="unknown")
 
     configs["gen-poly60-tikhonov-floorless"] = dict(
         base, problem=_generator(spectra["poly60"]), family={"kind": "tikhonov"},
@@ -209,12 +223,14 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
         {"kind": "polynomial", "p": 30.7, "exponent": 2.0}))
     configs["bad-matrix-rank-tol"] = dict(bad, problem={"matrix": dict(matrix, rank_tol=2.0)})
     configs["bad-matrix-y-length"] = dict(bad, problem={"matrix": dict(matrix, y=short_y)})
+    configs["bad-matrix-y-columns"] = dict(bad, problem={"matrix": dict(matrix, y=wide_y)})
     configs["bad-matrix-orthogonal-string"] = dict(
         bad, problem={"matrix": matrix}, include_orthogonal_residual="false")
     configs["bad-outputs-report-number"] = dict(bad, outputs={"report": 5})
     configs["bad-landweber-tau-nan"] = dict(
         bad, family={"kind": "landweber", "tau": float("nan")}, grid={"values": [0.1, 0.5, 1.0]})
     configs["bad-key-misspelt"] = dict(bad, penality="unbiased")
+    configs["bad-key-of-another-kind"] = dict(bad, family={"kind": "cutoff", "tau": -5.0})
 
     configs["gen-poly200-tikhonov-multiblock"] = dict(
         base, problem=_generator({"kind": "polynomial", "p": 200, "exponent": 2.0}),
@@ -230,8 +246,10 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
 
 def _commands(config: dict) -> list[str]:
     commands = ["penalty-table", "select", "check"]
-    if "generator" in config["problem"]:
+    if "generator" in config["problem"] or "spectral" in config["problem"]:
         commands.append("bench")
+    if "matrix" in config["problem"]:
+        commands.append("decompose")
     return commands
 
 
@@ -249,6 +267,9 @@ def _discrete(command: str, code, stdout: str, errors: list[str], alphas: list[f
         report = json.loads(stdout)
         fields += [f"alpha_hat_histogram={report['alpha_hat_histogram']}",
                    f"oracle_alpha_index={report['oracle_alpha_index']}"]
+    elif code == 0 and command == "decompose":
+        report = json.loads(stdout)
+        fields += [f"effective_rank={report['effective_rank']}", f"n={report['n']}"]
     return hashlib.sha256(("\n".join(fields) + "\n").encode()).hexdigest()
 
 
