@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +27,15 @@ from .core import (
     SpectralModel,
     Spectrum,
     _check_rank_tol,
+    _check_x,
     _check_y,
-    _split_observation,
     decompose_design,
     exponential_spectrum,
     model_from_json,
     polynomial_spectrum,
     replication_stream,
     simulate_observation,
+    to_spectral,
 )
 from .penalty import PenaltyTable, build_penalty_table, check_conditions, verify_penalty_inequalities
 from .selection import select_alpha
@@ -142,11 +144,15 @@ def _config_errors():
 
 def _load_matrix(path: str) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():  # a file with no data gives a warning and no matrix
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"invalid CSV in {path}: {exc}") from None
+    except UserWarning:
+        raise ConfigError(f"no data in {path}") from None
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -252,7 +258,15 @@ def _design(matrix: dict, rank_tol: float | None = None):
         rank_tol = _get(matrix, "rank_tol", _number, 1e-12)
     with _config_errors():
         rank_tol = _check_rank_tol(rank_tol)
-    return decompose_design(_load_matrix(_get(matrix, "x", _path)), rank_tol)
+    return decompose_design(_load_x(_get(matrix, "x", _path)), rank_tol)
+
+
+def _load_x(path: str) -> np.ndarray:
+    """The design matrix at ``path``, a bad shape or entry a ConfigError.
+    Apart from _design, so that X reaches decompose_design as a temporary."""
+    x = _load_matrix(path)
+    with _config_errors():
+        return _check_x(x)
 
 
 def _signal_values(signal: dict, p: int) -> np.ndarray:
@@ -391,8 +405,9 @@ def _cmd_penalty_table(args) -> int:
     return EXIT_OK
 
 
-def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
-    """Data plus the optional orthogonal-residual terms for raw-matrix mode."""
+def _selection_inputs(config: dict, args) -> SpectralData:
+    """The observation; a raw-matrix one keeps its orthogonal residual only
+    with include_orthogonal_residual."""
     source, section = _problem(config)
     if source == "matrix":
         design = _design(section)
@@ -401,22 +416,19 @@ def _selection_inputs(config: dict, args) -> tuple[SpectralData, float, float]:
             raise ConfigError(f"y must be one row or one column, not {y.shape[0]} x {y.shape[1]}")
         with _config_errors():  # y of another length than X's rows, or not finite
             y = _check_y(design, y.ravel())
-        data, extra_ss, extra_dof = _split_observation(design, y)  # one rotation of y
-        if not _get(config, "include_orthogonal_residual", _bool, False):
-            return data, 0.0, 0.0
-        return data, extra_ss, float(extra_dof)
+        data = to_spectral(design, y)
+        if _get(config, "include_orthogonal_residual", _bool, False):
+            return data
+        return SpectralData(data.spectrum, data.y)
     if source == "spectral_data":
         with _config_errors():
-            data = SpectralData(Spectrum(_get(section, "eigenvalues", _numbers)), _get(section, "y", _numbers))
-        return data, 0.0, 0.0
-    model = _model(config)
-    data = simulate_observation(model, replication_stream(_seed(config, args), 0))
-    return data, 0.0, 0.0
+            return SpectralData(Spectrum(_get(section, "eigenvalues", _numbers)), _get(section, "y", _numbers))
+    return simulate_observation(_model(config), replication_stream(_seed(config, args), 0))
 
 
 def _cmd_select(args) -> int:
     config = _config(args.config)
-    data, extra_ss, extra_dof = _selection_inputs(config, args)
+    data = _selection_inputs(config, args)
     table = _table(config, data.spectrum)
     mode = _get(config, "mode", _MODE, "unknown")
     sigma2 = _get(config, "sigma2", _at_least(0.0), None)
@@ -426,8 +438,6 @@ def _cmd_select(args) -> int:
         data, table, mode,
         sigma2=sigma2,
         penalty=_get(config, "penalty", _PENALTY, "total"),
-        extra_ss=extra_ss,
-        extra_dof=extra_dof,
     )
     _write_json(
         {

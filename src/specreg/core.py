@@ -20,7 +20,6 @@ __all__ = [
     "SpectralData",
     "decompose_design",
     "to_spectral",
-    "orthogonal_residual2",
     "simulate_observation",
     "reconstruct_estimate",
     "replication_stream",
@@ -141,10 +140,15 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """One observation in spectral coordinates: y(k) paired with lambda(k)."""
+    """One observation in spectral coordinates: y(k) paired with lambda(k),
+    and the squared norm ``residual2`` of the part of a raw Y orthogonal to
+    the columns of X, pure noise with ``residual_dof`` = n - p degrees of
+    freedom (0 and 0 for data without one)."""
 
     spectrum: Spectrum
     y: np.ndarray
+    residual2: float = 0.0
+    residual_dof: int = 0
 
     def __post_init__(self):
         y = _frozen_array(self.y)
@@ -152,7 +156,12 @@ class SpectralData:
             raise ValueError("dimension error: y must match effective_rank")
         if not np.all(np.isfinite(y)):
             raise ValueError("invalid input: non-finite observations")
+        if not (np.isfinite(self.residual2) and self.residual2 >= 0.0):
+            raise ValueError("invalid input: residual2 must be finite and >= 0")
+        if not isinstance(self.residual_dof, (int, np.integer)) or self.residual_dof < 0:
+            raise ValueError("invalid input: residual_dof must be an integer >= 0")
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "residual2", float(self.residual2))
 
 
 def _check_rank_tol(rank_tol) -> float:
@@ -160,6 +169,18 @@ def _check_rank_tol(rank_tol) -> float:
     if not 0.0 <= rank_tol <= 1.0:  # NaN fails too
         raise ValueError("invalid input: rank_tol must lie in [0, 1]")
     return rank_tol
+
+
+def _check_x(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("invalid input: X must be a 2-d matrix")
+    n, p = x.shape
+    if n < p or p < 1:
+        raise ValueError("invalid input: need n >= p >= 1")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("invalid input: non-finite entries")
+    return x
 
 
 def decompose_design(x: np.ndarray, rank_tol: float = 1e-12) -> DecomposedDesign:
@@ -176,14 +197,8 @@ def decompose_design(x: np.ndarray, rank_tol: float = 1e-12) -> DecomposedDesign
     reduced accordingly; rank_tol must lie in [0, 1].
     """
     rank_tol = _check_rank_tol(rank_tol)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("invalid input: X must be a 2-d matrix")
+    x = _check_x(x)
     n, p = x.shape
-    if n < p or p < 1:
-        raise ValueError("invalid input: need n >= p >= 1")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("invalid input: non-finite entries")
     if not np.any(x):
         raise ValueError("degenerate design: all-zero matrix")
     reflectors, tau = np.linalg.qr(x, mode="raw")
@@ -218,42 +233,20 @@ def _rotate(design: DecomposedDesign, y: np.ndarray) -> np.ndarray:
     return z
 
 
-def _split_observation(design: DecomposedDesign, y: np.ndarray) -> tuple[SpectralData, float, int]:
-    """:func:`to_spectral` and :func:`orthogonal_residual2` from one
-    rotation Q'Y of ``y``.
-
-    The first p entries of Q'Y give U'Y = U_R' (Q'Y)[:p]; the other n - p
-    are the coordinates of Y orthogonal to the columns of X, so the
-    residual is their sum of squares and involves no subtraction.
-    """
-    z = _rotate(design, y)
-    p, rank = design.tau.size, design.spectrum.effective_rank
-    proj = design.r_left_basis[:, :rank].T @ z[:p]
-    data = SpectralData(design.spectrum, proj / np.sqrt(design.spectrum.retained))
-    return data, float(z[p:] @ z[p:]), design.n - p
-
-
 def to_spectral(design: DecomposedDesign, y: np.ndarray) -> SpectralData:
     """Transform raw observations into spectral coordinates.
 
     Returns y(k) = <X'Y, psi_k> / lambda(k) for every retained component,
     evaluated as (U'Y)_k / s_k with s_k the singular values of X and
-    U = Q U_R the left singular vectors.
+    U = Q U_R the left singular vectors: U'Y = U_R' (Q'Y)[:p] from one
+    rotation Q'Y.  ``residual2`` is the sum of squares of the other n - p
+    entries, so it cannot cancel when Y lies almost in the span of X.
     """
-    return _split_observation(design, y)[0]
-
-
-def orthogonal_residual2(design: DecomposedDesign, y: np.ndarray) -> tuple[float, int]:
-    """Squared norm of the part of Y orthogonal to the column span of X.
-
-    Returns the squared residual together with its degrees of freedom n - p.
-    This is the optional pure-noise component that
-    :func:`selection.select_alpha` folds into its variance estimates in
-    raw-matrix mode, as ``extra_ss`` and ``extra_dof``.  It is the sum of
-    squares of the last n - p entries of Q'Y, so it cannot cancel when Y
-    lies almost in the span of X.
-    """
-    return _split_observation(design, y)[1:]
+    z = _rotate(design, y)
+    p, rank = design.tau.size, design.spectrum.effective_rank
+    proj = design.r_left_basis[:, :rank].T @ z[:p]
+    return SpectralData(design.spectrum, proj / np.sqrt(design.spectrum.retained),
+                        float(z[p:] @ z[p:]), design.n - p)
 
 
 def simulate_observation(model: SpectralModel, rng: np.random.Generator) -> SpectralData:

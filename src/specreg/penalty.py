@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Spectrum
-from .smoothers import AlphaGrid, SmootherFamily, _OrderingScan, _residual_factors, _row_slices, h_values
+from .smoothers import AlphaGrid, SmootherFamily, _OrderingScan, _residual_dof, _row_slices, h_values
 
 __all__ = [
     "pen_u",
@@ -315,7 +315,7 @@ def build_penalty_table(
             h_lam = h / lam
             pen_u_col[block], max_h_over_lam[block] = 2.0 * np.sum(h_lam, axis=1), np.max(h_lam, axis=1)
             pen_cv_col[block], h_lambda[block] = 2.0 * np.sum(h, axis=1), np.sum(h * h / lam, axis=1)
-            one_minus[block] = _residual_factors(h)[1]
+            one_minus[block] = _residual_dof(h)
             mu[block], rho_q[block] = _solve_mu_rows(rho, _log_ratio(d[block], d_ref))
         if ordering is not None and ordering.violation is not None:
             raise ValueError(f"invalid input: table family is not ordered ({ordering.violation})")

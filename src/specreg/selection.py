@@ -90,15 +90,14 @@ def select_alpha(
     mode: str,
     sigma2: float | None = None,
     penalty: str = "total",
-    extra_ss: float = 0.0,
-    extra_dof: float = 0.0,
 ) -> SelectionResult:
     """Minimize the penalized contrast over the grid of the table, which must
     be built on the retained eigenvalues of the data.
 
     mode "known" uses the supplied ``sigma2``; mode "unknown" plugs in the
-    per-alpha variance estimate, which requires every grid row to keep some
-    residual degrees of freedom.  ``penalty`` picks the table column:
+    per-alpha variance estimate, which adds the data's ``residual2`` and
+    ``residual_dof`` to every row's residual energy and degrees of freedom,
+    of which each row must keep some.  ``penalty`` picks the table column:
     "total" (default) or "unbiased".  The result's contrasts are relative to
     the smoothest grid point.  Ties are broken toward the largest alpha,
     i.e. the smoothest of the tied models, and grid rows with bit-identical
@@ -108,7 +107,7 @@ def select_alpha(
     if not np.array_equal(table.spectrum.retained, data.spectrum.retained):
         raise ValueError("dimension error: table and data spectra differ")
     contrasts, index, s2 = _select_rows(
-        table, data.y, mode, sigma2, penalty, extra_ss, extra_dof)
+        table, data.y, mode, sigma2, penalty, data.residual2, data.residual_dof)
     index = int(index)
     return SelectionResult(
         alpha_hat=float(table.alphas[index]),

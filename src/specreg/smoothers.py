@@ -239,14 +239,14 @@ class _OrderingScan:
         self.last = rows[-1:].copy()
 
 
-def _residual_factors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The squared residual factors (1 - h)^2, formed in place (the same bits
-    as (1 - h) ** 2), and their sums over the last axis: the residual degrees
-    of freedom that the grid floor, the penalty table and the variance
+def _residual_dof(h: np.ndarray) -> np.ndarray:
+    """The sums of the squared residual factors (1 - h)^2 over the last axis,
+    formed in place (the same bits as (1 - h) ** 2): the residual degrees of
+    freedom that the grid floor, the penalty table and the variance
     estimates read."""
     resid2 = 1.0 - h
     resid2 *= resid2
-    return resid2, np.sum(resid2, axis=-1)
+    return np.sum(resid2, axis=-1)
 
 
 def default_grid(
@@ -278,7 +278,7 @@ def default_grid(
     if floor:
         # walk the row blocks up to the first one that holds the floor row
         for block in _row_slices(values.size, lam.size):
-            _, dof = _residual_factors(h_values(family, values[block], spectrum))
+            dof = _residual_dof(h_values(family, values[block], spectrum))
             keep = np.flatnonzero(dof >= max(10.0, lam.size / 10.0))
             if keep.size:
                 values = values[block.start + keep[0]:]

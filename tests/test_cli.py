@@ -564,6 +564,37 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "config error: invalid 'include_orthogonal_residual': expected true or false, got ")
 
+    @pytest.mark.parametrize("command", ["decompose", "penalty-table", "select"])
+    @pytest.mark.parametrize("fault, status", [
+        ("nan", "invalid input: non-finite entries"),
+        ("wide", "invalid input: need n >= p >= 1"),
+    ])
+    def test_bad_x_is_config_error(self, tmp_path, capsys, command, fault, status):
+        # these once exited 2, where the same faults in y exit 1
+        cfg = self._matrix_config(tmp_path)
+        x = np.loadtxt(tmp_path / "x.csv", delimiter=",")
+        if fault == "nan":
+            x[3, 5] = np.nan
+        np.savetxt(tmp_path / "x.csv", x if fault == "nan" else x[:30], delimiter=",")
+        assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: {status}\n"
+
+    @pytest.mark.parametrize("command", ["decompose", "penalty-table", "select"])
+    @pytest.mark.parametrize("name, text", [("x", ""), ("x", "\n\n"), ("y", ""), ("y", "\n")],
+                             ids=["x-empty", "x-blank", "y-empty", "y-blank"])
+    def test_csv_without_data_is_config_error(self, tmp_path, capsys, recwarn, command, name, text):
+        # an empty x once gave a numerical failure, an empty y a length
+        # error, each after a numpy warning on stderr
+        cfg = self._matrix_config(tmp_path)
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+        code = run([command, "--config", write_config(tmp_path, cfg)])
+        if name == "y" and command != "select":  # only select reads y
+            assert code == 0
+            return
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: no data in {tmp_path / name}.csv\n"
+        assert [str(w.message) for w in recwarn] == []
+
     def test_orthogonal_residual_flag_switches_the_estimate(self, tmp_path):
         s2 = {}
         for value in (False, True):

@@ -11,7 +11,6 @@ from specreg import (
     Spectrum,
     decompose_design,
     model_from_json,
-    orthogonal_residual2,
     polynomial_spectrum,
     reconstruct_estimate,
     replication_stream,
@@ -251,7 +250,8 @@ class TestOrthogonalResidual:
         x = rng.standard_normal((10, 3))
         y = rng.standard_normal(10)
         design = decompose_design(x)
-        resid2, dof = orthogonal_residual2(design, y)
+        data = to_spectral(design, y)
+        resid2, dof = data.residual2, data.residual_dof
         assert dof == 7
         proj = np.linalg.svd(x, full_matrices=False)[0].T @ y
         assert resid2 == pytest.approx(float(y @ y - proj @ proj))
@@ -261,7 +261,7 @@ class TestOrthogonalResidual:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((9, 4))
         design = decompose_design(x)
-        resid2, _ = orthogonal_residual2(design, x @ rng.standard_normal(4))
+        resid2 = to_spectral(design, x @ rng.standard_normal(4)).residual2
         assert resid2 < 1e-20
 
     def test_no_cancellation_near_the_span(self):
@@ -274,7 +274,8 @@ class TestOrthogonalResidual:
         left = np.linalg.svd(x, full_matrices=False)[0]
         e -= left @ (left.T @ e)
         e *= 1e-4 / np.linalg.norm(e)
-        resid2, dof = orthogonal_residual2(decompose_design(x), x @ (1e3 * g) + e)
+        data = to_spectral(decompose_design(x), x @ (1e3 * g) + e)
+        resid2, dof = data.residual2, data.residual_dof
         assert dof == 32
         assert resid2 == pytest.approx(1e-8, rel=1e-6)
 
@@ -300,7 +301,8 @@ class TestAgainstMpmath:
             want2 = float(residual ** 2)
         mine = reconstruct_estimate(design, to_spectral(design, y).y)
         assert np.linalg.norm(mine - beta) / np.linalg.norm(beta) < 1e-8
-        resid2, dof = orthogonal_residual2(design, y)
+        data = to_spectral(design, y)
+        resid2, dof = data.residual2, data.residual_dof
         assert dof == 8
         assert resid2 == pytest.approx(want2, rel=1e-10)
 
@@ -317,3 +319,15 @@ def test_spectral_data_validation():
     s = polynomial_spectrum(3, 1.0)
     with pytest.raises(ValueError, match="dimension error"):
         SpectralData(s, [1.0, 2.0])
+
+
+def test_spectral_data_residual_defaults_to_none():
+    data = SpectralData(polynomial_spectrum(3, 1.0), [1.0, 2.0, 3.0])
+    assert (data.residual2, data.residual_dof) == (0.0, 0)
+
+
+@pytest.mark.parametrize("residual2, residual_dof", [
+    (-1.0, 2), (np.nan, 2), (np.inf, 2), (1.0, -1), (1.0, 2.5)])
+def test_spectral_data_rejects_a_bad_residual(residual2, residual_dof):
+    with pytest.raises(ValueError, match="invalid input: residual"):
+        SpectralData(polynomial_spectrum(3, 1.0), [1.0, 2.0, 3.0], residual2, residual_dof)

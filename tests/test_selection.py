@@ -362,6 +362,20 @@ class TestMatrixPath:
         grid = default_grid(family, data.spectrum, points=40)
         return select_alpha(data, build_penalty_table(family, grid, data.spectrum, 0.1), "unknown")
 
+    def test_orthogonal_residual_enters_the_variance_estimate(self):
+        # the n - p = 60 coordinates of y orthogonal to the columns of x are
+        # pure noise, which unknown mode adds to every row's estimate
+        x, (y,) = self._problem(reps=1)
+        data = to_spectral(decompose_design(x), y)
+        assert data.residual_dof == 60 and data.residual2 > 0.0
+        family = SmootherFamily.tikhonov()
+        table = build_penalty_table(family, default_grid(family, data.spectrum, points=40),
+                                    data.spectrum, 0.1)
+        for given in (data, SpectralData(data.spectrum, data.y)):
+            result = select_alpha(given, table, "unknown")
+            want = sigma_hat2(data, table.h(result.alpha_hat_index), given.residual2, given.residual_dof)
+            assert result.sigma_hat2 == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_design_scaling_keeps_index(self):
         # X -> cX scales lambda and the tikhonov grid by c^2 and y(k) by 1/c,
         # which leaves h and the argmin unchanged up to rounding

@@ -7,9 +7,10 @@ listed below (and the CSV and JSON inputs they read) under OUTDIR, and runs
 ``penalty-table``, ``select`` and ``check`` on each of them in-process, plus
 ``bench`` where the problem has a model and ``decompose`` where it has a
 design matrix.  For every command it prints one sha256 over the exit code,
-stdout, the CLI's error lines on stderr and the output files (the line also
-shows the exit code), then one overall digest over those lines, with the
-number of commands and configs.  Run it on two checkouts and compare: equal
+stdout, the CLI's error lines on stderr (with OUTDIR for the directory in
+the paths they name) and the output files (the line also shows the exit
+code), then one overall digest over those lines, with the number of
+commands and configs.  Run it on two checkouts and compare: equal
 lines mean byte-identical outputs.  The rest of stderr is left out, because
 numpy warnings print source lines.
 
@@ -58,13 +59,14 @@ Config matrix:
     orthogonal residual;
   - configuration errors that exit 1: a negative seed, a fractional seed, a
     negative sigma2 in known mode, fractional and boolean replications, a
-    fractional p, a design matrix with rank_tol 2, one with a y shorter
-    than its rows, one with a y of two columns and one with the string
-    "false" for include_orthogonal_residual (the last three only
-    ``select`` reads), a number for the report path in outputs (which only
-    ``bench`` reads), a landweber tau of NaN on an explicit grid, a
-    misspelt top-level key ("penality") and a family key of another kind
-    (a cutoff family with a tau);
+    fractional p, a design matrix with rank_tol 2, one with a NaN entry,
+    one with fewer rows than columns, an empty file for X, one with a y
+    shorter than its rows, one with a y of two columns, an empty file for y
+    and one with the string "false" for include_orthogonal_residual (the
+    last four only ``select`` reads), a number for the report path in
+    outputs (which only ``bench`` reads), a landweber tau of NaN on an
+    explicit grid, a misspelt top-level key ("penality") and a family key
+    of another kind (a cutoff family with a tau);
   - tikhonov on k^-2 with p=200 and 400 points (M=332), whose table build
     and mu solve span three row blocks of 163, 163 and 6 rows, with no zero
     tail;
@@ -224,6 +226,16 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["bad-matrix-rank-tol"] = dict(bad, problem={"matrix": dict(matrix, rank_tol=2.0)})
     configs["bad-matrix-y-length"] = dict(bad, problem={"matrix": dict(matrix, y=short_y)})
     configs["bad-matrix-y-columns"] = dict(bad, problem={"matrix": dict(matrix, y=wide_y)})
+    nonfinite_x = np.ones((4, 2))
+    nonfinite_x[2, 1] = np.nan
+    empty_x, empty_y = data_dir / "x-empty.csv", data_dir / "y-empty.csv"
+    for path in (empty_x, empty_y):
+        path.write_text("", encoding="utf-8")
+    for fault, x_file in (("nonfinite", _write_csv(data_dir / "x-nan.csv", nonfinite_x)),
+                          ("wide", _write_csv(data_dir / "x2x3.csv", np.ones((2, 3)))),
+                          ("empty", str(empty_x))):
+        configs[f"bad-matrix-x-{fault}"] = dict(bad, problem={"matrix": dict(matrix, x=x_file)})
+    configs["bad-matrix-y-empty"] = dict(bad, problem={"matrix": dict(matrix, y=str(empty_y))})
     configs["bad-matrix-orthogonal-string"] = dict(
         bad, problem={"matrix": matrix}, include_orthogonal_residual="false")
     configs["bad-outputs-report-number"] = dict(bad, outputs={"report": 5})
@@ -273,8 +285,9 @@ def _discrete(command: str, code, stdout: str, errors: list[str], alphas: list[f
     return hashlib.sha256(("\n".join(fields) + "\n").encode()).hexdigest()
 
 
-def _run(main, argv: list[str], files: list[Path]) -> tuple[str, int, str, list[str]]:
-    """The byte digest, the exit code, stdout and the error lines of one command."""
+def _run(main, argv: list[str], files: list[Path], outdir: Path) -> tuple[str, int, str, list[str]]:
+    """The byte digest, the exit code, stdout and the error lines of one
+    command, with ``outdir`` in them (the files they name) written OUTDIR."""
     for path in files:
         path.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -283,7 +296,8 @@ def _run(main, argv: list[str], files: list[Path]) -> tuple[str, int, str, list[
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    errors = [line for line in stderr.getvalue().splitlines() if line.startswith(_ERROR_PREFIXES)]
+    errors = [line.replace(str(outdir), "OUTDIR") for line in stderr.getvalue().splitlines()
+              if line.startswith(_ERROR_PREFIXES)]
     digest = hashlib.sha256(f"exit={code}\n".encode())
     digest.update(stdout.getvalue().encode())
     for line in errors:
@@ -346,7 +360,7 @@ def main(argv: list[str]) -> int:
                 rep = outdir / "out" / f"{name}.reps.csv"
                 argv_cmd += ["--rep-out", str(rep)]
                 files.append(rep)
-            digest, code, stdout, errors = _run(cli_main, argv_cmd, files)
+            digest, code, stdout, errors = _run(cli_main, argv_cmd, files, outdir)
             if command == "penalty-table":
                 alphas = [float(row.split(",")[0]) for row in stdout.splitlines()[1:]]
             fields = _discrete(command, code, stdout, errors, alphas)
