@@ -21,7 +21,6 @@ from .selection import _select_rows
 __all__ = [
     "RiskProfile",
     "risk_profile",
-    "growth_term",
     "risk_bound",
     "excess_sup_stat",
     "BenchReport",
@@ -85,11 +84,6 @@ def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
     )
 
 
-def growth_term(x: float) -> float:
-    """x / log(x), the slow-growth factor in the oracle bound."""
-    return float(x) / math.log(x)
-
-
 def risk_bound(
     oracle: float,
     sigma2: float,
@@ -114,24 +108,20 @@ def risk_bound(
     if not (growth_arg > math.e and log_arg > 1.0 and margin > 0.0):
         raise ValueError("bound not evaluable: scale preconditions fail")
     main = (1.0 + c * span + c / math.sqrt(math.log(log_arg))) * oracle
-    tail = c * sigma2 * d_ref / (margin * math.sqrt(gamma)) * growth_term(growth_arg)
+    tail = c * sigma2 * d_ref / (margin * math.sqrt(gamma)) * (growth_arg / math.log(growth_arg))
     return float(main + tail)
 
 
-def excess_sup_stat(
-    table: PenaltyTable, rng: np.random.Generator | None, xi: np.ndarray | None = None
-):
-    """One draw of the positive part of the worst penalized noise excess.
+def excess_sup_stat(table: PenaltyTable, xi: np.ndarray):
+    """The positive part of the worst penalized noise excess of the standard
+    normal draw xi.
 
-    Draws xi standard normal, forms the quadratic functional
-    sum lambda^-1 (2h - h^2)(xi^2 - 1) on every grid row, and returns the
-    positive part of its supremum over the grid after subtracting
-    (1 + gamma) * q_plus, with gamma from the table.  ``xi`` overrides the
-    draw; a block of draws, one per row of ``xi``, gives an array with one
+    Forms the quadratic functional sum lambda^-1 (2h - h^2)(xi^2 - 1) on
+    every grid row, and returns the positive part of its supremum over the
+    grid after subtracting (1 + gamma) * q_plus, with gamma from the table.
+    A block of draws, one per row of ``xi``, gives an array with one
     statistic per draw.
     """
-    if xi is None:
-        xi = rng.standard_normal(table.spectrum.retained.size)
     xi = np.asarray(xi, dtype=float)
     noise = table._kernel_products((xi * xi - 1.0).T, resid=False)[0]
     excess = noise.T - (1.0 + table.gamma) * table.q_plus
@@ -222,10 +212,14 @@ def mc_run(
         losses[block] = np.sum((beta - table.h(index) * ys) ** 2, axis=1)
         indices[block] = index
         sigma2s[block] = s2[np.arange(index.size), index]  # NaN on a row with no residual dof
-        excesses[block] = excess_sup_stat(table, None, xis)
+        excesses[block] = excess_sup_stat(table, xis)
 
     empirical = float(np.mean(losses))
-    se = float(np.std(losses, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+    # the spread of the losses over the power of two of their maximum, an
+    # exact scale under which the squared deviations cannot overflow
+    scale = np.frexp(np.max(losses))[1]
+    spread = np.ldexp(np.std(np.ldexp(losses, -scale), ddof=1), scale) if replications > 1 else 0.0
+    se = float(spread / math.sqrt(replications))
     have_s2 = np.isfinite(sigma2s).any()
     d_ref = table.d_ref
     return BenchReport(

@@ -31,7 +31,6 @@ from .core import (
     _check_y,
     decompose_design,
     exponential_spectrum,
-    model_from_json,
     polynomial_spectrum,
     replication_stream,
     simulate_observation,
@@ -304,10 +303,10 @@ def _model(config: dict) -> SpectralModel:
         return _generator_model(section)
     if source == "spectral":
         section = _config(section, "problem.spectral") if isinstance(section, str) else section
-        for key, kind in (("eigenvalues", _numbers), ("coefficients", _numbers), ("sigma", _number)):
-            _get(section, key, kind, None)  # model_from_json reports a missing key
+        eigenvalues, coefficients, sigma = (_get(section, key, kind) for key, kind in (
+            ("eigenvalues", _numbers), ("coefficients", _numbers), ("sigma", _number)))
         with _config_errors():
-            return model_from_json(section)
+            return SpectralModel(Spectrum(eigenvalues), coefficients, sigma)
     raise ConfigError("this command needs a spectral or generator problem source")
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "replication_stream",
     "polynomial_spectrum",
     "exponential_spectrum",
-    "model_from_json",
 ]
 
 
@@ -242,11 +241,12 @@ def to_spectral(design: DecomposedDesign, y: np.ndarray) -> SpectralData:
     rotation Q'Y.  ``residual2`` is the sum of squares of the other n - p
     entries, so it cannot cancel when Y lies almost in the span of X.
     """
-    z = _rotate(design, y)
     p, rank = design.tau.size, design.spectrum.effective_rank
-    proj = design.r_left_basis[:, :rank].T @ z[:p]
-    return SpectralData(design.spectrum, proj / np.sqrt(design.spectrum.retained),
-                        float(z[p:] @ z[p:]), design.n - p)
+    with np.errstate(over="ignore", invalid="ignore"):  # SpectralData rejects non-finite results
+        z = _rotate(design, y)
+        proj = design.r_left_basis[:, :rank].T @ z[:p]
+        return SpectralData(design.spectrum, proj / np.sqrt(design.spectrum.retained),
+                            float(z[p:] @ z[p:]), design.n - p)
 
 
 def simulate_observation(model: SpectralModel, rng: np.random.Generator) -> SpectralData:
@@ -281,13 +281,3 @@ def replication_stream(master_seed: int, index: int) -> np.random.Generator:
     """Private random stream for one replication, derived from (seed, index)."""
     return np.random.default_rng(np.random.SeedSequence([master_seed, index]))
 
-
-def model_from_json(obj: dict) -> SpectralModel:
-    """Build a model from ``{"eigenvalues": [...], "coefficients": [...], "sigma": s}``."""
-    try:
-        eig, coef, sigma = obj["eigenvalues"], obj["coefficients"], obj["sigma"]
-    except (KeyError, TypeError):
-        raise ValueError(
-            "invalid input: spectral problem needs eigenvalues, coefficients, sigma"
-        ) from None
-    return SpectralModel(Spectrum(eig), coef, float(sigma))

@@ -6,12 +6,13 @@ sized so that the supremum over all grid points of the quadratic-noise
 excess stays comparable to its value at the smoothest point; it is defined
 through the root mu of a Cramer-type calibration equation
 
-    sum_k cramer_term(mu * rho(k)) = log(d / d_ref),
+    sum_k c(mu * rho(k)) = log(d / d_ref),
 
-solved per row block by a safeguarded Halley iteration to the rounding noise
-of the float row sum.  All norms are evaluated with max scaling so severely
-ill-posed spectra (eigenvalues down to ~1e-300) do not overflow the squared
-intermediates.
+with c(x) = log1p(-2x)/2 + x/(1-2x) increasing and convex on [0, 1/2) and
+c(0) = 0, solved per row block by a safeguarded Halley iteration to the
+rounding noise of the float row sum.  All norms are evaluated with max
+scaling so severely ill-posed spectra (eigenvalues down to ~1e-300) do not
+overflow the squared intermediates.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from .core import Spectrum
 from .smoothers import AlphaGrid, SmootherFamily, _OrderingScan, _residual_dof, _row_slices, h_values
 
 __all__ = [
-    "pen_u",
-    "pen_cv",
-    "cramer_term",
     "PenaltyTable",
     "build_penalty_table",
     "ConditionsReport",
@@ -44,28 +42,6 @@ _EPS = np.finfo(float).eps
 _INEQUALITY_RTOL = 1e-9
 
 
-def _check_h(h, size: int) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.shape != (size,):
-        raise ValueError("dimension error: h must match the retained spectrum")
-    if np.any(h < 0.0) or np.any(h > 1.0):
-        raise ValueError("invalid input: h values must lie in [0, 1]")
-    return h
-
-
-def pen_u(h, spectrum: Spectrum) -> float:
-    """Unbiased-risk penalty 2 * sum h(k) / lambda(k)."""
-    lam = spectrum.retained
-    h = _check_h(h, lam.size)
-    return 2.0 * float(np.sum(h / lam))
-
-
-def pen_cv(h) -> float:
-    """Cross-validation penalty 2 * sum h(k)."""
-    h = np.asarray(h, dtype=float)
-    return 2.0 * float(np.sum(h))
-
-
 def _unit_rows(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Noise scale d = sqrt(2 * sum_k t(k)^2) and unit row rho = t / |t| of
     every row of the noise weights t, squaring t over its row maximum so that
@@ -79,10 +55,11 @@ def _unit_rows(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cramer(x):
-    """cramer_term without its domain check, which the mu solve skips, and
-    its q = x / (1 - 2x), as x + 2x^2 / (1 - 2x) = q.  The in-place steps
-    round exactly as 0.5 * log1p(-2x) + x / (1 - 2x) left to right, with
-    1 + (-2x) rounding as 1 - 2x."""
+    """The Cramer transform c(x) = log1p(-2x)/2 + x/(1-2x) of the
+    calibration equation, elementwise on 0 <= x < 1/2 (unchecked), and its
+    q = x / (1 - 2x).  The in-place steps round exactly as
+    0.5 * log1p(-2x) + x / (1 - 2x) left to right, with 1 + (-2x) rounding
+    as 1 - 2x."""
     w = np.multiply(x, -2.0)
     out = np.log1p(w)
     out *= 0.5
@@ -92,28 +69,15 @@ def _cramer(x):
     return out, q
 
 
-def cramer_term(x):
-    """Increasing convex transform used in the penalty calibration equation.
-
-    Defined for 0 <= x < 1/2 as log1p(-2x)/2 + x + 2x^2/(1-2x); accepts
-    scalars or arrays and vanishes at 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x >= 0.5):
-        raise ValueError("domain error: cramer_term requires 0 <= x < 1/2")
-    out = _cramer(x)[0]
-    return out if out.ndim else float(out)
-
-
 def _cramer_rowsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k cramer_term(x(k)) for every row of x = mu * rho, the rows of one
+    """sum_k c(x(k)) for every row of x = mu * rho, the rows of one
     block up to its last nonzero column, and the q of every entry."""
     terms, q = _cramer(x)
     return np.sum(terms, axis=1), q
 
 
 def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Root mu of sum_k cramer_term(mu * rho(k)) = log_ratio for every row of
+    """Root mu of sum_k c(mu * rho(k)) = log_ratio for every row of
     rho, one block of rows, in [0, (1 - 1e-12) / (2 max rho)], with sums up
     to the block's last nonzero column (rows with log_ratio == 0 return 0),
     and sum_k rho q at x = mu rho, from the residual check's row sum.

@@ -1,9 +1,12 @@
 """Scalar reference formulas that the tests check the vectorized kernels against.
 
 Each takes one smoother row ``h`` and evaluates its formula directly, with
-no penalty table: the exact risk, the penalized risk that ``risk_profile``
-evaluates on every grid row, the variance estimate and the full contrasts
-of the selector, which keep the sum y^2 that it drops.
+no penalty table: the penalties ``pen_u`` and ``pen_cv`` of one grid row,
+the exact risk, the penalized risk that ``risk_profile`` evaluates on every
+grid row, the variance estimate and the full contrasts of the selector,
+which keep the sum y^2 that it drops.  ``cramer_term`` is the transform of
+the calibration equation written out, with its domain check, apart from the
+kernel that the mu solve runs.
 ``risk_profile_rows`` evaluates the risks of ``risk_profile`` from a
 table's columns with one dot product per grid row.
 ``penalty_columns`` evaluates the penalty table's formulas on the whole
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from specreg import SpectralData, SpectralModel, h_values
+from specreg import SpectralData, SpectralModel, Spectrum, h_values
 from specreg.penalty import _solve_mu_rows
 from specreg.smoothers import _row_slices
 
@@ -27,6 +30,37 @@ def _as_h(size: int, h) -> np.ndarray:
     if h.shape != (size,):
         raise ValueError("dimension error: h must match the retained spectrum")
     return h
+
+
+def _check_h(h, size: int) -> np.ndarray:
+    h = _as_h(size, h)
+    if np.any(h < 0.0) or np.any(h > 1.0):
+        raise ValueError("invalid input: h values must lie in [0, 1]")
+    return h
+
+
+def pen_u(h, spectrum: Spectrum) -> float:
+    """Unbiased-risk penalty 2 * sum h(k) / lambda(k)."""
+    lam = spectrum.retained
+    h = _check_h(h, lam.size)
+    return 2.0 * float(np.sum(h / lam))
+
+
+def pen_cv(h) -> float:
+    """Cross-validation penalty 2 * sum h(k)."""
+    h = np.asarray(h, dtype=float)
+    return 2.0 * float(np.sum(h))
+
+
+def cramer_term(x):
+    """Increasing convex transform log1p(-2x)/2 + x/(1-2x) of the
+    calibration equation, for 0 <= x < 1/2; accepts scalars or arrays and
+    vanishes at 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or np.any(x >= 0.5):
+        raise ValueError("domain error: cramer_term requires 0 <= x < 1/2")
+    out = 0.5 * np.log1p(-2.0 * x) + x / (1.0 - 2.0 * x)
+    return out if out.ndim else float(out)
 
 
 def exact_risk(model: SpectralModel, h) -> float:

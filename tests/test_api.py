@@ -27,16 +27,17 @@ def test_every_export_resolves(name):
 
 
 def test_selection_and_bench_exports():
-    # the scalar risk, variance and contrast formulas are test references
-    # (tests/reference.py), not part of the package
+    # the scalar penalty, risk, variance and contrast formulas are test
+    # references (tests/reference.py), not part of the package, and neither
+    # are the wrappers growth_term and model_from_json
     import specreg
 
     assert set(specreg.selection.__all__) == {"SelectionResult", "select_alpha"}
     assert set(specreg.bench.__all__) == {
-        "RiskProfile", "risk_profile", "growth_term", "risk_bound", "excess_sup_stat",
-        "BenchReport", "mc_run"}
+        "RiskProfile", "risk_profile", "risk_bound", "excess_sup_stat", "BenchReport", "mc_run"}
     for name in ("exact_risk", "penalized_risk", "sigma_hat2", "contrast_known_sigma",
-                 "contrast_unknown_sigma"):
+                 "contrast_unknown_sigma", "pen_u", "pen_cv", "cramer_term", "growth_term",
+                 "model_from_json"):
         assert not hasattr(specreg, name), name
 
 

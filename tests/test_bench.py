@@ -19,7 +19,6 @@ from specreg import (
     default_grid,
     excess_sup_stat,
     exponential_spectrum,
-    growth_term,
     h_values,
     mc_run,
     polynomial_spectrum,
@@ -29,7 +28,7 @@ from specreg import (
     select_alpha,
     simulate_observation,
 )
-from reference import exact_risk, penalized_risk, risk_profile_rows, sigma_hat2
+from reference import exact_risk, pen_u, penalized_risk, risk_profile_rows, sigma_hat2
 
 
 def _model(p=12, exponent=2.0, sigma=0.2, signal=1.0):
@@ -79,8 +78,6 @@ class TestPenalizedRisk:
     def test_mean_shifted_contrast_matches(self):
         # MC expectation of the unknown-sigma contrast plus the alpha-free
         # shift -(sum (y-b)^2) should match the closed form within 4 SE
-        from specreg import pen_u
-
         rng = np.random.default_rng(51)
         p, sigma, reps = 8, 0.5, 100_000
         s = polynomial_spectrum(p, 1.0)
@@ -199,8 +196,13 @@ class TestRiskBound:
     def test_degenerate_constants_give_oracle(self):
         assert risk_bound(10.0, 1.0, 1.0, 0.0, 0.1, c=0.0) == 10.0
 
-    def test_growth_term_value(self):
-        assert growth_term(math.e ** 2) == pytest.approx(math.e ** 2 / 2.0, rel=1e-15)
+    def test_closed_form_value(self):
+        # sigma2 = d_ref = c = 1, span = 0 and gamma = 1/4 leave
+        # (1 + 1/sqrt(log oracle)) oracle + 2 g / log g, g = 4 oracle + 256
+        oracle = math.e ** 4
+        g = 4.0 * oracle + 256.0
+        want = 1.5 * oracle + 2.0 * g / math.log(g)
+        assert risk_bound(oracle, 1.0, 1.0, 0.0, 0.25) == pytest.approx(want, rel=1e-14)
 
     def test_not_evaluable_cases(self):
         with pytest.raises(ValueError, match="bound not evaluable"):
@@ -224,7 +226,7 @@ class TestExcessSupStat:
 
     def test_zero_noise_hook(self):
         table = self._table()
-        value = excess_sup_stat(table, rng=None, xi=np.zeros(30))
+        value = excess_sup_stat(table, np.zeros(30))
         assert value == 0.0
 
     def test_single_point_mean_bounded_by_noise_scale(self):
@@ -235,14 +237,14 @@ class TestExcessSupStat:
         table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
         d = table.d[0]
         rng = replication_stream(3, 0)
-        draws = np.array([excess_sup_stat(table, rng) for _ in range(20_000)])
+        draws = np.array([excess_sup_stat(table, rng.standard_normal(10)) for _ in range(20_000)])
         se = np.std(draws, ddof=1) / math.sqrt(draws.size)
         assert np.mean(draws) <= d / math.sqrt(2.0) + 4.0 * se
 
     def test_reproducible_given_stream(self):
         table = self._table()
-        a = excess_sup_stat(table, replication_stream(5, 1))
-        b = excess_sup_stat(table, replication_stream(5, 1))
+        a = excess_sup_stat(table, replication_stream(5, 1).standard_normal(30))
+        b = excess_sup_stat(table, replication_stream(5, 1).standard_normal(30))
         assert a == b
 
     @pytest.mark.parametrize("shape", [(199,), (201,), (3, 210)])
@@ -253,7 +255,7 @@ class TestExcessSupStat:
         family = SmootherFamily(kind)
         table = build_penalty_table(family, default_grid(family, s, points=30), s, 0.1)
         with pytest.raises(ValueError, match="dimension error"):
-            excess_sup_stat(table, None, np.ones(shape))
+            excess_sup_stat(table, np.ones(shape))
 
 
 def test_cutoff_results_read_no_kernel_matrix(monkeypatch):
@@ -267,7 +269,7 @@ def test_cutoff_results_read_no_kernel_matrix(monkeypatch):
     data = simulate_observation(model, replication_stream(3, 0))
     select_alpha(data, table, "known", sigma2=0.01)
     select_alpha(data, table, "unknown")
-    excess_sup_stat(table, None, replication_stream(4, 0).standard_normal((5, 60)))
+    excess_sup_stat(table, replication_stream(4, 0).standard_normal((5, 60)))
     risk_profile(model, table)
     mc_run(model, table, "unknown", 40, 7)
 
@@ -387,7 +389,7 @@ class TestBatchedMcRun:
             picks.append(sel.alpha_hat_index)
             losses.append(float(np.sum((model.coefficients - sel.estimate) ** 2)))
             sigma2s.append(sigma_hat2(data, table.h(sel.alpha_hat_index)))
-            excesses.append(excess_sup_stat(table, rng))
+            excesses.append(excess_sup_stat(table, rng.standard_normal(model.spectrum.effective_rank)))
         return np.array(picks), np.array(losses), np.array(sigma2s), np.array(excesses)
 
     @pytest.mark.parametrize("kind", ["cutoff", "tikhonov", "landweber"])
@@ -418,13 +420,27 @@ class TestBatchedMcRun:
         with pytest.raises(ValueError, match="invalid input: non-finite observations"):
             mc_run(model, table, "known", 40, 3)
 
+    def test_standard_error_of_huge_losses(self):
+        # with the unbiased penalty and a known sigma the selector picks rows
+        # of e^-k/2 at p=1000 whose losses pass 1e190; their squared
+        # deviations once overflowed, and the standard error read inf
+        p = 1000
+        s = exponential_spectrum(p, 0.5)
+        model = SpectralModel(s, 1.0 / np.arange(1.0, p + 1.0), 0.05)
+        family = SmootherFamily.cutoff()
+        table = build_penalty_table(family, default_grid(family, s), s, 0.1)
+        report = mc_run(model, table, "known", 50, 1, penalty="unbiased")
+        assert np.all(np.isfinite(report.losses)) and report.losses.max() > 1e190
+        want = float(np.std(report.losses * 1e-190, ddof=1)) * 1e190 / math.sqrt(50)
+        assert report.empirical_risk_se == pytest.approx(want, rel=1e-12)
+
     def test_block_of_excess_draws(self):
         table = TestExcessSupStat()._table()
         xi = replication_stream(5, 0).standard_normal((7, 30))
-        block = excess_sup_stat(table, None, xi)
+        block = excess_sup_stat(table, xi)
         assert block.shape == (7,)
         for row, value in zip(xi, block):
-            assert value == pytest.approx(excess_sup_stat(table, None, row), rel=1e-12, abs=1e-300)
+            assert value == pytest.approx(excess_sup_stat(table, row), rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("mode", ["known", "unknown"])
     @pytest.mark.parametrize("kind", ["cutoff", "tikhonov", "landweber"])

@@ -274,10 +274,24 @@ class TestSelect:
             "problem": {"matrix": {"x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}},
             "family": {"kind": "tikhonov"}, "grid": {"points": 10, "floor": "none"},
             "gamma": 0.1, "mode": "unknown"})
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["select", "--config", cfg])
+        code = run(["select", "--config", cfg])
         assert code == (1 if status.startswith("config") else 2)
         assert capsys.readouterr().err == f"{status}\n"
+
+    @pytest.mark.parametrize("include", [False, True])
+    def test_y_whose_residual_overflows_is_one_line(self, tmp_path, capsys, recwarn, include):
+        # a finite y of norm 1e160 orthogonal to the columns of X overflows the
+        # residual sum of squares; numpy's overflow warning once came first
+        x = np.random.default_rng(3).standard_normal((12, 4))
+        np.savetxt(tmp_path / "x.csv", x, delimiter=",")
+        np.savetxt(tmp_path / "y.csv", 1e160 * np.linalg.svd(x)[0][:, 5], delimiter=",")
+        cfg = write_config(tmp_path, {
+            "problem": {"matrix": {"x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}},
+            "family": {"kind": "tikhonov"}, "grid": {"points": 10, "floor": "none"},
+            "gamma": 0.1, "mode": "unknown", "include_orthogonal_residual": include})
+        assert run(["select", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "numerical failure: invalid input: residual2 must be finite and >= 0\n"
+        assert [str(w.message) for w in recwarn] == []
 
     def test_spectral_problem_source(self, tmp_path):
         spec_doc = {
@@ -390,6 +404,20 @@ class TestExitCodes:
         cfg = well_conditioned_config()
         cfg["problem"]["spectral"] = {"eigenvalues": [1.0], "coefficients": [0.0], "sigma": 1.0}
         assert run(["penalty-table", "--config", write_config(tmp_path, cfg)]) == 1
+
+    @pytest.mark.parametrize("command", ["select", "penalty-table"])
+    @pytest.mark.parametrize("sigma, status", [
+        (None, "invalid 'sigma': expected a number, got None"),
+        ("missing", "config is missing 'sigma'"),
+    ], ids=["null", "missing"])
+    def test_spectral_source_without_sigma_is_config_error(self, tmp_path, capsys, command, sigma, status):
+        # a null sigma once ended in a TypeError traceback out of float()
+        cfg = well_conditioned_config(**_spectral([1.0, 0.5, 0.25], [1.0, 0.5, 0.25], sigma),
+                                      grid={"points": 5, "floor": "none"})
+        if sigma == "missing":
+            del cfg["problem"]["spectral"]["sigma"]
+        assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: {status}\n"
 
     def test_bad_gamma(self, tmp_path):
         cfg = well_conditioned_config(gamma=0.3)

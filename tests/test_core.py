@@ -10,7 +10,6 @@ from specreg import (
     SpectralModel,
     Spectrum,
     decompose_design,
-    model_from_json,
     polynomial_spectrum,
     reconstruct_estimate,
     replication_stream,
@@ -279,6 +278,17 @@ class TestOrthogonalResidual:
         assert dof == 32
         assert resid2 == pytest.approx(1e-8, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["orthogonal 1e160", "flat 1e308"])
+    def test_overflow_is_an_error_without_a_warning(self, kind):
+        # a finite y whose residual sum of squares (or whose rotation, which
+        # then meets inf - inf) overflows is rejected as non-finite data, and
+        # no numpy warning escapes (the suite turns RuntimeWarnings into errors)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((12, 4))
+        y = 1e160 * np.linalg.svd(x)[0][:, 5] if kind == "orthogonal 1e160" else np.full(12, 1e308)
+        with pytest.raises(ValueError, match="invalid input: (residual2|non-finite)"):
+            to_spectral(decompose_design(x), y)
+
 
 class TestAgainstMpmath:
     def test_least_squares_on_ill_conditioned_design(self):
@@ -305,14 +315,6 @@ class TestAgainstMpmath:
         resid2, dof = data.residual2, data.residual_dof
         assert dof == 8
         assert resid2 == pytest.approx(want2, rel=1e-10)
-
-
-def test_model_from_json_round_trip():
-    model = model_from_json({"eigenvalues": [1.0, 0.5], "coefficients": [2.0, -1.0], "sigma": 0.3})
-    assert model.sigma == 0.3
-    assert np.array_equal(model.coefficients, [2.0, -1.0])
-    with pytest.raises(ValueError, match="invalid input"):
-        model_from_json({"eigenvalues": [1.0]})
 
 
 def test_spectral_data_validation():

@@ -20,7 +20,6 @@ from specreg import (
     exponential_spectrum,
     h_values,
     mc_run,
-    pen_u,
     polynomial_spectrum,
     replication_stream,
     risk_profile,
@@ -28,7 +27,7 @@ from specreg import (
     simulate_observation,
     to_spectral,
 )
-from reference import contrast_known_sigma, contrast_unknown_sigma, exact_risk, sigma_hat2
+from reference import contrast_known_sigma, contrast_unknown_sigma, exact_risk, pen_u, sigma_hat2
 
 
 # the cutoff grid of p = 20 from m = 17 down, which keeps at least 3
