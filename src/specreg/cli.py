@@ -38,7 +38,7 @@ from .core import (
 )
 from .penalty import PenaltyTable, build_penalty_table, check_conditions, verify_penalty_inequalities
 from .selection import select_alpha
-from .smoothers import AlphaGrid, SmootherFamily, check_ordered, default_grid
+from .smoothers import AlphaGrid, SmootherFamily, _check_family, check_ordered, default_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -202,11 +202,13 @@ def _numbers(value):
 
 
 def _at_least(low, integer: bool = False):
-    """A ``kind`` for _get that accepts numbers >= low, checked by _number."""
+    """A ``kind`` for _get that accepts finite numbers >= low, checked by _number."""
     def kind(value):
         number = _number(value, integer)
         if not float(number) >= low:
             raise ValueError(f"expected a value >= {low}, got {value!r}")
+        if number == np.inf:
+            raise ValueError(f"expected a finite value, got {value!r}")
         return number
     return kind
 
@@ -340,6 +342,7 @@ def _grid(config: dict, family: SmootherFamily, spectrum: Spectrum) -> AlphaGrid
     grid_cfg = _get(config, "grid")
     floor = _get(grid_cfg, "floor", _choice("default", "none"), "default")
     with _config_errors():
+        _check_family(family, spectrum)  # a fault of any grid, before any h row is formed
         if "values" in grid_cfg:
             return AlphaGrid(_get(grid_cfg, "values", _numbers))
         points = _get(grid_cfg, "points", _at_least(2, integer=True), None)
@@ -353,19 +356,10 @@ def _gamma(config: dict) -> float:
     return gamma
 
 
-def _table(config: dict, spectrum: Spectrum, report_ordering: bool = False) -> PenaltyTable | None:
-    """The penalty table of the config's family, grid and gamma on the
-    spectrum.  With ``report_ordering`` the family is first checked for
-    ordering on the grid and the verdict printed; a failed check gives None,
-    as penalty quantities are meaningless for a non-ordered family."""
+def _table(config: dict, spectrum: Spectrum) -> PenaltyTable:
+    """The penalty table of the config's family, grid and gamma on the spectrum."""
     family = _family(config)
-    grid = _grid(config, family, spectrum)
-    if report_ordering:
-        ordering = check_ordered(family, grid, spectrum)
-        print(f"ordering: {'PASS' if ordering.ok else 'FAIL ' + repr(ordering.violation)}")
-        if not ordering.ok:
-            return None
-    return build_penalty_table(family, grid, spectrum, _gamma(config))
+    return build_penalty_table(family, _grid(config, family, spectrum), spectrum, _gamma(config))
 
 
 def _seed(config: dict, args) -> int:
@@ -480,9 +474,15 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _config(args.config)
-    table = _table(config, _spectrum(config), report_ordering=True)
-    if table is None:
+    spectrum = _spectrum(config)
+    family = _family(config)
+    grid = _grid(config, family, spectrum)
+    # penalty quantities are meaningless for a family that is not ordered
+    ordering = check_ordered(family, grid, spectrum)
+    print(f"ordering: {'PASS' if ordering.ok else 'FAIL ' + repr(ordering.violation)}")
+    if not ordering.ok:
         return EXIT_NUMERIC
+    table = build_penalty_table(family, grid, spectrum, _gamma(config))
     conditions = check_conditions(table)
     print(f"conditions: {'PASS' if conditions.ok else 'FAIL'} (c2_hat={_fmt(conditions.c2_hat)})")
     inequalities = verify_penalty_inequalities(table)

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Spectrum
-from .smoothers import AlphaGrid, SmootherFamily, _OrderingScan, _residual_dof, _row_slices, h_values
+from .smoothers import AlphaGrid, SmootherFamily, _residual_dof, _row_slices, check_ordered, h_values
 
 __all__ = [
     "PenaltyTable",
@@ -242,35 +242,34 @@ def build_penalty_table(
     The reference scale for q_plus is the noise scale of the last grid row
     (the smoothest model), so q_plus vanishes there exactly.  Requires the
     noise scale to be nonincreasing along the grid, which holds for every
-    ordered family; the h rows of user-supplied table families additionally
-    go through the full ordering check.  The h rows are formed one row block
-    at a time and not kept.  Each block's mu is solved before these checks
-    on the whole grid run, and they still decide: the solve raises no error
-    on the rows they reject (a zero or non-finite d or d_ref gives mu = 0 or
-    NaN).  Raises ArithmeticError when a column is not finite, e.g. when an
-    eigenvalue is so small that h / lambda overflows.
+    ordered family; user-supplied table families first go through
+    :func:`check_ordered` on the grid.  The h rows are formed one row block
+    at a time, in grid order, and not kept.  Each block's mu is solved
+    before the checks on the whole grid run, and they still decide: the
+    solve raises no error on the rows they reject (a zero or non-finite d or
+    d_ref gives mu = 0 or NaN).  Raises ArithmeticError when a column is not
+    finite, e.g. when an eigenvalue is so small that h / lambda overflows.
     """
     gamma = float(gamma)
     if not 0.0 < gamma < 0.25:
         raise ValueError("invalid input: gamma must lie in (0, 1/4)")
+    if family.kind == "table":
+        ordering = check_ordered(family, grid, spectrum)
+        if not ordering.ok:
+            raise ValueError(f"invalid input: table family is not ordered ({ordering.violation})")
     lam = spectrum.retained
     rows, alphas = len(grid), grid.values
-    ordering = _OrderingScan(alphas) if family.kind == "table" else None
     # One pass over the row blocks forms each block's h, its columns, its
-    # ties between adjacent rows and its mu and q_plus.  The last block is
-    # formed first, for the reference scale d[-1], and kept for its turn.
-    blocks = _row_slices(rows, lam.size)
+    # ties between adjacent rows and its mu and q_plus.
     pen_u_col, pen_cv_col, d, mu, rho_q, h_lambda, one_minus, max_h_over_lam = (
         np.empty(rows) for _ in range(8))
     tied = np.empty(rows - 1, dtype=bool)  # h row i equals h row i + 1
     # Overflow and NaN below are caught by the checks on d and on the columns.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h_last = h_values(family, alphas[blocks[-1]], spectrum)
-        d_ref = _unit_rows(h_last[-1:] * (2.0 - h_last[-1:]) / lam)[0][0]
-        for block in blocks:
-            h = h_last if block.stop == rows else h_values(family, alphas[block], spectrum)
-            if ordering is not None:
-                ordering.feed(block, h)
+        h_ref = h_values(family, alphas[-1:], spectrum)  # the smoothest row, for d_ref = d[-1]
+        d_ref = _unit_rows(h_ref * (2.0 - h_ref) / lam)[0][0]
+        for block in _row_slices(rows, lam.size):
+            h = h_values(family, alphas[block], spectrum)
             if block.start:
                 tied[block.start - 1] = np.array_equal(last, h[0])
             tied[block.start:block.stop - 1] = np.all(h[1:] == h[:-1], axis=1)
@@ -281,8 +280,6 @@ def build_penalty_table(
             pen_cv_col[block], h_lambda[block] = 2.0 * np.sum(h, axis=1), np.sum(h * h / lam, axis=1)
             one_minus[block] = _residual_dof(h)
             mu[block], rho_q[block] = _solve_mu_rows(rho, _log_ratio(d[block], d_ref))
-        if ordering is not None and ordering.violation is not None:
-            raise ValueError(f"invalid input: table family is not ordered ({ordering.violation})")
         if np.any(d == 0.0):
             raise ValueError("degenerate smoother: h is identically zero on a grid row")
         if np.any(d[1:] > d[:-1] * (1.0 + 1e-12)):

@@ -45,8 +45,8 @@ def _select_rows(table: PenaltyTable, y: np.ndarray, mode: str, sigma2: float | 
     except KeyError:
         raise ValueError(f"invalid input: unknown penalty choice {penalty!r}") from None
     if mode == "known":
-        if sigma2 is None or not float(sigma2) >= 0.0:
-            raise ValueError("invalid input: known-sigma mode requires sigma2 >= 0")
+        if sigma2 is None or not 0.0 <= float(sigma2) < np.inf:
+            raise ValueError("invalid input: known-sigma mode requires a finite sigma2 >= 0")
     elif mode != "unknown":
         raise ValueError("invalid input: mode must be 'known' or 'unknown'")
     denom = table.one_minus_h_norm2 + float(extra_dof)

@@ -59,6 +59,8 @@ class SmootherFamily:
             table = np.array(self.h_table, dtype=float)
             if alphas.ndim != 1 or table.ndim != 2 or table.shape[0] != alphas.size:
                 raise ValueError("invalid input: table family needs matching alphas and rows")
+            if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(table))):
+                raise ValueError("invalid input: table family entries must be finite")
             for value in (alphas, table):
                 value.setflags(write=False)
             object.__setattr__(self, "alphas", alphas)
@@ -120,6 +122,20 @@ def _iterations_from_alpha(alpha: np.ndarray) -> np.ndarray:
     return np.where(exact, nearest, np.where(q > 1.0, np.ceil(q), 1.0))
 
 
+def _check_family(family: SmootherFamily, spectrum: Spectrum) -> None:
+    """Raise the ValueError of a family that no alpha can evaluate on the
+    spectrum: a landweber step with tau * lambda(1) > 1, or table rows of
+    another width than the retained spectrum."""
+    lam = spectrum.retained
+    if family.kind == "landweber":
+        tau = family.tau if family.tau is not None else 1.0 / lam[0]
+        # small slack covers the rounding of the default step 1/lambda(1)
+        if tau * lam[0] > 1.0 + 1e-9:
+            raise ValueError("unstable step: tau * lambda(1) > 1")
+    if family.kind == "table" and family.h_table.shape[1] != lam.size:
+        raise ValueError("dimension error: tabulated h row does not match the spectrum")
+
+
 def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectrum) -> np.ndarray:
     """Damping factors h_alpha(k), one row per alpha over the retained
     eigenvalues: shape ``np.shape(alpha) + (p,)``, so a scalar alpha gives
@@ -141,6 +157,7 @@ def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectr
     alpha = np.asarray(alpha, dtype=float)
     if not np.all(np.isfinite(alpha) & (alpha > 0.0)):
         raise ValueError("invalid input: alpha must be positive")
+    _check_family(family, spectrum)
     lam = spectrum.retained
     column = alpha[..., None]
     if family.kind == "cutoff":
@@ -150,9 +167,6 @@ def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectr
         h = lam / (lam + column)
     elif family.kind == "landweber":
         tau = family.tau if family.tau is not None else 1.0 / lam[0]
-        # small slack covers the rounding of the default step 1/lambda(1)
-        if tau * lam[0] > 1.0 + 1e-9:
-            raise ValueError("unstable step: tau * lambda(1) > 1")
         x = np.clip(tau * lam, 0.0, 1.0)
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives h = 1
             h = -np.expm1(_iterations_from_alpha(column) * np.log1p(-x))
@@ -162,8 +176,6 @@ def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectr
         found = match.any(axis=-1)
         if not found.all():
             raise ValueError(f"invalid input: alpha {float(alpha[~found][0])!r} is not tabulated")
-        if family.h_table.shape[1] != lam.size:
-            raise ValueError("dimension error: tabulated h row does not match the spectrum")
         # take copies even for a scalar alpha, so the clip never writes h_table
         h = np.take(family.h_table, np.argmax(match, axis=-1), axis=0)
         np.clip(h, 0.0, 1.0, out=h)
@@ -197,46 +209,33 @@ def check_ordered(family: SmootherFamily, grid: AlphaGrid, spectrum: Spectrum) -
     Checks that each h profile is nondecreasing in lambda (equivalently
     nonincreasing in k) and that along the grid a larger alpha never exceeds
     a smaller one anywhere, which rules out crossings.  Returns the first
-    violating (alpha pair, component) triple on failure.  The h rows are
-    formed one row block at a time.
+    violating (alpha pair, component) triple on failure, where a row not
+    monotone in lambda beats any violation between two rows.  The h rows
+    are formed one row block at a time, every block even after a violation.
     """
-    scan = _OrderingScan(grid.values)
+    alphas = grid.values.tolist()  # Python floats, whose repr the violation prints
+    violation, last = None, None  # last: the previous block's last row, as a 1 x p block
     for block in _row_slices(len(grid), spectrum.retained.size):
-        scan.feed(block, h_values(family, grid.values[block], spectrum))
-    return OrderingReport(scan.violation is None, scan.violation)
-
-
-class _OrderingScan:
-    """The check of :func:`check_ordered`, fed the h rows of the grid points
-    ``alphas`` one row block at a time, in grid order.  Once every block is
-    in, ``violation`` is the first violation, where a row not monotone in
-    lambda beats any violation between two rows."""
-
-    def __init__(self, alphas: np.ndarray):
-        self.alphas = alphas.tolist()  # Python floats, whose repr the violation prints
-        self.violation: OrderingViolation | None = None
-        self.last = None  # the previous block's last row, as a 1 x p block
-
-    def feed(self, block: slice, rows: np.ndarray) -> None:
-        if self.violation is not None and self.violation.kind == "not monotone in lambda":
-            return
+        rows = h_values(family, grid.values[block], spectrum)
+        if violation is not None and violation.kind == "not monotone in lambda":
+            continue
         # argwhere is row-major, so its first hit is the first row, then component
         rising = np.argwhere(np.diff(rows, axis=1) > _ORDER_ATOL)
         if rising.size:
             i, k = block.start + rising[0][0], rising[0][1]
-            self.violation = OrderingViolation(self.alphas[i], self.alphas[i], int(k) + 1,
-                                               "not monotone in lambda")
-        elif self.violation is None:
+            violation = OrderingViolation(alphas[i], alphas[i], int(k) + 1, "not monotone in lambda")
+        elif violation is None:
             # consecutive rows suffice: pointwise dominance is transitive along the grid
-            pairs = rows if self.last is None else np.concatenate((self.last, rows))
+            pairs = rows if last is None else np.concatenate((last, rows))
             diff = pairs[1:] - pairs[:-1]
             above = np.argwhere(diff > _ORDER_ATOL)
             if above.size:
                 j, k = above[0]
                 i = block.stop - len(pairs) + j
                 kind = "crossing" if np.any(diff[j] < -_ORDER_ATOL) else "grid direction"
-                self.violation = OrderingViolation(self.alphas[i], self.alphas[i + 1], int(k) + 1, kind)
-        self.last = rows[-1:].copy()
+                violation = OrderingViolation(alphas[i], alphas[i + 1], int(k) + 1, kind)
+        last = rows[-1:]
+    return OrderingReport(violation is None, violation)
 
 
 def _residual_dof(h: np.ndarray) -> np.ndarray:

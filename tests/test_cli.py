@@ -485,6 +485,40 @@ class TestExitCodes:
             assert "numerical failure: non-finite" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["penalty-table", "select", "check", "bench"])
+    @pytest.mark.parametrize("grid", [{"points": 10}, {"points": 10, "floor": "none"},
+                                      {"values": [0.1, 0.5, 1.0]}], ids=["floor", "floorless", "values"])
+    @pytest.mark.parametrize("family, status", [
+        ({"kind": "landweber", "tau": 5.0}, "unstable step: tau * lambda(1) > 1"),
+        ({"kind": "table", "alphas": [0.1, 0.5, 1.0], "h_table": [[0.5] * 29, [0.4] * 29, [0.3] * 29]},
+         "dimension error: tabulated h row does not match the spectrum"),
+    ], ids=["tau", "width"])
+    def test_family_that_fits_no_grid_is_config_error(self, tmp_path, capsys, command, grid, family, status):
+        # without the grid floor, whose walk forms h rows among the config
+        # checks, these once exited 2 as numerical failures
+        cfg = write_config(tmp_path, well_conditioned_config(family=family, grid=grid))
+        assert run([command, "--config", cfg]) == 1
+        assert capsys.readouterr() == ("", f"config error: {status}\n")
+
+    @pytest.mark.parametrize("command", ["penalty-table", "select", "check"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_table_entry_is_config_error(self, tmp_path, capsys, command, value):
+        # a NaN row once passed the ordering check (check printed
+        # "ordering: PASS"), and then every command exited 2 on a non-finite pen_u
+        cfg = {"problem": {"spectral_data": {"eigenvalues": [1.0, 0.5, 0.25], "y": [1.0, 0.5, 0.2]}},
+               "family": {"kind": "table", "alphas": [0.5, 1.0],
+                          "h_table": [[0.9, value, 0.1], [0.5, 0.3, 0.1]]},
+               "grid": {"values": [0.5, 1.0]}, "gamma": 0.1, "mode": "known", "sigma2": 0.01}
+        assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr() == ("", "config error: invalid input: table family entries must be finite\n")
+
+    @pytest.mark.parametrize("command", ["select", "bench"])
+    def test_infinite_sigma2_is_config_error(self, tmp_path, capsys, command):
+        # known mode once exited 2 on a non-finite contrast
+        cfg = write_config(tmp_path, well_conditioned_config(mode="known", sigma2=float("inf")))
+        assert run([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: invalid 'sigma2': expected a finite value, got inf\n"
+
     def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
         # nesting past the recursion limit, in the number check of array
         # entries (depth 500, about two frames a level) and in the JSON parser

@@ -30,7 +30,7 @@ from specreg import (
     simulate_observation,
     verify_penalty_inequalities,
 )
-from specreg import penalty, smoothers
+from specreg import penalty
 from specreg.penalty import (
     _cramer,
     _cramer_rowsum,
@@ -728,23 +728,16 @@ class TestPenaltyTable:
         violation = check_ordered(family, grid, s).violation
         assert str(excinfo.value) == f"invalid input: table family is not ordered ({violation})"
 
-    def test_table_family_rows_evaluated_once(self, monkeypatch):
-        # the ordering check runs on the rows the build evaluates anyway, and
-        # the build evaluates the whole grid in one call
-        calls = []
-
-        def counting(*args):
-            calls.append(args[1])
-            return h_values(*args)
-
-        monkeypatch.setattr(smoothers, "h_values", counting)
-        monkeypatch.setattr(penalty, "h_values", counting)
-        s = polynomial_spectrum(8, 1.0)
-        alphas = [0.05, 0.2, 0.8, 3.2]
-        family = SmootherFamily.from_table(
-            alphas=alphas, h_table=[s.retained / (s.retained + a) for a in alphas])
-        build_penalty_table(family, AlphaGrid(alphas), s, 0.1)
-        assert len(calls) == 1 and np.array_equal(calls[0], alphas)
+    def test_rising_noise_scale_is_rejected(self):
+        # the second row rises by less than the ordering check's slack, so
+        # the family passes check_ordered, yet its noise scale rises
+        s = Spectrum([1.0, 1.0])
+        grid = AlphaGrid([1.0, 2.0])
+        family = SmootherFamily.from_table(grid.values, [[1e-10, 1e-10], [1e-10 + 5e-13] * 2])
+        assert check_ordered(family, grid, s).ok
+        with pytest.raises(ValueError, match="^invalid input: noise scale must be nonincreasing "
+                                             r"along the grid \(is the family ordered\?\)$"):
+            build_penalty_table(family, grid, s, 0.1)
 
     def test_accepts_ordered_table_family(self):
         s = Spectrum([1.0, 0.5])
@@ -869,8 +862,8 @@ class TestBlockedBuild:
         assert peak <= 2 * rows * p * 8 + 1e6, (peak, rows * p * 8)
 
     def test_table_family_violation_across_blocks(self):
-        # the build checks a table family block by block, with the same
-        # verdict as check_ordered: a crossing in the first block loses to a
+        # the build runs check_ordered on a table family before its walk, so
+        # it reports that verdict: a crossing in the first block loses to a
         # row that rises in k in a later one
         family, grid, s = _tikhonov_table_family(4096, 20)  # blocks of 8 rows
         rows = family.h_table.copy()
@@ -882,6 +875,16 @@ class TestBlockedBuild:
         with pytest.raises(ValueError, match="not ordered") as excinfo:
             build_penalty_table(family, grid, s, 0.1)
         assert str(excinfo.value) == f"invalid input: table family is not ordered ({violation})"
+
+    def test_first_untabulated_alpha_in_grid_order_is_named(self):
+        # the build runs check_ordered first, which forms the blocks in grid
+        # order; it once formed the last block first and named row 18
+        family, grid, s = _tikhonov_table_family(4096, 20)  # blocks of 8 rows
+        values = grid.values.copy()
+        values[[4, 18]] *= 1.5
+        with pytest.raises(ValueError, match="is not tabulated") as excinfo:
+            build_penalty_table(family, AlphaGrid(values), s, 0.1)
+        assert str(excinfo.value) == f"invalid input: alpha {float(values[4])!r} is not tabulated"
 
     def test_zero_rows_in_the_last_block_are_degenerate(self):
         # zero last rows make d_ref = 0, and the build solves mu on every

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -342,6 +343,39 @@ class TestContrastsAgainstMpmath:
         assert np.all(np.abs(result.contrasts[rows] - want) <= 1e-12 * scale)
         assert result.sigma_hat2 == pytest.approx(want_s2, rel=1e-12)
         assert np.min(np.abs(want[want != 0.0])) < np.finfo(float).eps * float(data.y @ data.y)
+
+
+class TestSelectionInputs:
+    """select_alpha and mc_run reject a bad mode, penalty or known-mode
+    sigma2 with a ValueError, before any contrast is formed."""
+
+    _CASES = [
+        ({"mode": "bogus"}, "mode must be 'known' or 'unknown'"),
+        ({"mode": "unknown", "penalty": "bogus"}, "unknown penalty choice 'bogus'"),
+        *(({"mode": "known", "sigma2": sigma2}, "known-sigma mode requires a finite sigma2 >= 0")
+          for sigma2 in (-0.01, math.nan, math.inf)),
+    ]
+
+    @staticmethod
+    def _table():
+        s = polynomial_spectrum(20, 2.0)
+        model = SpectralModel(s, 1.0 / np.arange(1.0, 21.0), 0.1)
+        return model, build_penalty_table(SmootherFamily.cutoff(), _KEEP_3_DOF, s, 0.1)
+
+    @pytest.mark.parametrize("kwargs, message", _CASES + [
+        ({"mode": "known"}, "known-sigma mode requires a finite sigma2 >= 0")], ids=str)
+    def test_select_alpha_rejects(self, kwargs, message):
+        # an infinite sigma2 once gave an ArithmeticError on the contrasts
+        model, table = self._table()
+        data = simulate_observation(model, replication_stream(3, 0))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            select_alpha(data, table, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", _CASES, ids=str)
+    def test_mc_run_rejects(self, kwargs, message):
+        model, table = self._table()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc_run(model, table, replications=4, master_seed=3, **kwargs)
 
 
 class TestMatrixPath:

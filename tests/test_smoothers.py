@@ -241,6 +241,21 @@ class TestGridBroadcast:
         with pytest.raises(ValueError, match=r"^invalid input: alpha 1\.5 is not tabulated$"):
             h_values(family, AlphaGrid([1.0, 1.5, 2.0, 2.5]).values, s)
 
+    @pytest.mark.parametrize("field, index", [("alphas", 1), ("h_table", (0, 2))])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_table_family_entries_must_be_finite(self, field, index, value):
+        # a NaN row once passed check_ordered, as every comparison with NaN
+        # is false, and the table build then failed on its non-finite columns
+        entries = {"alphas": np.array([1.0, 2.0]), "h_table": np.array([[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])}
+        entries[field][index] = value
+        with pytest.raises(ValueError, match=r"^invalid input: table family entries must be finite$"):
+            SmootherFamily.from_table(**entries)
+
+    def test_table_rows_of_another_width_rejected(self):
+        family = SmootherFamily.from_table(alphas=[1.0, 2.0], h_table=[[1.0, 0.5], [0.9, 0.4]])
+        with pytest.raises(ValueError, match="^dimension error: tabulated h row does not match"):
+            h_values(family, 1.0, polynomial_spectrum(3, 1.0))
+
 
 class TestRowSubsets:
     """Rows formed for any subset of a grid equal the same rows of the

@@ -66,7 +66,10 @@ Config matrix:
     last four only ``select`` reads), a number for the report path in
     outputs (which only ``bench`` reads), a landweber tau of NaN on an
     explicit grid, a misspelt top-level key ("penality") and a family key
-    of another kind (a cutoff family with a tau);
+    of another kind (a cutoff family with a tau), an infinite sigma2 in
+    known mode (which only ``select`` and ``bench`` read), and on floorless
+    grids a landweber tau of 5 on k^-2 (p=30), a table family with a NaN
+    entry and one whose rows are one entry short;
   - tikhonov on k^-2 with p=200 and 400 points (M=332), whose table build
     and mu solve span three row blocks of 163, 163 and 6 rows, with no zero
     tail;
@@ -243,6 +246,15 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
         bad, family={"kind": "landweber", "tau": float("nan")}, grid={"values": [0.1, 0.5, 1.0]})
     configs["bad-key-misspelt"] = dict(bad, penality="unbiased")
     configs["bad-key-of-another-kind"] = dict(bad, family={"kind": "cutoff", "tau": -5.0})
+    configs["bad-sigma2-infinity-known"] = dict(bad, mode="known", sigma2=float("inf"))
+    configs["bad-landweber-tau-unstable"] = dict(
+        bad, family={"kind": "landweber", "tau": 5.0}, grid={"points": 10, "floor": "none"})
+    nonfinite_table, narrow_table = _table_family("ordered"), _table_family("ordered")
+    nonfinite_table["h_table"][1][2] = float("nan")
+    narrow_table["h_table"] = [row[:-1] for row in narrow_table["h_table"]]
+    for fault, family in (("nonfinite", nonfinite_table), ("width", narrow_table)):
+        configs[f"bad-table-{fault}"] = dict(
+            base, problem=table_problem, family=family, grid={"floor": "none"}, **_mode("known"))
 
     configs["gen-poly200-tikhonov-multiblock"] = dict(
         base, problem=_generator({"kind": "polynomial", "p": 200, "exponent": 2.0}),
