@@ -29,9 +29,10 @@ __all__ = [
 
 _EXCESS_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 # Replications per block of mc_run.  On the 900 x 1000 cutoff table of k^-2
-# with one BLAS thread (2-vCPU AVX-512 Xeon), one mc_run (R=300) takes 0.043 s
-# with blocks of 32 and 0.044 s with 64 (medians of 7 interleaved runs), and
-# its traced peak beyond the table is 2.5 MB, against 4.9 MB with 64.
+# with one BLAS thread (2-vCPU AVX-512 Xeon), one mc_run (R=300) takes
+# 0.024-0.026 s with blocks of 32 or 64 and 0.028-0.031 s with one block of
+# 300 (medians of 7 interleaved runs, two sessions), and its traced peak
+# beyond the table is 2.5 MB with 32, 4.9 MB with 64 and 18.1 MB with 300.
 _BLOCK = 32
 
 

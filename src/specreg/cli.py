@@ -38,7 +38,7 @@ from .core import (
 )
 from .penalty import PenaltyTable, build_penalty_table, check_conditions, verify_penalty_inequalities
 from .selection import select_alpha
-from .smoothers import AlphaGrid, SmootherFamily, _check_family, check_ordered, default_grid
+from .smoothers import _KIND_PARAMETERS, AlphaGrid, SmootherFamily, _check_family, check_ordered, default_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -89,8 +89,7 @@ _KEYS = {
                                    "exponential": {"kind", "p", "kappa"}},
     "problem.generator.signal": {"polynomial": {"kind", "exponent"}, "exponential": {"kind", "rate"},
                                  "zero": {"kind"}, "explicit": {"kind", "values"}},
-    "family": {"cutoff": {"kind"}, "tikhonov": {"kind"}, "landweber": {"kind", "tau"},
-               "table": {"kind", "alphas", "h_table"}},
+    "family": {kind: {"kind", *parameters} for kind, parameters in _KIND_PARAMETERS.items()},
     "grid": {"values": {"values"}, "points": {"points", "floor"}},
     "outputs": {"report", "replications_csv"},
 }
@@ -325,17 +324,13 @@ def _spectrum(config: dict) -> Spectrum:
 def _family(config: dict) -> SmootherFamily:
     fam = _get(config, "family")
     kind = _get(fam, "kind", default=None)
+    if not (isinstance(kind, str) and kind in _KIND_PARAMETERS):
+        raise ConfigError(f"unknown family kind {kind!r}")
     with _config_errors():
-        if kind == "cutoff":
-            return SmootherFamily.cutoff()
-        if kind == "tikhonov":
-            return SmootherFamily.tikhonov()
-        if kind == "landweber":
-            return SmootherFamily.landweber(_get(fam, "tau", _number, None))
         if kind == "table":
-            return SmootherFamily.from_table(
-                _get(fam, "alphas", _numbers), _get(fam, "h_table", _numbers))
-    raise ConfigError(f"unknown family kind {kind!r}")
+            return SmootherFamily(kind, alphas=_get(fam, "alphas", _numbers),
+                                  h_table=_get(fam, "h_table", _numbers))
+        return SmootherFamily(kind, tau=_get(fam, "tau", _number, None))
 
 
 def _grid(config: dict, family: SmootherFamily, spectrum: Spectrum) -> AlphaGrid:
@@ -508,7 +503,8 @@ def _build_parser() -> _Parser:
     for name, handler in handlers.items():
         cmd = sub.add_parser(name, help=f"run the {name} pipeline")
         cmd.add_argument("--config", help="JSON configuration file")
-        cmd.add_argument("--out", help="output path (stdout when omitted)")
+        if name != "check":  # check prints its verdict and writes no output
+            cmd.add_argument("--out", help="output path (stdout when omitted)")
         cmd.add_argument("--seed", type=int, help="override the config seed")
         if name == "decompose":
             cmd.add_argument("--matrix", help="design matrix CSV (overrides config)")

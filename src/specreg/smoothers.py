@@ -25,7 +25,8 @@ __all__ = [
     "default_grid",
 ]
 
-_KINDS = ("cutoff", "tikhonov", "landweber", "table")
+# The parameters each smoother kind takes; a family rejects any other.
+_KIND_PARAMETERS = {"cutoff": (), "tikhonov": (), "landweber": ("tau",), "table": ("alphas", "h_table")}
 _ORDER_ATOL = 1e-12  # rounding slack of the ordering check
 # Entries per row block of the grid walks (the ordering check, the grid floor,
 # the penalty table build and its mu solve): a block's temporaries stay in
@@ -35,7 +36,8 @@ _ROW_BLOCK_ELEMS = 2 ** 15
 
 @dataclass(frozen=True)
 class SmootherFamily:
-    """A named smoother family plus its kind-specific parameters.
+    """A named smoother family plus the parameters of its kind, those that
+    _KIND_PARAMETERS lists, e.g. ``SmootherFamily("landweber", tau=0.5)``.
 
     ``tau`` is the landweber relaxation step (default 1/lambda(1)), finite
     and positive when given.  User supplied tables carry explicit ``alphas``
@@ -49,8 +51,11 @@ class SmootherFamily:
     h_table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _KIND_PARAMETERS):
             raise ValueError(f"invalid input: unknown smoother kind {self.kind!r}")
+        for name in ("tau", "alphas", "h_table"):
+            if getattr(self, name) is not None and name not in _KIND_PARAMETERS[self.kind]:
+                raise ValueError(f"invalid input: {name} does not apply to smoother kind {self.kind!r}")
         if self.tau is not None and not (np.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"invalid input: tau must be positive and finite, got {self.tau!r}")
         if self.kind == "table":
@@ -65,22 +70,6 @@ class SmootherFamily:
                 value.setflags(write=False)
             object.__setattr__(self, "alphas", alphas)
             object.__setattr__(self, "h_table", table)
-
-    @classmethod
-    def cutoff(cls) -> "SmootherFamily":
-        return cls("cutoff")
-
-    @classmethod
-    def tikhonov(cls) -> "SmootherFamily":
-        return cls("tikhonov")
-
-    @classmethod
-    def landweber(cls, tau: float | None = None) -> "SmootherFamily":
-        return cls("landweber", tau=tau)
-
-    @classmethod
-    def from_table(cls, alphas, h_table) -> "SmootherFamily":
-        return cls("table", alphas=alphas, h_table=h_table)
 
 
 @dataclass(frozen=True)
@@ -102,14 +91,6 @@ class AlphaGrid:
 
     def __len__(self) -> int:
         return self.values.size
-
-    @property
-    def alpha_floor(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def alpha_max(self) -> float:
-        return float(self.values[-1])
 
 
 def _iterations_from_alpha(alpha: np.ndarray) -> np.ndarray:

@@ -263,14 +263,14 @@ def test_criterion_06_variance_calibration():
     p, sigma, reps = 100, 1.0, 100_000
     spectrum = polynomial_spectrum(p, 1.0)
     lam = spectrum.retained
-    family = SmootherFamily.tikhonov()
+    family = SmootherFamily("tikhonov")
     grid = default_grid(family, spectrum, points=40)
     rng = np.random.default_rng(606)
     noise = sigma * rng.standard_normal((reps, p)) / np.sqrt(lam)
     lines = []
     ok = True
 
-    h = h_values(family, grid.alpha_floor, spectrum)
+    h = h_values(family, grid.values[0], spectrum)
     resid2 = (1.0 - h) ** 2
     samples = (noise * noise) @ (lam * resid2) / resid2.sum()
     se = samples.std(ddof=1) / math.sqrt(reps)
@@ -279,7 +279,7 @@ def test_criterion_06_variance_calibration():
     lines.append(f"zero-signal mean {samples.mean():.6f} (dev {dev / se:.2f} SE)")
 
     beta = 1.0 / np.arange(1.0, p + 1.0)
-    for alpha in (grid.alpha_floor, float(grid.values[len(grid) // 2])):
+    for alpha in (float(grid.values[0]), float(grid.values[len(grid) // 2])):
         h = h_values(family, alpha, spectrum)
         resid2 = (1.0 - h) ** 2
         ys = beta + noise
@@ -302,7 +302,7 @@ def test_criterion_07_oracle_behavior():
     p = 200
     spectrum = polynomial_spectrum(p, 2.0)
     beta = 1.0 / np.arange(1.0, p + 1.0)
-    family = SmootherFamily.cutoff()
+    family = SmootherFamily("cutoff")
     grid = default_grid(family, spectrum)
     table = build_penalty_table(family, grid, spectrum, GAMMA)
     ratios = {}
@@ -342,7 +342,7 @@ def test_criterion_08_severely_ill_posed_comparison():
     p = 30
     k = np.arange(1.0, p + 1.0)
     beta = np.exp(-k / 4.0)
-    family = SmootherFamily.cutoff()
+    family = SmootherFamily("cutoff")
     medians = {}
     tails = {}
     for kappa in (0.5, 1.0, 2.0):
@@ -378,7 +378,7 @@ def test_criterion_08_severely_ill_posed_comparison():
 
 def test_criterion_09_excess_statistic_stability():
     started = time.perf_counter()
-    family = SmootherFamily.cutoff()
+    family = SmootherFamily("cutoff")
     means = {}
     for p in (50, 200, 400):
         spectrum = polynomial_spectrum(p, 2.0)

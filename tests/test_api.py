@@ -62,7 +62,7 @@ def test_mu_solve_names_the_tracer_binds(monkeypatch):
 
     monkeypatch.setattr(penalty, "_cramer_rowsum", counting)
     spectrum = polynomial_spectrum(50, 2.0)
-    family = SmootherFamily.cutoff()
+    family = SmootherFamily("cutoff")
     build_penalty_table(family, default_grid(family, spectrum), spectrum, 0.1)
     assert len(calls) == 5
 

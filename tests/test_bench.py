@@ -100,7 +100,7 @@ class TestPenalizedRisk:
 
 class TestRiskProfile:
     def _table(self, model):
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         grid = default_grid(family, model.spectrum, floor=False)
         return build_penalty_table(family, grid, model.spectrum, 0.1), grid
 
@@ -164,7 +164,7 @@ class TestRiskProfile:
         # rows 16-21 hold bit-identical h: the oracle is that model, which
         # selection reports at the last row of the run, and so does the oracle
         s = polynomial_spectrum(60, 2.0)
-        family = SmootherFamily.landweber()
+        family = SmootherFamily("landweber")
         table = build_penalty_table(family, default_grid(family, s, points=30), s, 0.1)
         model = SpectralModel(s, 1.0 / np.arange(1.0, 61.0), 0.1)
         profile = risk_profile(model, table)
@@ -179,7 +179,7 @@ class TestRiskProfile:
         # weighs by 1 / lambda; RuntimeWarnings are errors in this suite
         s = Spectrum([1.0, 1e-3, 1e-300])
         model = SpectralModel(s, np.array([1.0, 1.0, 1e5]), 0.1)
-        table = build_penalty_table(SmootherFamily.cutoff(), AlphaGrid([0.2, 0.5, 1.0]), s, 0.1)
+        table = build_penalty_table(SmootherFamily("cutoff"), AlphaGrid([0.2, 0.5, 1.0]), s, 0.1)
         profile = risk_profile(model, table)
         assert profile.degenerate_rows == (0,) and profile.oracle_index == 2
 
@@ -187,7 +187,7 @@ class TestRiskProfile:
         s = polynomial_spectrum(6, 1.0)
         model = SpectralModel(s, np.ones(6), 0.2)
         grid = AlphaGrid([0.5])
-        table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
+        table = build_penalty_table(SmootherFamily("cutoff"), grid, s, 0.1)
         profile = risk_profile(model, table)
         assert (profile.r, profile.oracle_index) == (profile.penalized[0], 0)
 
@@ -220,7 +220,7 @@ class TestRiskBound:
 class TestExcessSupStat:
     def _table(self, p=30):
         s = polynomial_spectrum(p, 2.0)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         grid = default_grid(family, s, floor=False)
         return build_penalty_table(family, grid, s, 0.1)
 
@@ -234,7 +234,7 @@ class TestExcessSupStat:
         # functional; its mean is below d/sqrt(2) by Cauchy-Schwarz
         s = polynomial_spectrum(10, 1.0)
         grid = AlphaGrid([1.0])
-        table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
+        table = build_penalty_table(SmootherFamily("cutoff"), grid, s, 0.1)
         d = table.d[0]
         rng = replication_stream(3, 0)
         draws = np.array([excess_sup_stat(table, rng.standard_normal(10)) for _ in range(20_000)])
@@ -264,7 +264,7 @@ def test_cutoff_results_read_no_kernel_matrix(monkeypatch):
     monkeypatch.setattr(PenaltyTable, "_kernels", property(lambda table: pytest.fail("kernels formed")))
     s = polynomial_spectrum(60, 2.0)
     model = SpectralModel(s, 1.0 / np.arange(1.0, 61.0), 0.1)
-    family = SmootherFamily.cutoff()
+    family = SmootherFamily("cutoff")
     table = build_penalty_table(family, default_grid(family, s), s, 0.1)
     data = simulate_observation(model, replication_stream(3, 0))
     select_alpha(data, table, "known", sigma2=0.01)
@@ -280,7 +280,7 @@ class TestMcRun:
         s = polynomial_spectrum(p, 2.0)
         beta = 1.0 / np.arange(1.0, p + 1.0)
         model = SpectralModel(s, beta, sigma)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         table = build_penalty_table(family, default_grid(family, s), s, 0.1)
         return mc_run(model, table, mode, replications, 17, penalty=penalty)
 
@@ -307,7 +307,7 @@ class TestMcRun:
         s = polynomial_spectrum(p, 2.0)
         beta = 1.0 / np.arange(1.0, p + 1.0)
         model = SpectralModel(s, beta, 0.0)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         grid = default_grid(family, s, floor=False)
         table = build_penalty_table(family, grid, s, 0.1)
         report = mc_run(model, table, "known", 3, 0, sigma2=0.0)
@@ -334,12 +334,12 @@ class TestMcRun:
         p = 30
         s = polynomial_spectrum(p, 2.0)
         model = SpectralModel(s, 1.0 / np.arange(1.0, p + 1.0), 0.1)
-        grid = default_grid(SmootherFamily.cutoff(), s)
+        grid = default_grid(SmootherFamily("cutoff"), s)
         lam = s.retained.tolist()
         for i in range(report.replications):
             y = simulate_observation(model, replication_stream(17, i)).y.tolist()
             alpha = float(grid.values[report.alpha_hat_indices[i]])
-            h = h_values(SmootherFamily.cutoff(), alpha, s).tolist()
+            h = h_values(SmootherFamily("cutoff"), alpha, s).tolist()
             num = math.fsum(l * (1.0 - hk) ** 2 * yk * yk for l, hk, yk in zip(lam, h, y))
             den = math.fsum((1.0 - hk) ** 2 for hk in h)
             assert report.sigma_hat2s[i] == pytest.approx(num / den, rel=1e-12)
@@ -416,7 +416,7 @@ class TestBatchedMcRun:
         # sigma g / sqrt(lambda) overflows where |g| > 2.6 past the first component
         s = Spectrum([1.0] + [3e-308] * 49)
         model = SpectralModel(s, np.zeros(50), 1.2e154)
-        table = build_penalty_table(SmootherFamily.cutoff(), AlphaGrid([1.0]), s, 0.1)
+        table = build_penalty_table(SmootherFamily("cutoff"), AlphaGrid([1.0]), s, 0.1)
         with pytest.raises(ValueError, match="invalid input: non-finite observations"):
             mc_run(model, table, "known", 40, 3)
 
@@ -427,7 +427,7 @@ class TestBatchedMcRun:
         p = 1000
         s = exponential_spectrum(p, 0.5)
         model = SpectralModel(s, 1.0 / np.arange(1.0, p + 1.0), 0.05)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         table = build_penalty_table(family, default_grid(family, s), s, 0.1)
         report = mc_run(model, table, "known", 50, 1, penalty="unbiased")
         assert np.all(np.isfinite(report.losses)) and report.losses.max() > 1e190

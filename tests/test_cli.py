@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +101,28 @@ class TestCheck:
             },
         )
         assert run(["check", "--config", cfg]) == 2
+
+
+    def test_failed_penalty_inequalities_are_listed(self, tmp_path, capsys):
+        # k^-2 at p=50 on the cutoff grid violates the auxiliary constant-1
+        # log form, which correct tables can violate: check lists each row
+        cfg = well_conditioned_config(
+            problem={"generator": {"spectrum": {"kind": "polynomial", "p": 50, "exponent": 2.0},
+                                   "signal": {"kind": "polynomial", "exponent": 1.0}, "sigma": 0.05}},
+            family={"kind": "cutoff"}, grid={"floor": "default"})
+        assert run(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "ordering: PASS"
+        assert lines[1].startswith("conditions: PASS")
+        assert lines[2:4] == ["penalty inequalities: FAIL", "  noise scale below the log bound at alpha=0.025"]
+        assert all(line.startswith("  ") for line in lines[3:])
+
+    def test_out_flag_is_a_usage_error(self, tmp_path, capsys):
+        # check writes no output: its --out was once accepted and ignored
+        out = tmp_path / "verdict.txt"
+        assert run(["check", "--config", write_config(tmp_path, well_conditioned_config()), "--out", str(out)]) == 1
+        assert "usage" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDecompose:
@@ -618,6 +645,44 @@ class TestExitCodes:
                 "family": {"kind": "tikhonov"}, "grid": {"points": 10}, "gamma": 0.1,
                 "mode": "unknown", **overrides}
 
+    @staticmethod
+    def _read_error(read, path) -> str:
+        with pytest.raises((OSError, ValueError)) as excinfo:
+            read(path)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("case", [
+        "config-missing", "x-missing", "x-non-numeric", "signal-kind", "spectrum-kind",
+        "bench-matrix", "decompose-generator", "known-without-sigma2"])
+    def test_config_fault_message(self, tmp_path, capsys, case):
+        command, cfg, config_path = "penalty-table", well_conditioned_config(), None
+        x = tmp_path / "x.csv"
+        loadtxt = functools.partial(np.loadtxt, delimiter=",", ndmin=2, dtype=float)
+        if case == "config-missing":
+            config_path = tmp_path / "missing.json"
+            want = f"cannot read {config_path}: {self._read_error(open, config_path)}"
+        elif case in ("x-missing", "x-non-numeric"):
+            command, cfg = "decompose", self._matrix_config(tmp_path)
+            if case == "x-missing":
+                x.unlink()
+                want = f"cannot read {x}: {self._read_error(loadtxt, x)}"
+            else:
+                x.write_text("1.0,2.0\n3.0,abc\n", encoding="utf-8")
+                want = f"invalid CSV in {x}: {self._read_error(loadtxt, x)}"
+        elif case in ("signal-kind", "spectrum-kind"):
+            cfg["problem"]["generator"][case.split("-")[0]]["kind"] = "bogus"
+            want = f"unknown {case.split('-')[0]} kind 'bogus'"
+        elif case == "bench-matrix":
+            command, cfg = "bench", self._matrix_config(tmp_path)
+            want = "this command needs a spectral or generator problem source"
+        elif case == "decompose-generator":
+            command, want = "decompose", "decompose needs a matrix problem source"
+        else:
+            command, cfg = "select", well_conditioned_config(mode="known")
+            want = "known-sigma mode needs 'sigma2' in the config"
+        assert run([command, "--config", str(config_path or write_config(tmp_path, cfg))]) == 1
+        assert capsys.readouterr() == ("", f"config error: {want}\n")
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
     def test_orthogonal_residual_flag_must_be_boolean(self, tmp_path, capsys, value):
         # the string "false" once switched the residual on, as a truthy value
@@ -761,3 +826,16 @@ class TestExitCodes:
         cfg = well_conditioned_config(family={"kind": "bogus", "tau": 1.0})
         assert run(["penalty-table", "--config", write_config(tmp_path, cfg)]) == 1
         assert capsys.readouterr().err == "config error: unknown family kind 'bogus'\n"
+
+
+def test_digest_is_independent_of_hash_seed(tmp_path):
+    # every command of the digest's config matrix, run under two string hash
+    # seeds: no output may depend on the iteration order of a set or dict
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, str(root / "tools" / "cli_digest.py"), str(root / "src"), str(tmp_path / seed)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED=seed), check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] != ""

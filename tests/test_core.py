@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specreg import (
+    DecomposedDesign,
     SpectralData,
     SpectralModel,
     Spectrum,
@@ -16,6 +17,7 @@ from specreg import (
     simulate_observation,
     to_spectral,
 )
+from specreg.core import _check_x
 
 
 def _orthonormal(rng, n, p):
@@ -333,3 +335,29 @@ def test_spectral_data_residual_defaults_to_none():
 def test_spectral_data_rejects_a_bad_residual(residual2, residual_dof):
     with pytest.raises(ValueError, match="invalid input: residual"):
         SpectralData(polynomial_spectrum(3, 1.0), [1.0, 2.0, 3.0], residual2, residual_dof)
+
+
+_S2 = Spectrum([2.0, 1.0])
+_DESIGN = {"spectrum": _S2, "basis": np.eye(2), "n": 3, "reflectors": np.zeros((2, 3)),
+           "tau": np.zeros(2), "r_left_basis": np.eye(2)}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Spectrum([]), "invalid input: eigenvalues must be a nonempty 1-d sequence"),
+    (lambda: Spectrum([1.0, 0.5], 3), "invalid input: effective_rank out of range"),
+    (lambda: Spectrum([np.inf, 0.5]), "invalid input: non-finite eigenvalues"),
+    (lambda: Spectrum([1.0, np.nan, 0.25], 2), "invalid input: non-finite eigenvalues"),
+    (lambda: DecomposedDesign(**dict(_DESIGN, tau=np.zeros(3))), "dimension error: tau must have shape (2,)"),
+    (lambda: DecomposedDesign(**dict(_DESIGN, basis=[[1.0, 1.0], [0.0, 1.0]])),
+     "invalid input: basis columns are not orthonormal"),
+    (lambda: SpectralModel(_S2, [1.0], 0.1), "dimension error: coefficients must match effective_rank"),
+    (lambda: SpectralModel(_S2, [1.0, np.nan], 0.1), "invalid input: non-finite coefficients"),
+    (lambda: SpectralModel(_S2, [1.0, 0.5], -0.1), "invalid input: sigma must be a nonnegative real"),
+    (lambda: SpectralModel(_S2, [1.0, 0.5], np.nan), "invalid input: sigma must be a nonnegative real"),
+    (lambda: _check_x(np.ones(3)), "invalid input: X must be a 2-d matrix"),
+], ids=["spectrum-empty", "spectrum-rank", "spectrum-inf", "spectrum-nan-retained", "design-shape",
+        "design-basis", "model-length", "model-nan", "model-sigma-negative", "model-sigma-nan", "x-1d"])
+def test_invalid_input_message(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message

@@ -41,11 +41,11 @@ from specreg.selection import _select_rows
 from specreg.smoothers import _ROW_BLOCK_ELEMS
 from reference import cramer_term, pen_cv, pen_u, penalty_columns
 
-FAMILIES = [SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()]
+FAMILIES = [SmootherFamily("cutoff"), SmootherFamily("tikhonov"), SmootherFamily("landweber")]
 
 
 def _cutoff_table(spectrum, gamma=0.1, floor=False):
-    family = SmootherFamily.cutoff()
+    family = SmootherFamily("cutoff")
     grid = default_grid(family, spectrum, floor=floor)
     return build_penalty_table(family, grid, spectrum, gamma), grid
 
@@ -88,12 +88,12 @@ class TestPenCV:
     def test_tikhonov_at_matching_alpha(self):
         p = 9
         s = Spectrum(np.full(p, 2.0))
-        h = h_values(SmootherFamily.tikhonov(), 2.0, s)
+        h = h_values(SmootherFamily("tikhonov"), 2.0, s)
         assert pen_cv(h) == float(p)
 
 
 def _one_row_table(h, spectrum):
-    family = SmootherFamily.from_table(alphas=[1.0], h_table=[h])
+    family = SmootherFamily("table", alphas=[1.0], h_table=[h])
     return build_penalty_table(family, AlphaGrid([1.0]), spectrum, 0.1)
 
 
@@ -388,18 +388,18 @@ def _assert_within_noise(mu, rho, log_ratio):
 
 
 _BISECTION_TABLES = {
-    "mc-cutoff k^-2 p=1000": (SmootherFamily.cutoff(), lambda: polynomial_spectrum(1000, 2.0), {}),
-    "cutoff k^-2 p=2000": (SmootherFamily.cutoff(), lambda: polynomial_spectrum(2000, 2.0), {}),
-    "cutoff e^-k/2 p=1000": (SmootherFamily.cutoff(), lambda: exponential_spectrum(1000, 0.5), {}),
-    "tikhonov k^-2 p=1000": (SmootherFamily.tikhonov(), lambda: polynomial_spectrum(1000, 2.0),
+    "mc-cutoff k^-2 p=1000": (SmootherFamily("cutoff"), lambda: polynomial_spectrum(1000, 2.0), {}),
+    "cutoff k^-2 p=2000": (SmootherFamily("cutoff"), lambda: polynomial_spectrum(2000, 2.0), {}),
+    "cutoff e^-k/2 p=1000": (SmootherFamily("cutoff"), lambda: exponential_spectrum(1000, 0.5), {}),
+    "tikhonov k^-2 p=1000": (SmootherFamily("tikhonov"), lambda: polynomial_spectrum(1000, 2.0),
                              {"points": 200}),
-    "tikhonov k^-1 p=2000": (SmootherFamily.tikhonov(), lambda: polynomial_spectrum(2000, 1.0),
+    "tikhonov k^-1 p=2000": (SmootherFamily("tikhonov"), lambda: polynomial_spectrum(2000, 1.0),
                              {"points": 200}),
-    "landweber e^-k p=300": (SmootherFamily.landweber(), lambda: exponential_spectrum(300, 1.0),
+    "landweber e^-k p=300": (SmootherFamily("landweber"), lambda: exponential_spectrum(300, 1.0),
                              {"points": 100}),
-    "tikhonov e^-k p=500": (SmootherFamily.tikhonov(), lambda: exponential_spectrum(500, 1.0),
+    "tikhonov e^-k p=500": (SmootherFamily("tikhonov"), lambda: exponential_spectrum(500, 1.0),
                             {"points": 100, "floor": False}),
-    "landweber e^-k p=500": (SmootherFamily.landweber(), lambda: exponential_spectrum(500, 1.0),
+    "landweber e^-k p=500": (SmootherFamily("landweber"), lambda: exponential_spectrum(500, 1.0),
                              {"points": 100, "floor": False}),
 }
 
@@ -424,14 +424,14 @@ class TestMuBisectionReplay:
     def test_ordered_table_family(self):
         s = polynomial_spectrum(40, 1.0)
         alphas = np.geomspace(1e-3, 10.0, 25)
-        family = SmootherFamily.from_table(
-            alphas=alphas.tolist(), h_table=[s.retained / (s.retained + a) for a in alphas])
+        family = SmootherFamily(
+            "table", alphas=alphas.tolist(), h_table=[s.retained / (s.retained + a) for a in alphas])
         table = build_penalty_table(family, AlphaGrid(alphas), s, 0.1)
         _assert_near_bisection(table.mu, *_mu_inputs(table))
 
     def test_rows_with_zero_log_ratio(self):
         spectrum = polynomial_spectrum(300, 2.0)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         rho, log_ratio = _mu_inputs(build_penalty_table(
             family, default_grid(family, spectrum), spectrum, 0.1))
         log_ratio[::3] = 0.0
@@ -464,7 +464,7 @@ class TestMuBisectionReplay:
         # all-zero block with log ratio 0
         rng = np.random.default_rng(48)
         spectrum = polynomial_spectrum(400, 2.0)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         rho, log_ratio = _mu_inputs(build_penalty_table(
             family, default_grid(family, spectrum), spectrum, 0.1))
         cases = [(rho[block], log_ratio[block]) for block in _row_slices(*rho.shape)]
@@ -505,7 +505,7 @@ class TestMuBisectionReplay:
         # steps from there leave the bracket, the bracket midpoints take
         # over, and mu still lands within the noise of the exact root
         spectrum = exponential_spectrum(200, 0.5)
-        family = SmootherFamily.tikhonov()
+        family = SmootherFamily("tikhonov")
         rho, log_ratio = _mu_inputs(build_penalty_table(
             family, default_grid(family, spectrum, points=20), spectrum, 0.1))
         assert len(_row_slices(*rho.shape)) == 1 and log_ratio[-1] == 0.0 and np.all(log_ratio[:-1] > 0.0)
@@ -531,13 +531,13 @@ class TestMuBisectionReplay:
 class TestQPlus:
     def test_zero_at_reference(self):
         s = polynomial_spectrum(6, 2.0)
-        table = build_penalty_table(SmootherFamily.tikhonov(), AlphaGrid([3.0]), s, 0.1)
+        table = build_penalty_table(SmootherFamily("tikhonov"), AlphaGrid([3.0]), s, 0.1)
         assert table.q_plus[0] == 0.0
 
     def test_independent_reimplementation(self):
         # from-scratch recomputation with a different root finder (brentq)
         s = Spectrum([1.0, 0.1])
-        table = build_penalty_table(SmootherFamily.tikhonov(), AlphaGrid([0.05, 10.0]), s, 0.1)
+        table = build_penalty_table(SmootherFamily("tikhonov"), AlphaGrid([0.05, 10.0]), s, 0.1)
 
         lam = s.retained
 
@@ -566,7 +566,7 @@ class TestQPlus:
         from mpmath import mp, mpf
 
         spectrum = exponential_spectrum(500, 0.5)
-        family = SmootherFamily.tikhonov()
+        family = SmootherFamily("tikhonov")
         table = build_penalty_table(family, default_grid(family, spectrum, points=200), spectrum, 0.1)
         rho = _mu_inputs(table)[0]
         worst = 0.0
@@ -587,7 +587,7 @@ class TestQPlus:
             family = FAMILIES[int(rng.integers(0, 3))]
             grid = default_grid(family, s, points=10, floor=False)
             table = build_penalty_table(
-                family, AlphaGrid([grid.alpha_floor, grid.alpha_max]), s, 0.1)
+                family, AlphaGrid([grid.values[0], grid.values[-1]]), s, 0.1)
             d, d_ref = table.d
             if d <= d_ref:
                 continue
@@ -602,10 +602,10 @@ class TestTotalPenalty:
 
     def test_gamma_boundaries_rejected(self):
         s = polynomial_spectrum(3, 1.0)
-        grid = default_grid(SmootherFamily.cutoff(), s, floor=False)
+        grid = default_grid(SmootherFamily("cutoff"), s, floor=False)
         for gamma in (0.0, 0.25, -0.1, 1.0):
             with pytest.raises(ValueError, match="gamma"):
-                build_penalty_table(SmootherFamily.cutoff(), grid, s, gamma)
+                build_penalty_table(SmootherFamily("cutoff"), grid, s, gamma)
 
     def test_nonincreasing_along_grid(self):
         for spectrum in (polynomial_spectrum(40, 1.0), exponential_spectrum(25, 0.5)):
@@ -706,7 +706,7 @@ class TestPenaltyTable:
             grid = default_grid(family, s, points=40, floor=False)
             table = build_penalty_table(family, grid, s, 0.1)
             with mp.workdps(50):
-                d_ref = noise(h_ref(kind, grid.alpha_max))[0]
+                d_ref = noise(h_ref(kind, grid.values[-1]))[0]
                 for i in np.unique(np.linspace(0, len(grid) - 1, 5).round().astype(int)):
                     d, rho = noise(h_ref(kind, float(grid.values[i])))
                     log_ratio = mp.log(d / d_ref)
@@ -719,8 +719,8 @@ class TestPenaltyTable:
 
     def test_requires_ordered_family(self):
         s = Spectrum([1.0, 0.5])
-        family = SmootherFamily.from_table(
-            alphas=[1.0, 2.0], h_table=[[0.3, 0.1], [0.9, 0.5]]
+        family = SmootherFamily(
+            "table", alphas=[1.0, 2.0], h_table=[[0.3, 0.1], [0.9, 0.5]]
         )
         grid = AlphaGrid([1.0, 2.0])
         with pytest.raises(ValueError, match="not ordered") as excinfo:
@@ -733,7 +733,7 @@ class TestPenaltyTable:
         # the family passes check_ordered, yet its noise scale rises
         s = Spectrum([1.0, 1.0])
         grid = AlphaGrid([1.0, 2.0])
-        family = SmootherFamily.from_table(grid.values, [[1e-10, 1e-10], [1e-10 + 5e-13] * 2])
+        family = SmootherFamily("table", alphas=grid.values, h_table=[[1e-10, 1e-10], [1e-10 + 5e-13] * 2])
         assert check_ordered(family, grid, s).ok
         with pytest.raises(ValueError, match="^invalid input: noise scale must be nonincreasing "
                                              r"along the grid \(is the family ordered\?\)$"):
@@ -741,8 +741,8 @@ class TestPenaltyTable:
 
     def test_accepts_ordered_table_family(self):
         s = Spectrum([1.0, 0.5])
-        family = SmootherFamily.from_table(
-            alphas=[1.0, 2.0], h_table=[[0.9, 0.5], [0.3, 0.1]]
+        family = SmootherFamily(
+            "table", alphas=[1.0, 2.0], h_table=[[0.9, 0.5], [0.3, 0.1]]
         )
         table = build_penalty_table(family, AlphaGrid([1.0, 2.0]), s, 0.1)
         assert table.alphas.size == 2
@@ -751,7 +751,7 @@ class TestPenaltyTable:
         # h / lambda overflows at lambda = 1e-310, so D is NaN on the first
         # row; NaN slips through every comparison and must be caught explicitly
         s = Spectrum([1.0, 0.5, 0.25, 1e-310])
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         grid = default_grid(family, s, floor=False)
         with pytest.raises(ArithmeticError, match="non-finite"):
             build_penalty_table(family, grid, s, 0.1)
@@ -762,7 +762,7 @@ def _tikhonov_table_family(p: int, rows: int) -> tuple[SmootherFamily, AlphaGrid
     and spectrum."""
     s = polynomial_spectrum(p, 1.0)
     alphas = np.geomspace(1e-3 / p, 10.0, rows)
-    family = SmootherFamily.from_table(alphas, s.retained / (s.retained + alphas[:, None]))
+    family = SmootherFamily("table", alphas=alphas, h_table=s.retained / (s.retained + alphas[:, None]))
     return family, AlphaGrid(alphas), s
 
 
@@ -773,10 +773,10 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("family, grid, spectrum", [
         pytest.param(family, default_grid(family, s, points), s, id=name)
         for name, family, s, points in (
-            ("cutoff", SmootherFamily.cutoff(), polynomial_spectrum(400, 2.0), None),
-            ("tikhonov", SmootherFamily.tikhonov(), polynomial_spectrum(200, 2.0), 400),
-            ("landweber", SmootherFamily.landweber(), polynomial_spectrum(200, 2.0), 700),
-            ("landweber-e^-k", SmootherFamily.landweber(), exponential_spectrum(100, 1.0), 800))
+            ("cutoff", SmootherFamily("cutoff"), polynomial_spectrum(400, 2.0), None),
+            ("tikhonov", SmootherFamily("tikhonov"), polynomial_spectrum(200, 2.0), 400),
+            ("landweber", SmootherFamily("landweber"), polynomial_spectrum(200, 2.0), 700),
+            ("landweber-e^-k", SmootherFamily("landweber"), exponential_spectrum(100, 1.0), 800))
     ] + [pytest.param(*_tikhonov_table_family(300, 250), id="table")])
     def test_matches_whole_matrix_formulas(self, family, grid, spectrum):
         table = build_penalty_table(family, grid, spectrum, 0.1)
@@ -802,7 +802,7 @@ class TestBlockedBuild:
 
     def test_single_row_grid(self):
         s = polynomial_spectrum(50, 2.0)
-        family, grid = SmootherFamily.tikhonov(), AlphaGrid([0.01])
+        family, grid = SmootherFamily("tikhonov"), AlphaGrid([0.01])
         table = build_penalty_table(family, grid, s, 0.1)
         want = penalty_columns(family, grid, s, 0.1)
         assert np.array_equal(table.h(slice(None)), want.pop("h"))
@@ -816,7 +816,7 @@ class TestBlockedBuild:
         # rows start at 163, 326 and 489, and runs of bit-identical rows
         # (equal iteration counts) run across the last two of them
         s = polynomial_spectrum(200, 2.0)
-        family = SmootherFamily.landweber()
+        family = SmootherFamily("landweber")
         grid = default_grid(family, s, points=700)
         table = build_penalty_table(family, grid, s, 0.1)
         starts = [block.start for block in _table_blocks(table)]
@@ -831,7 +831,7 @@ class TestBlockedBuild:
         # and no M x p matrix, and forms h and every other temporary one
         # row block at a time
         s = polynomial_spectrum(1000, 2.0)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         grid = default_grid(family, s)
         tracemalloc.start()
         try:
@@ -849,7 +849,7 @@ class TestBlockedBuild:
         # a tikhonov table (k^-2, p = 1000, M = 774) forms its two M x p row
         # kernels on first use, the second in the buffer of its h rows
         s = polynomial_spectrum(1000, 2.0)
-        family = SmootherFamily.tikhonov()
+        family = SmootherFamily("tikhonov")
         table = build_penalty_table(family, default_grid(family, s, points=900), s, 0.1)
         tracemalloc.start()
         try:
@@ -869,7 +869,7 @@ class TestBlockedBuild:
         rows = family.h_table.copy()
         rows[3, 0] = 0.5 * (rows[2, 0] + 1.0)
         rows[17, [5, 6]] = rows[17, [6, 5]]
-        family = SmootherFamily.from_table(grid.values, rows)
+        family = SmootherFamily("table", alphas=grid.values, h_table=rows)
         violation = check_ordered(family, grid, s).violation
         assert violation.kind == "not monotone in lambda" and violation.alpha_low == grid.values[17]
         with pytest.raises(ValueError, match="not ordered") as excinfo:
@@ -893,7 +893,7 @@ class TestBlockedBuild:
         family, grid, s = _tikhonov_table_family(4096, 20)  # blocks of 8 rows
         rows = family.h_table.copy()
         rows[18:] = 0.0
-        family = SmootherFamily.from_table(grid.values, rows)
+        family = SmootherFamily("table", alphas=grid.values, h_table=rows)
         assert len(_row_slices(len(grid), s.retained.size)) == 3
         with pytest.raises(ValueError, match="degenerate smoother: h is identically zero"):
             build_penalty_table(family, grid, s, 0.1)
@@ -908,7 +908,7 @@ def _kernel_table(name: str):
         # keeps every component (m = p, a zero resid2 row)
         s = polynomial_spectrum(60, 2.0)
         grid = AlphaGrid([0.01, 1 / 10.5, 1 / 10.2, 0.2, 0.5, 1.0])
-        return build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
+        return build_penalty_table(SmootherFamily("cutoff"), grid, s, 0.1)
     s = polynomial_spectrum(1000, 2.0) if name == "k^-2 p=1000" else exponential_spectrum(100, 1.0)
     return _cutoff_table(s, floor=True)[0]
 
@@ -1015,7 +1015,7 @@ class TestKernelProducts:
 class TestVarianceSpan:
     def test_single_point_closed_form(self):
         s = polynomial_spectrum(12, 1.0)
-        family = SmootherFamily.tikhonov()
+        family = SmootherFamily("tikhonov")
         grid = AlphaGrid([1.0])
         table = build_penalty_table(family, grid, s, 0.1)
         norm = math.sqrt(table.one_minus_h_norm2[0])
@@ -1024,7 +1024,7 @@ class TestVarianceSpan:
 
     def test_hand_evaluated_cutoff_case(self):
         s = polynomial_spectrum(100, 2.0)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         grid = AlphaGrid([1.0 / 50.0, 1.0])
         table = build_penalty_table(family, grid, s, 0.1)
         floor_norm2 = 100.0 - 50.0
@@ -1039,7 +1039,7 @@ class TestVarianceSpan:
         for p in (100, 1000, 10000):
             s = polynomial_spectrum(p, 2.0)
             grid = AlphaGrid([2.0 / p, 1.0])  # keep p/2 at the floor, 1 at the top
-            table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
+            table = build_penalty_table(SmootherFamily("cutoff"), grid, s, 0.1)
             values.append(table.psi)
         assert values[0] > values[1] > values[2]
 
@@ -1064,7 +1064,7 @@ class TestCheckConditions:
 
     def test_binary_smoother_first_ratio_is_one(self):
         s = polynomial_spectrum(5, 1.0)
-        table = build_penalty_table(SmootherFamily.cutoff(), AlphaGrid([1.0 / 5.0]), s, 0.1)
+        table = build_penalty_table(SmootherFamily("cutoff"), AlphaGrid([1.0 / 5.0]), s, 0.1)
         report = check_conditions(table)
         assert report.ratio_unbiased[0] == 1.0
 
@@ -1096,12 +1096,12 @@ class TestVerifyPenaltyInequalities:
 
     def test_single_point_grid_vacuous(self):
         s = polynomial_spectrum(5, 1.0)
-        table = build_penalty_table(SmootherFamily.cutoff(), AlphaGrid([0.5]), s, 0.1)
+        table = build_penalty_table(SmootherFamily("cutoff"), AlphaGrid([0.5]), s, 0.1)
         assert verify_penalty_inequalities(table).ok
 
     def test_flat_spectrum_tikhonov_passes(self):
         s = Spectrum(np.ones(5))
-        family = SmootherFamily.tikhonov()
+        family = SmootherFamily("tikhonov")
         grid = default_grid(family, s, points=12, floor=False)
         table = build_penalty_table(family, grid, s, 0.1)
         assert verify_penalty_inequalities(table).ok
@@ -1121,7 +1121,7 @@ class TestVerifyPenaltyInequalities:
         kinds = ("q_plus below", "mu below", "log bound")
         sparse = AlphaGrid(1.0 / np.arange(100.0, 0.0, -3.0))
         sparse_report = verify_penalty_inequalities(
-            build_penalty_table(SmootherFamily.cutoff(), sparse, table_spectrum, 0.1))
+            build_penalty_table(SmootherFamily("cutoff"), sparse, table_spectrum, 0.1))
         assert report.total_violations > 50 > sparse_report.total_violations
         for report in (report, sparse_report):
             assert len(report.violations) == min(50, report.total_violations)
@@ -1137,7 +1137,7 @@ class TestVerifyPenaltyInequalities:
 
         s = polynomial_spectrum(217, 2.0)
         table = build_penalty_table(
-            SmootherFamily.cutoff(), AlphaGrid([1.0 / 217.0, 1.0 / 32.0, 1.0]), s, 0.1
+            SmootherFamily("cutoff"), AlphaGrid([1.0 / 217.0, 1.0 / 32.0, 1.0]), s, 0.1
         )
         assert list(table.h(slice(None)).sum(axis=1)) == [217.0, 32.0, 1.0]
         with mp.workdps(50):

@@ -92,7 +92,7 @@ class TestSigmaHat2:
         p, sigma, reps = 30, 0.8, 100_000
         s = polynomial_spectrum(p, 1.0)
         lam = s.retained
-        h = h_values(SmootherFamily.tikhonov(), 0.3, s)
+        h = h_values(SmootherFamily("tikhonov"), 0.3, s)
         resid2 = (1.0 - h) ** 2
         noise = sigma * rng.standard_normal((reps, p)) / np.sqrt(lam)
         samples = (noise * noise * (lam * resid2)) @ np.ones(p) / np.sum(resid2)
@@ -108,7 +108,7 @@ class TestSigmaHat2:
         s = polynomial_spectrum(p, 2.0)
         lam = s.retained
         beta = 1.0 / np.arange(1.0, p + 1.0)
-        h = h_values(SmootherFamily.tikhonov(), 0.05, s)
+        h = h_values(SmootherFamily("tikhonov"), 0.05, s)
         resid2 = (1.0 - h) ** 2
         ys = beta + sigma * rng.standard_normal((reps, p)) / np.sqrt(lam)
         samples = (ys * ys) @ (lam * resid2) / np.sum(resid2)
@@ -160,7 +160,7 @@ class TestContrastUnknownSigma:
 class TestSelectAlpha:
     def _setup(self, p=20, gamma=0.1, grid=None):
         s = polynomial_spectrum(p, 2.0)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         grid = default_grid(family, s, floor=False) if grid is None else grid
         table = build_penalty_table(family, grid, s, gamma)
         return s, family, grid, table
@@ -168,7 +168,7 @@ class TestSelectAlpha:
     def test_single_point_grid(self):
         s = polynomial_spectrum(5, 1.0)
         grid = AlphaGrid([0.5])
-        table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
+        table = build_penalty_table(SmootherFamily("cutoff"), grid, s, 0.1)
         result = select_alpha(_data(s, np.ones(5)), table, "known", sigma2=1.0)
         assert result.alpha_hat == 0.5
         assert result.alpha_hat_index == 0
@@ -178,12 +178,12 @@ class TestSelectAlpha:
         beta = 1.0 / np.arange(1.0, 21.0)
         result = select_alpha(_data(s, beta), table, "known", sigma2=0.0)
         assert result.alpha_hat_index == 0
-        assert result.alpha_hat == grid.alpha_floor
+        assert result.alpha_hat == float(grid.values[0])
 
     def test_ties_break_to_largest_alpha(self):
         s = polynomial_spectrum(3, 1.0)
-        grid = default_grid(SmootherFamily.cutoff(), s, floor=False)
-        table = build_penalty_table(SmootherFamily.cutoff(), grid, s, 0.1)
+        grid = default_grid(SmootherFamily("cutoff"), s, floor=False)
+        table = build_penalty_table(SmootherFamily("cutoff"), grid, s, 0.1)
         # signal lives entirely in the first component: every cutoff removes
         # nothing of it, so with zero penalty weight all contrasts tie at 0
         data = _data(s, [3.0, 0.0, 0.0])
@@ -196,7 +196,7 @@ class TestSelectAlpha:
         # rows 16-21 hold bit-identical h: one model, which a pick anywhere
         # in the run reports at its largest alpha, row 21
         s = polynomial_spectrum(60, 2.0)
-        family = SmootherFamily.landweber()
+        family = SmootherFamily("landweber")
         grid = default_grid(family, s, points=30)
         table = build_penalty_table(family, grid, s, 0.1)
         assert np.array_equal(table.tie_end, np.r_[np.arange(16), np.full(6, 21)])
@@ -255,7 +255,7 @@ class TestSelectAlpha:
         # the same width is not enough: the table's eigenvalues must be the data's
         model = SpectralModel(polynomial_spectrum(50, 2.0), 1.0 / np.arange(1.0, 51.0), 0.1)
         data = simulate_observation(model, replication_stream(7, 0))
-        family = SmootherFamily.tikhonov()
+        family = SmootherFamily("tikhonov")
         for other in (exponential_spectrum(50, 0.5), polynomial_spectrum(40, 2.0)):
             table = build_penalty_table(family, default_grid(family, other, points=30), other, 0.1)
             with pytest.raises(ValueError, match="table and data spectra differ"):
@@ -290,7 +290,7 @@ class TestSelectAlpha:
         # alpha_hat should track the exact-risk minimizer over replications
         p = 200
         s = polynomial_spectrum(p, 2.0)
-        family = SmootherFamily.cutoff()
+        family = SmootherFamily("cutoff")
         grid = default_grid(family, s)
         table = build_penalty_table(family, grid, s, 0.1)
         beta = 1.0 / np.arange(1.0, p + 1.0)
@@ -318,7 +318,7 @@ class TestContrastsAgainstMpmath:
         p = 100
         s = exponential_spectrum(p, 1.0)
         model = SpectralModel(s, 1.0 / np.arange(1.0, p + 1.0), 0.1)
-        family = SmootherFamily.tikhonov()
+        family = SmootherFamily("tikhonov")
         table = build_penalty_table(family, default_grid(family, s, points=40), s, 0.1)
         data = simulate_observation(model, replication_stream(7, 3))
         result = select_alpha(data, table, "unknown")
@@ -360,7 +360,7 @@ class TestSelectionInputs:
     def _table():
         s = polynomial_spectrum(20, 2.0)
         model = SpectralModel(s, 1.0 / np.arange(1.0, 21.0), 0.1)
-        return model, build_penalty_table(SmootherFamily.cutoff(), _KEEP_3_DOF, s, 0.1)
+        return model, build_penalty_table(SmootherFamily("cutoff"), _KEEP_3_DOF, s, 0.1)
 
     @pytest.mark.parametrize("kwargs, message", _CASES + [
         ({"mode": "known"}, "known-sigma mode requires a finite sigma2 >= 0")], ids=str)
@@ -391,7 +391,7 @@ class TestMatrixPath:
     @staticmethod
     def _select(x, y):
         data = to_spectral(decompose_design(x), y)
-        family = SmootherFamily.tikhonov()
+        family = SmootherFamily("tikhonov")
         grid = default_grid(family, data.spectrum, points=40)
         return select_alpha(data, build_penalty_table(family, grid, data.spectrum, 0.1), "unknown")
 
@@ -401,7 +401,7 @@ class TestMatrixPath:
         x, (y,) = self._problem(reps=1)
         data = to_spectral(decompose_design(x), y)
         assert data.residual_dof == 60 and data.residual2 > 0.0
-        family = SmootherFamily.tikhonov()
+        family = SmootherFamily("tikhonov")
         table = build_penalty_table(family, default_grid(family, data.spectrum, points=40),
                                     data.spectrum, 0.1)
         for given in (data, SpectralData(data.spectrum, data.y)):
@@ -440,7 +440,7 @@ class TestCovarianceInequality:
         p = 50
         s = polynomial_spectrum(p, 1.0)
         weights = rng.standard_normal((100, p))
-        for family in (SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()):
+        for family in (SmootherFamily("cutoff"), SmootherFamily("tikhonov"), SmootherFamily("landweber")):
             grid = default_grid(family, s, points=20, floor=False)
             rows = np.array([h_values(family, a, s) for a in grid.values])
             for i in range(len(grid)):

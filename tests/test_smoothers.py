@@ -21,7 +21,7 @@ from specreg import (
 from specreg.smoothers import _row_slices
 from reference import first_violation
 
-FAMILIES = [SmootherFamily.cutoff(), SmootherFamily.tikhonov(), SmootherFamily.landweber()]
+FAMILIES = [SmootherFamily("cutoff"), SmootherFamily("tikhonov"), SmootherFamily("landweber")]
 
 
 def _random_spectrum(rng, p=None):
@@ -33,25 +33,25 @@ def _random_spectrum(rng, p=None):
 class TestHValues:
     def test_tikhonov_small_alpha_limit(self):
         s = polynomial_spectrum(6, 2.0)
-        h = h_values(SmootherFamily.tikhonov(), 1e-14 * s.retained[-1], s)
+        h = h_values(SmootherFamily("tikhonov"), 1e-14 * s.retained[-1], s)
         assert np.all(h >= 1.0 - 1e-9)
 
     def test_tikhonov_half_at_matching_eigenvalue(self):
         s = Spectrum([2.0, 1.0, 0.5])
-        h = h_values(SmootherFamily.tikhonov(), 1.0, s)
+        h = h_values(SmootherFamily("tikhonov"), 1.0, s)
         assert h[1] == 0.5
 
     def test_landweber_single_full_step(self):
         s = Spectrum([1.0])
         for alpha in (0.05, 0.4, 1.0, 3.0):
-            assert h_values(SmootherFamily.landweber(tau=1.0), alpha, s)[0] == 1.0
+            assert h_values(SmootherFamily("landweber", tau=1.0), alpha, s)[0] == 1.0
 
     def test_cutoff_index_rule(self):
         s = polynomial_spectrum(5, 1.0)
-        h = h_values(SmootherFamily.cutoff(), 1.0 / 3.0, s)
+        h = h_values(SmootherFamily("cutoff"), 1.0 / 3.0, s)
         assert np.array_equal(h, [1.0, 1.0, 1.0, 0.0, 0.0])
-        assert np.array_equal(h_values(SmootherFamily.cutoff(), 1.0, s), [1, 0, 0, 0, 0])
-        assert np.array_equal(h_values(SmootherFamily.cutoff(), 0.9, s), [1, 1, 0, 0, 0])
+        assert np.array_equal(h_values(SmootherFamily("cutoff"), 1.0, s), [1, 0, 0, 0, 0])
+        assert np.array_equal(h_values(SmootherFamily("cutoff"), 0.9, s), [1, 1, 0, 0, 0])
 
     def test_bounds_hold_everywhere(self):
         rng = np.random.default_rng(21)
@@ -65,7 +65,7 @@ class TestHValues:
     def test_landweber_default_step_is_stable(self):
         # default tau = 1/lambda(1) may round to tau*lambda(1) just above 1
         s = Spectrum([3.0, 1.0, 0.1])
-        h = h_values(SmootherFamily.landweber(), 0.2, s)
+        h = h_values(SmootherFamily("landweber"), 0.2, s)
         assert np.all(np.isfinite(h))
 
     def test_landweber_against_mpmath_on_ill_posed_spectrum(self):
@@ -77,7 +77,7 @@ class TestHValues:
         from mpmath import mp, mpf
 
         s = exponential_spectrum(100, 1.0)
-        family = SmootherFamily.landweber()
+        family = SmootherFamily("landweber")
         grid = default_grid(family, s, points=40, floor=False)
         x = np.clip((1.0 / s.retained[0]) * s.retained, 0.0, 1.0)  # the default step
         with mp.workdps(80):
@@ -94,7 +94,7 @@ class TestHValues:
         # 1/alpha = 6573421660.39 on the e^-k grid is no reciprocal 1/m, so it
         # takes ceil(1/alpha) iterations, however close it lies to an integer
         s = exponential_spectrum(100, 1.0)
-        family = SmootherFamily.landweber()
+        family = SmootherFamily("landweber")
         alpha = 1.521277732760748e-10
         assert alpha in default_grid(family, s, points=40, floor=False).values
         x = np.clip((1.0 / s.retained[0]) * s.retained, 0.0, 1.0)
@@ -105,18 +105,18 @@ class TestHValues:
     def test_landweber_unstable_step_rejected(self):
         s = Spectrum([2.0, 1.0])
         with pytest.raises(ValueError, match="unstable step"):
-            h_values(SmootherFamily.landweber(tau=1.0), 0.5, s)
+            h_values(SmootherFamily("landweber", tau=1.0), 0.5, s)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_landweber_tau_must_be_positive_and_finite(self, tau):
         # once checked only by h_values, which let NaN through
         with pytest.raises(ValueError, match="tau must be positive and finite"):
-            SmootherFamily.landweber(tau)
+            SmootherFamily("landweber", tau=tau)
 
     def test_alpha_must_be_positive(self):
         s = polynomial_spectrum(3, 1.0)
         with pytest.raises(ValueError, match="alpha"):
-            h_values(SmootherFamily.cutoff(), 0.0, s)
+            h_values(SmootherFamily("cutoff"), 0.0, s)
 
 
 def _reference_iterations(alpha: float) -> float:
@@ -169,28 +169,28 @@ class TestGridBroadcast:
 
     def test_cutoff_reciprocal_grid(self):
         s = polynomial_spectrum(500, 2.0)
-        grid = default_grid(SmootherFamily.cutoff(), s, floor=False)
-        self._assert_rows(SmootherFamily.cutoff(), grid.values, s)
+        grid = default_grid(SmootherFamily("cutoff"), s, floor=False)
+        self._assert_rows(SmootherFamily("cutoff"), grid.values, s)
 
     def test_cutoff_alphas_just_off_reciprocals(self):
         s = polynomial_spectrum(500, 2.0)
         m = np.arange(1.0, 501.0)
         off = np.sort(np.concatenate([np.nextafter(1.0 / m, 0.0), np.nextafter(1.0 / m, 1.0)]))
-        self._assert_rows(SmootherFamily.cutoff(), off, s)
+        self._assert_rows(SmootherFamily("cutoff"), off, s)
 
     def test_cutoff_alphas_above_one(self):
         s = polynomial_spectrum(10, 1.0)
-        self._assert_rows(SmootherFamily.cutoff(), [np.nextafter(1.0, 2.0), 1.5, 2.0, 3.7, 1e3], s)
+        self._assert_rows(SmootherFamily("cutoff"), [np.nextafter(1.0, 2.0), 1.5, 2.0, 3.7, 1e3], s)
 
     def test_tikhonov(self):
         s = polynomial_spectrum(200, 2.0)
-        grid = default_grid(SmootherFamily.tikhonov(), s, points=60, floor=False)
-        self._assert_rows(SmootherFamily.tikhonov(), grid.values, s)
+        grid = default_grid(SmootherFamily("tikhonov"), s, points=60, floor=False)
+        self._assert_rows(SmootherFamily("tikhonov"), grid.values, s)
 
     @pytest.mark.parametrize("s", [polynomial_spectrum(300, 2.0), exponential_spectrum(100, 1.0)],
                              ids=["k^-2", "e^-k"])
     def test_landweber_default_step(self, s):
-        family = SmootherFamily.landweber()
+        family = SmootherFamily("landweber")
         grid = default_grid(family, s, points=60, floor=False)
         self._assert_rows(family, grid.values, s)
 
@@ -198,8 +198,8 @@ class TestGridBroadcast:
         s = polynomial_spectrum(8, 1.0)
         # 0.2 is tabulated twice within 1e-12, with different rows
         alphas = [0.05, 0.2, 0.2 * (1.0 + 1e-13), 0.8, 3.2]
-        family = SmootherFamily.from_table(
-            alphas=alphas, h_table=[s.retained / (s.retained + a) for a in [0.05, 0.2, 0.3, 0.8, 3.2]])
+        family = SmootherFamily(
+            "table", alphas=alphas, h_table=[s.retained / (s.retained + a) for a in [0.05, 0.2, 0.3, 0.8, 3.2]])
         self._assert_rows(family, [0.05, 0.2, 0.2 * (1.0 + 5e-13), 0.8, 3.2], s)
         self._assert_rows(family, [3.2, 0.05, 3.2], s)
         assert np.array_equal(h_values(family, [0.2, 0.2 * (1.0 + 1e-13)], s), family.h_table[[1, 1]])
@@ -215,7 +215,7 @@ class TestGridBroadcast:
         # tabulated rows are clamped to [0, 1] in a copy, for a scalar alpha
         # (one row) as for an array of them
         s = polynomial_spectrum(3, 1.0)
-        family = SmootherFamily.from_table(alphas=[1.0, 2.0], h_table=[[1.5, 0.5, -0.2], [0.9, 0.4, 0.1]])
+        family = SmootherFamily("table", alphas=[1.0, 2.0], h_table=[[1.5, 0.5, -0.2], [0.9, 0.4, 0.1]])
         for alpha in (1.0, [1.0, 2.0], [[1.0]]):
             h = h_values(family, alpha, s)
             assert np.array_equal(h, np.clip(family.h_table[np.searchsorted([1.0, 2.0], alpha)], 0.0, 1.0))
@@ -227,7 +227,7 @@ class TestGridBroadcast:
         # writes to the arrays the family was made from must not reach it
         s = polynomial_spectrum(3, 1.0)
         alphas, h_table = np.array([1.0, 2.0]), np.array([[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])
-        family = SmootherFamily.from_table(alphas, h_table)
+        family = SmootherFamily("table", alphas=alphas, h_table=h_table)
         table = build_penalty_table(family, AlphaGrid(alphas), s, 0.1)
         alphas[0], h_table[:] = 3.0, 0.0
         assert np.array_equal(table.h(slice(None)), [[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])
@@ -237,7 +237,7 @@ class TestGridBroadcast:
 
     def test_first_untabulated_alpha_is_named(self):
         s = polynomial_spectrum(3, 1.0)
-        family = SmootherFamily.from_table(alphas=[1.0, 2.0], h_table=[[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])
+        family = SmootherFamily("table", alphas=[1.0, 2.0], h_table=[[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])
         with pytest.raises(ValueError, match=r"^invalid input: alpha 1\.5 is not tabulated$"):
             h_values(family, AlphaGrid([1.0, 1.5, 2.0, 2.5]).values, s)
 
@@ -249,10 +249,10 @@ class TestGridBroadcast:
         entries = {"alphas": np.array([1.0, 2.0]), "h_table": np.array([[1.0, 0.5, 0.2], [0.9, 0.4, 0.1]])}
         entries[field][index] = value
         with pytest.raises(ValueError, match=r"^invalid input: table family entries must be finite$"):
-            SmootherFamily.from_table(**entries)
+            SmootherFamily("table", **entries)
 
     def test_table_rows_of_another_width_rejected(self):
-        family = SmootherFamily.from_table(alphas=[1.0, 2.0], h_table=[[1.0, 0.5], [0.9, 0.4]])
+        family = SmootherFamily("table", alphas=[1.0, 2.0], h_table=[[1.0, 0.5], [0.9, 0.4]])
         with pytest.raises(ValueError, match="^dimension error: tabulated h row does not match"):
             h_values(family, 1.0, polynomial_spectrum(3, 1.0))
 
@@ -292,7 +292,7 @@ def _defective_table(defects) -> tuple[SmootherFamily, AlphaGrid, Spectrum]:
             rows[i, 0] = 0.5 * (rows[i - 1, 0] + 1.0)
         else:
             rows[i] = np.minimum(rows[i - 1] * 1.01, 1.0)
-    return SmootherFamily.from_table(alphas, rows), AlphaGrid(alphas), s
+    return SmootherFamily("table", alphas=alphas, h_table=rows), AlphaGrid(alphas), s
 
 
 class TestCheckOrderedBlocks:
@@ -335,8 +335,8 @@ class TestCheckOrdered:
 
     def test_crossing_table_fails_with_witness(self):
         s = Spectrum([1.0, 0.5])
-        family = SmootherFamily.from_table(
-            alphas=[1.0, 2.0],
+        family = SmootherFamily(
+            "table", alphas=[1.0, 2.0],
             h_table=[[0.9, 0.1], [0.5, 0.5]],
         )
         report = check_ordered(family, AlphaGrid([1.0, 2.0]), s)
@@ -347,8 +347,8 @@ class TestCheckOrdered:
 
     def test_reversed_direction_fails(self):
         s = Spectrum([1.0, 0.5])
-        family = SmootherFamily.from_table(
-            alphas=[1.0, 2.0],
+        family = SmootherFamily(
+            "table", alphas=[1.0, 2.0],
             h_table=[[0.2, 0.1], [0.8, 0.4]],
         )
         report = check_ordered(family, AlphaGrid([1.0, 2.0]), s)
@@ -357,7 +357,7 @@ class TestCheckOrdered:
 
     def test_non_monotone_profile_fails(self):
         s = Spectrum([1.0, 0.5, 0.25])
-        family = SmootherFamily.from_table(alphas=[1.0], h_table=[[0.5, 0.9, 0.1]])
+        family = SmootherFamily("table", alphas=[1.0], h_table=[[0.5, 0.9, 0.1]])
         report = check_ordered(family, AlphaGrid([1.0]), s)
         assert not report.ok
         assert report.violation.kind == "not monotone in lambda"
@@ -373,20 +373,20 @@ class TestCheckOrdered:
 
 class TestDefaultGrid:
     def test_cutoff_full_range(self):
-        grid = default_grid(SmootherFamily.cutoff(), polynomial_spectrum(4, 1.0), floor=False)
+        grid = default_grid(SmootherFamily("cutoff"), polynomial_spectrum(4, 1.0), floor=False)
         assert np.allclose(grid.values, [0.25, 1 / 3, 0.5, 1.0])
 
     def test_geometric_two_points(self):
         s = polynomial_spectrum(10, 2.0)
-        grid = default_grid(SmootherFamily.tikhonov(), s, points=2, floor=False)
+        grid = default_grid(SmootherFamily("tikhonov"), s, points=2, floor=False)
         assert np.allclose(grid.values, [s.retained[-1] / 10.0, 10.0 * s.retained[0]])
 
     def test_default_floor_keeps_at_most_90_of_100(self):
         s = polynomial_spectrum(100, 1.0)
-        grid = default_grid(SmootherFamily.cutoff(), s)
+        grid = default_grid(SmootherFamily("cutoff"), s)
         # first kept alpha must zero out at least 10 components
-        assert grid.alpha_floor == pytest.approx(1.0 / 90.0)
-        h = h_values(SmootherFamily.cutoff(), grid.alpha_floor, s)
+        assert float(grid.values[0]) == pytest.approx(1.0 / 90.0)
+        h = h_values(SmootherFamily("cutoff"), grid.values[0], s)
         assert np.sum(h) <= 90
 
     @pytest.mark.parametrize("kind", ["cutoff", "tikhonov", "landweber"])
@@ -402,7 +402,7 @@ class TestDefaultGrid:
             table = build_penalty_table(family, grid, s, 0.1)
             assert table.one_minus_h_norm2[0] >= need, (kind, s.effective_rank)
             full = default_grid(family, s, points=40, floor=False).values
-            below = full[full < grid.alpha_floor]
+            below = full[full < grid.values[0]]
             if below.size:
                 resid = 1.0 - h_values(family, below[-1], s)
                 assert float(np.sum(resid * resid)) < need, (kind, s.effective_rank)
@@ -426,7 +426,7 @@ class TestDefaultGrid:
         s = polynomial_spectrum(1000, 2.0)
         tracemalloc.start()
         try:
-            grid = default_grid(SmootherFamily.cutoff(), s)
+            grid = default_grid(SmootherFamily("cutoff"), s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -435,17 +435,57 @@ class TestDefaultGrid:
 
     def test_floor_infeasible(self):
         with pytest.raises(ValueError, match="alpha floor infeasible"):
-            default_grid(SmootherFamily.cutoff(), polynomial_spectrum(4, 1.0))
+            default_grid(SmootherFamily("cutoff"), polynomial_spectrum(4, 1.0))
 
     def test_geometric_needs_points(self):
         with pytest.raises(ValueError, match="points"):
-            default_grid(SmootherFamily.tikhonov(), polynomial_spectrum(5, 1.0), floor=False)
+            default_grid(SmootherFamily("tikhonov"), polynomial_spectrum(5, 1.0), floor=False)
 
     def test_severely_ill_posed_grid_is_finite(self):
         s = exponential_spectrum(500, 1.0)
-        grid = default_grid(SmootherFamily.landweber(), s, points=20, floor=False)
-        h = h_values(SmootherFamily.landweber(), grid.alpha_floor, s)
+        grid = default_grid(SmootherFamily("landweber"), s, points=20, floor=False)
+        h = h_values(SmootherFamily("landweber"), grid.values[0], s)
         assert np.all(np.isfinite(h))
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("kind, parameters", [
+        ("cutoff", {"tau": 2.0}),
+        ("tikhonov", {"alphas": [1.0], "h_table": [[1.0]]}),
+        ("landweber", {"h_table": [[1.0]]}),
+        ("table", {"tau": 1.0, "alphas": [1.0], "h_table": [[1.0]]}),
+    ], ids=["cutoff-tau", "tikhonov-alphas", "landweber-h_table", "table-tau"])
+    def test_parameter_of_another_kind_rejected(self, kind, parameters):
+        # such a parameter was once kept and ignored
+        name = next(iter(parameters))
+        with pytest.raises(ValueError, match=f"^invalid input: {name} does not apply to smoother kind {kind!r}$"):
+            SmootherFamily(kind, **parameters)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SmootherFamily("bogus"), "invalid input: unknown smoother kind 'bogus'"),
+        (lambda: SmootherFamily(3), "invalid input: unknown smoother kind 3"),
+        (lambda: SmootherFamily(["cutoff"]), "invalid input: unknown smoother kind ['cutoff']"),
+        (lambda: SmootherFamily("table", alphas=[1.0, 2.0], h_table=[[1.0, 0.5]]),
+         "invalid input: table family needs matching alphas and rows"),
+        (lambda: SmootherFamily("table"), "invalid input: table family needs matching alphas and rows"),
+        (lambda: AlphaGrid([]), "invalid input: grid must be a nonempty 1-d sequence"),
+        (lambda: AlphaGrid([[0.1, 0.2]]), "invalid input: grid must be a nonempty 1-d sequence"),
+    ], ids=["kind-bogus", "kind-int", "kind-list", "table-rows", "table-none", "grid-empty", "grid-2d"])
+    def test_invalid_input_message(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    def test_table_default_grid_is_its_sorted_alphas(self):
+        s = polynomial_spectrum(20, 1.0)
+        alphas = np.array([3.2, 0.01, 0.2, 0.05, 0.8])
+        family = SmootherFamily("table", alphas=alphas, h_table=s.retained / (s.retained + alphas[:, None]))
+        full = np.sort(alphas)
+        assert np.array_equal(default_grid(family, s, floor=False).values, full)
+        resid = 1.0 - h_values(family, full, s)
+        first = np.flatnonzero(np.sum(resid * resid, axis=1) >= 10.0)[0]
+        assert first > 0
+        assert np.array_equal(default_grid(family, s).values, full[first:])
 
 
 class TestAlphaGrid:
@@ -456,5 +496,5 @@ class TestAlphaGrid:
             AlphaGrid([0.0, 1.0])
         grid = AlphaGrid([0.1, 0.2])
         assert len(grid) == 2
-        assert grid.alpha_floor == 0.1
-        assert grid.alpha_max == 0.2
+        assert float(grid.values[0]) == 0.1
+        assert float(grid.values[-1]) == 0.2
