@@ -47,7 +47,6 @@ class RiskProfile:
     of that model too.
     """
 
-    alphas: np.ndarray
     risks: np.ndarray
     penalized: np.ndarray
     degenerate_rows: tuple[int, ...]
@@ -76,7 +75,6 @@ def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
     penalized = np.where(dof > 0.0, risks + adaptive + inflation, np.inf)
     best = int(np.argmin(penalized))
     return RiskProfile(
-        alphas=table.alphas,
         risks=risks,
         penalized=penalized,
         degenerate_rows=tuple(np.flatnonzero(dof == 0.0).tolist()),

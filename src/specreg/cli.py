@@ -37,7 +37,7 @@ from .core import (
     to_spectral,
 )
 from .penalty import PenaltyTable, build_penalty_table, check_conditions, verify_penalty_inequalities
-from .selection import select_alpha
+from .selection import _PENALTY_COLUMNS, select_alpha
 from .smoothers import _KIND_PARAMETERS, AlphaGrid, SmootherFamily, _check_family, check_ordered, default_grid
 
 EXIT_OK = 0
@@ -68,6 +68,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_CONFIG)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:  # report with this parser's usage; argparse would pass a subcommand's to the top level
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
 
 def _fmt(value: float) -> str:
@@ -238,7 +244,7 @@ def _choice(*allowed: str):
     return kind
 
 
-_MODE, _PENALTY = _choice("known", "unknown"), _choice("total", "unbiased")
+_MODE, _PENALTY = _choice("known", "unknown"), _choice(*_PENALTY_COLUMNS)
 
 
 def _problem(config: dict) -> tuple[str, dict]:
@@ -505,7 +511,8 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--config", help="JSON configuration file")
         if name != "check":  # check prints its verdict and writes no output
             cmd.add_argument("--out", help="output path (stdout when omitted)")
-        cmd.add_argument("--seed", type=int, help="override the config seed")
+        if name in ("select", "bench"):  # the commands that draw from the seed
+            cmd.add_argument("--seed", type=int, help="override the config seed")
         if name == "decompose":
             cmd.add_argument("--matrix", help="design matrix CSV (overrides config)")
             cmd.add_argument("--rank-tol", type=float, help="relative eigenvalue cut (overrides config)")

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Spectrum
-from .smoothers import AlphaGrid, SmootherFamily, _residual_dof, _row_slices, check_ordered, h_values
+from .smoothers import AlphaGrid, SmootherFamily, _row_kernels, _row_slices, check_ordered, h_values
 
 __all__ = [
     "PenaltyTable",
@@ -184,18 +184,12 @@ class PenaltyTable:
 
     @cached_property
     def _kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The noise weights h (2 - h) / lambda and the squared residual
-        factors (1 - h)^2 of every grid row, formed on first use, in place in
-        two M x p buffers (the second holds h first), and kept."""
-        h = self.h(slice(None))
-        t = 2.0 - h
-        t *= h
-        t /= self.spectrum.retained
-        np.subtract(1.0, h, out=h)
-        h *= h
-        for kernel in (t, h):
+        """The two M x p :func:`_row_kernels` of the whole grid, the noise
+        weights and the squared residual factors, formed on first use and kept."""
+        kernels = _row_kernels(self.h(slice(None)), self.spectrum.retained)
+        for kernel in kernels:
             kernel.setflags(write=False)
-        return t, h
+        return kernels
 
     def _kernel_products(self, v: np.ndarray, noise: bool = True,
                          resid: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -266,19 +260,19 @@ def build_penalty_table(
     tied = np.empty(rows - 1, dtype=bool)  # h row i equals h row i + 1
     # Overflow and NaN below are caught by the checks on d and on the columns.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h_ref = h_values(family, alphas[-1:], spectrum)  # the smoothest row, for d_ref = d[-1]
-        d_ref = _unit_rows(h_ref * (2.0 - h_ref) / lam)[0][0]
+        d_ref = _unit_rows(_row_kernels(h_values(family, alphas[-1:], spectrum), lam)[0])[0][0]  # = d[-1]
         for block in _row_slices(rows, lam.size):
             h = h_values(family, alphas[block], spectrum)
             if block.start:
                 tied[block.start - 1] = np.array_equal(last, h[0])
             tied[block.start:block.stop - 1] = np.all(h[1:] == h[:-1], axis=1)
-            last = h[-1]
-            d[block], rho = _unit_rows(h * (2.0 - h) / lam)
+            last = h[-1].copy()  # _row_kernels consumes h
             h_lam = h / lam
             pen_u_col[block], max_h_over_lam[block] = 2.0 * np.sum(h_lam, axis=1), np.max(h_lam, axis=1)
             pen_cv_col[block], h_lambda[block] = 2.0 * np.sum(h, axis=1), np.sum(h * h / lam, axis=1)
-            one_minus[block] = _residual_dof(h)
+            d[block], rho = _unit_rows(_row_kernels(h, lam)[0])  # h now holds (1 - h)^2
+            one_minus[block] = np.sum(h, axis=1)
+            del h, h_lam  # not held through the mu solve
             mu[block], rho_q[block] = _solve_mu_rows(rho, _log_ratio(d[block], d_ref))
         if np.any(d == 0.0):
             raise ValueError("degenerate smoother: h is identically zero on a grid row")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Spectrum
+from .core import Spectrum, _frozen_array
 
 __all__ = [
     "SmootherFamily",
@@ -59,15 +59,12 @@ class SmootherFamily:
         if self.tau is not None and not (np.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"invalid input: tau must be positive and finite, got {self.tau!r}")
         if self.kind == "table":
-            # read-only copies: a penalty table forms its h rows from them again
-            alphas = np.array(self.alphas, dtype=float)
-            table = np.array(self.h_table, dtype=float)
+            # read-only: a penalty table forms its h rows from them again
+            alphas, table = _frozen_array(self.alphas), _frozen_array(self.h_table)
             if alphas.ndim != 1 or table.ndim != 2 or table.shape[0] != alphas.size:
                 raise ValueError("invalid input: table family needs matching alphas and rows")
             if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(table))):
                 raise ValueError("invalid input: table family entries must be finite")
-            for value in (alphas, table):
-                value.setflags(write=False)
             object.__setattr__(self, "alphas", alphas)
             object.__setattr__(self, "h_table", table)
 
@@ -79,8 +76,7 @@ class AlphaGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
+        values = _frozen_array(self.values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("invalid input: grid must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(values)) or values[0] <= 0.0:
@@ -219,14 +215,17 @@ def check_ordered(family: SmootherFamily, grid: AlphaGrid, spectrum: Spectrum) -
     return OrderingReport(violation is None, violation)
 
 
-def _residual_dof(h: np.ndarray) -> np.ndarray:
-    """The sums of the squared residual factors (1 - h)^2 over the last axis,
-    formed in place (the same bits as (1 - h) ** 2): the residual degrees of
-    freedom that the grid floor, the penalty table and the variance
-    estimates read."""
-    resid2 = 1.0 - h
-    resid2 *= resid2
-    return np.sum(resid2, axis=-1)
+def _row_kernels(h: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The noise weights h (2 - h) / lambda of the h rows, whose row norms
+    give the noise scale d, and their squared residual factors (1 - h)^2,
+    whose row sums are the residual degrees of freedom, formed in place in
+    h (the same bits as (1 - h) ** 2), which the call consumes."""
+    t = 2.0 - h
+    t *= h
+    t /= lam
+    np.subtract(1.0, h, out=h)
+    h *= h
+    return t, h
 
 
 def default_grid(
@@ -258,7 +257,8 @@ def default_grid(
     if floor:
         # walk the row blocks up to the first one that holds the floor row
         for block in _row_slices(values.size, lam.size):
-            dof = _residual_dof(h_values(family, values[block], spectrum))
+            with np.errstate(over="ignore"):  # the noise weights are not read here
+                dof = np.sum(_row_kernels(h_values(family, values[block], spectrum), lam)[1], axis=1)
             keep = np.flatnonzero(dof >= max(10.0, lam.size / 10.0))
             if keep.size:
                 values = values[block.start + keep[0]:]

@@ -421,6 +421,31 @@ class TestExitCodes:
         assert run(["penalty-table", "--nope"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, usage", [
+        ("check", "usage: specreg check [-h] [--config CONFIG]"),
+        ("decompose", "usage: specreg decompose [-h] [--config CONFIG] [--out OUT]"),
+    ])
+    def test_unknown_flag_shows_the_command_usage(self, tmp_path, capsys, command, usage):
+        cfg = write_config(tmp_path, well_conditioned_config())
+        assert run([command, "--config", cfg, "--bogus", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(usage)
+        assert err[-1] == "error: unrecognized arguments: --bogus 1"
+
+    def test_unknown_flag_before_the_command_shows_the_top_level_usage(self, tmp_path, capsys):
+        assert run(["--bogus", "check", "--config", write_config(tmp_path, well_conditioned_config())]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: specreg [-h]")
+        assert err[-1] == "error: unrecognized arguments: --bogus"
+
+    @pytest.mark.parametrize("command", ["decompose", "penalty-table", "check"])
+    def test_seed_flag_of_a_command_that_draws_nothing_is_a_usage_error(self, tmp_path, capsys, command):
+        # these commands once accepted --seed and ignored it
+        assert run([command, "--config", write_config(tmp_path, well_conditioned_config()), "--seed", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "error: unrecognized arguments: --seed 5"
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
 

@@ -618,8 +618,10 @@ class TestTotalPenalty:
 
 class TestPenaltyTable:
     def test_row_invariants(self):
+        blocks = []
         for spectrum in (polynomial_spectrum(50, 2.0), exponential_spectrum(500, 1.0)):
             table, _ = _cutoff_table(spectrum)
+            blocks.append(len(_table_blocks(table)))
             lam = spectrum.retained
             d = table.d
             assert np.all(np.diff(d) <= 0.0)
@@ -638,6 +640,8 @@ class TestPenaltyTable:
             assert np.array_equal(noise_weights, h_rows * (2.0 - h_rows) / lam)
             assert np.array_equal(kernel_resid2, resid2)
             assert np.array_equal(table.one_minus_h_norm2, np.sum(resid2, axis=1))
+            # the build's noise scale is the one normalization of the same kernel
+            assert np.array_equal(table.d, _unit_rows(noise_weights)[0])
             for name in ("alphas", "pen_u", "pen_cv", "d", "mu", "q_plus", "pen_total",
                          "h_lambda_norm2", "one_minus_h_norm2", "max_h_over_lambda", "tie_end"):
                 with pytest.raises(ValueError, match="read-only"):
@@ -649,6 +653,7 @@ class TestPenaltyTable:
             for i, h in enumerate(h_rows):
                 rho = np.sqrt(2.0) * (h * (2.0 - h) / lam) / table.d[i]
                 assert abs(float(rho @ rho) - 1.0) <= 1e-12
+        assert blocks[0] == 1 and blocks[1] > 1  # one table that the build walks in several blocks
 
     def test_against_mpmath_on_ill_posed_spectrum(self):
         # 50-digit references for d, mu and q_plus on e^-k, p = 500, where

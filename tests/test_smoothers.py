@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +433,15 @@ class TestDefaultGrid:
             tracemalloc.stop()
         assert len(grid) == 900
         assert peak <= 2e6, peak
+
+    def test_floor_on_a_subnormal_eigenvalue_warns_nothing(self):
+        # the floor forms the noise weights 1 / lambda of its cutoff rows too,
+        # which overflow at lambda = 1e-310, but reads only (1 - h)^2
+        s = Spectrum(np.append(polynomial_spectrum(29, 1.0).retained, 1e-310))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = default_grid(SmootherFamily("cutoff"), s)
+        assert float(grid.values[0]) == pytest.approx(1.0 / 20.0)
 
     def test_floor_infeasible(self):
         with pytest.raises(ValueError, match="alpha floor infeasible"):
