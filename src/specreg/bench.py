@@ -40,16 +40,15 @@ _BLOCK = 32
 class RiskProfile:
     """Exact and penalized risks per grid point, plus the oracle point.
 
-    Rows with no residual degrees of freedom (h identically 1) carry an
-    infinite penalized risk and are listed in ``degenerate_rows``.  ``r`` is
-    the least penalized risk; ``oracle_index`` is the last row of the run of
-    bit-identical h rows that attains it, where selection reports its picks
-    of that model too.
+    Rows with no residual degrees of freedom (h identically 1, where the
+    table's ``one_minus_h_norm2`` is 0) carry an infinite penalized risk.
+    ``r`` is the least penalized risk; ``oracle_index`` is the last row of
+    the run of bit-identical h rows that attains it, where selection reports
+    its picks of that model too.
     """
 
     risks: np.ndarray
     penalized: np.ndarray
-    degenerate_rows: tuple[int, ...]
     r: float
     oracle_index: int
 
@@ -77,7 +76,6 @@ def risk_profile(model: SpectralModel, table: PenaltyTable) -> RiskProfile:
     return RiskProfile(
         risks=risks,
         penalized=penalized,
-        degenerate_rows=tuple(np.flatnonzero(dof == 0.0).tolist()),
         r=float(penalized[best]),
         oracle_index=int(table.tie_end[best]),
     )

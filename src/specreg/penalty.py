@@ -28,7 +28,6 @@ from .smoothers import AlphaGrid, SmootherFamily, _row_kernels, _row_slices, che
 __all__ = [
     "PenaltyTable",
     "build_penalty_table",
-    "ConditionsReport",
     "check_conditions",
     "PenaltyInequalityReport",
     "verify_penalty_inequalities",
@@ -248,9 +247,9 @@ def build_penalty_table(
     if not 0.0 < gamma < 0.25:
         raise ValueError("invalid input: gamma must lie in (0, 1/4)")
     if family.kind == "table":
-        ordering = check_ordered(family, grid, spectrum)
-        if not ordering.ok:
-            raise ValueError(f"invalid input: table family is not ordered ({ordering.violation})")
+        violation = check_ordered(family, grid, spectrum)
+        if violation is not None:
+            raise ValueError(f"invalid input: table family is not ordered ({violation})")
     lam = spectrum.retained
     rows, alphas = len(grid), grid.values
     # One pass over the row blocks forms each block's h, its columns, its
@@ -313,31 +312,22 @@ def build_penalty_table(
     return PenaltyTable(gamma=gamma, psi=psi, spectrum=spectrum, family=family, **columns)
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
-    """Grid-wide estimate of the structural constant linking the penalty scales."""
-
-    ok: bool
-    c2_hat: float
-    ratio_unbiased: np.ndarray
-    ratio_scale: np.ndarray
-
-
-def check_conditions(table: PenaltyTable) -> ConditionsReport:
-    """Estimate the smallest constant for which the two structural lower
-    bounds on the smoother norms hold on the grid; passes when positive.
+def check_conditions(table: PenaltyTable) -> float:
+    """Estimate c2_hat, the smallest constant for which the two structural
+    lower bounds on the smoother norms hold on the grid; the conditions hold
+    when it is positive.
 
     The second ratio treats the zero log at the reference row as +inf, so
-    that row binds only through the first ratio.
+    that row binds only through the first ratio.  c2_hat is 0 when the
+    sum h^2 / lambda of a row underflows.
     """
     h_lambda = table.h_lambda_norm2
     d = table.d
     log_ratio = _log_ratio(d, d[-1])
     ratio1 = h_lambda / (0.5 * table.pen_u)
-    with np.errstate(divide="ignore"):
-        ratio2 = (np.where(log_ratio > 0.0, h_lambda / log_ratio, np.inf) + table.max_h_over_lambda) / d
-    c2_hat = float(min(np.min(ratio1), np.min(ratio2)))
-    return ConditionsReport(ok=c2_hat > 0.0, c2_hat=c2_hat, ratio_unbiased=ratio1, ratio_scale=ratio2)
+    per_log = np.divide(h_lambda, log_ratio, out=np.full_like(h_lambda, np.inf), where=log_ratio > 0.0)
+    ratio2 = (per_log + table.max_h_over_lambda) / d
+    return float(min(np.min(ratio1), np.min(ratio2)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ __all__ = [
     "SmootherFamily",
     "AlphaGrid",
     "OrderingViolation",
-    "OrderingReport",
     "h_values",
     "check_ordered",
     "default_grid",
@@ -167,12 +166,6 @@ class OrderingViolation:
     kind: str
 
 
-@dataclass(frozen=True)
-class OrderingReport:
-    ok: bool
-    violation: OrderingViolation | None = None
-
-
 def _row_slices(rows: int, p: int) -> list[slice]:
     """The row blocks of a walk over ``rows`` grid rows of width p, of about
     _ROW_BLOCK_ELEMS entries each."""
@@ -180,13 +173,14 @@ def _row_slices(rows: int, p: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-def check_ordered(family: SmootherFamily, grid: AlphaGrid, spectrum: Spectrum) -> OrderingReport:
-    """Verify the ordering of the family on the grid.
+def check_ordered(family: SmootherFamily, grid: AlphaGrid, spectrum: Spectrum) -> OrderingViolation | None:
+    """The first violation of the ordering of the family on the grid, or
+    None when the family is ordered there.
 
     Checks that each h profile is nondecreasing in lambda (equivalently
     nonincreasing in k) and that along the grid a larger alpha never exceeds
-    a smaller one anywhere, which rules out crossings.  Returns the first
-    violating (alpha pair, component) triple on failure, where a row not
+    a smaller one anywhere, which rules out crossings.  The violation names
+    the first violating (alpha pair, component) triple, where a row not
     monotone in lambda beats any violation between two rows.  The h rows
     are formed one row block at a time, every block even after a violation.
     """
@@ -212,20 +206,26 @@ def check_ordered(family: SmootherFamily, grid: AlphaGrid, spectrum: Spectrum) -
                 kind = "crossing" if np.any(diff[j] < -_ORDER_ATOL) else "grid direction"
                 violation = OrderingViolation(alphas[i], alphas[i + 1], int(k) + 1, kind)
         last = rows[-1:]
-    return OrderingReport(violation is None, violation)
+    return violation
+
+
+def _residual_factors(h: np.ndarray) -> np.ndarray:
+    """The squared residual factors (1 - h)^2 of the h rows, whose row sums
+    are the residual degrees of freedom, formed in place in h (the same bits
+    as (1 - h) ** 2), which the call consumes."""
+    np.subtract(1.0, h, out=h)
+    h *= h
+    return h
 
 
 def _row_kernels(h: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The noise weights h (2 - h) / lambda of the h rows, whose row norms
-    give the noise scale d, and their squared residual factors (1 - h)^2,
-    whose row sums are the residual degrees of freedom, formed in place in
-    h (the same bits as (1 - h) ** 2), which the call consumes."""
+    give the noise scale d, and their :func:`_residual_factors`, formed in
+    place in h, which the call consumes."""
     t = 2.0 - h
     t *= h
     t /= lam
-    np.subtract(1.0, h, out=h)
-    h *= h
-    return t, h
+    return t, _residual_factors(h)
 
 
 def default_grid(
@@ -257,8 +257,7 @@ def default_grid(
     if floor:
         # walk the row blocks up to the first one that holds the floor row
         for block in _row_slices(values.size, lam.size):
-            with np.errstate(over="ignore"):  # the noise weights are not read here
-                dof = np.sum(_row_kernels(h_values(family, values[block], spectrum), lam)[1], axis=1)
+            dof = np.sum(_residual_factors(h_values(family, values[block], spectrum)), axis=1)
             keep = np.flatnonzero(dof >= max(10.0, lam.size / 10.0))
             if keep.size:
                 values = values[block.start + keep[0]:]

@@ -108,8 +108,9 @@ class TestRiskProfile:
         model = _model()
         table, grid = self._table(model)  # full cutoff grid includes h == 1
         profile = risk_profile(model, table)
-        assert profile.degenerate_rows == (0,)
-        assert np.isinf(profile.penalized[0])
+        # the one row without residual dof is the one infinite penalized risk
+        assert np.flatnonzero(table.one_minus_h_norm2 == 0.0).tolist() == [0]
+        assert np.flatnonzero(np.isinf(profile.penalized)).tolist() == [0]
 
     def test_penalized_dominates_exact(self):
         model = _model()
@@ -154,7 +155,7 @@ class TestRiskProfile:
             risks, penalized = risk_profile_rows(model, table)
             np.testing.assert_allclose(profile.risks, risks, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(profile.penalized, penalized, rtol=1e-13, atol=0.0)
-            assert profile.degenerate_rows == tuple(np.flatnonzero(np.isinf(penalized)))
+            assert np.array_equal(np.flatnonzero(table.one_minus_h_norm2 == 0.0), np.flatnonzero(np.isinf(penalized)))
             assert profile.oracle_index == table.tie_end[int(np.argmin(penalized))]
             assert profile.r == np.min(profile.penalized)
             assert profile.r == pytest.approx(np.min(penalized), rel=1e-13)
@@ -181,7 +182,7 @@ class TestRiskProfile:
         model = SpectralModel(s, np.array([1.0, 1.0, 1e5]), 0.1)
         table = build_penalty_table(SmootherFamily("cutoff"), AlphaGrid([0.2, 0.5, 1.0]), s, 0.1)
         profile = risk_profile(model, table)
-        assert profile.degenerate_rows == (0,) and profile.oracle_index == 2
+        assert np.flatnonzero(np.isinf(profile.penalized)).tolist() == [0] and profile.oracle_index == 2
 
     def test_single_row(self):
         s = polynomial_spectrum(6, 1.0)

@@ -117,6 +117,20 @@ class TestCheck:
         assert lines[2:4] == ["penalty inequalities: FAIL", "  noise scale below the log bound at alpha=0.025"]
         assert all(line.startswith("  ") for line in lines[3:])
 
+    def test_underflowing_conditions_fail_without_a_warning(self, tmp_path, capsys, recwarn):
+        # h^2 underflows on both rows, so c2_hat is 0 on a table that builds;
+        # the reference row's 0 / 0 log ratio once leaked a numpy warning
+        cfg = write_config(tmp_path, {
+            "problem": {"spectral_data": {"eigenvalues": [1.0, 1.0], "y": [0.0, 0.0]}},
+            "family": {"kind": "table", "alphas": [1.0, 2.0], "h_table": [[1e-170, 1e-170], [1e-171, 1e-171]]},
+            "grid": {"values": [1.0, 2.0]},
+            "gamma": 0.1,
+        })
+        assert run(["check", "--config", cfg]) == 2
+        assert capsys.readouterr() == (
+            "ordering: PASS\nconditions: FAIL (c2_hat=0)\npenalty inequalities: PASS\n", "")
+        assert [str(w.message) for w in recwarn] == []
+
     def test_out_flag_is_a_usage_error(self, tmp_path, capsys):
         # check writes no output: its --out was once accepted and ignored
         out = tmp_path / "verdict.txt"

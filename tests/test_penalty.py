@@ -730,7 +730,7 @@ class TestPenaltyTable:
         grid = AlphaGrid([1.0, 2.0])
         with pytest.raises(ValueError, match="not ordered") as excinfo:
             build_penalty_table(family, grid, s, 0.1)
-        violation = check_ordered(family, grid, s).violation
+        violation = check_ordered(family, grid, s)
         assert str(excinfo.value) == f"invalid input: table family is not ordered ({violation})"
 
     def test_rising_noise_scale_is_rejected(self):
@@ -739,7 +739,7 @@ class TestPenaltyTable:
         s = Spectrum([1.0, 1.0])
         grid = AlphaGrid([1.0, 2.0])
         family = SmootherFamily("table", alphas=grid.values, h_table=[[1e-10, 1e-10], [1e-10 + 5e-13] * 2])
-        assert check_ordered(family, grid, s).ok
+        assert check_ordered(family, grid, s) is None
         with pytest.raises(ValueError, match="^invalid input: noise scale must be nonincreasing "
                                              r"along the grid \(is the family ordered\?\)$"):
             build_penalty_table(family, grid, s, 0.1)
@@ -875,7 +875,7 @@ class TestBlockedBuild:
         rows[3, 0] = 0.5 * (rows[2, 0] + 1.0)
         rows[17, [5, 6]] = rows[17, [6, 5]]
         family = SmootherFamily("table", alphas=grid.values, h_table=rows)
-        violation = check_ordered(family, grid, s).violation
+        violation = check_ordered(family, grid, s)
         assert violation.kind == "not monotone in lambda" and violation.alpha_low == grid.values[17]
         with pytest.raises(ValueError, match="not ordered") as excinfo:
             build_penalty_table(family, grid, s, 0.1)
@@ -1058,20 +1058,28 @@ class TestVarianceSpan:
 class TestCheckConditions:
     def test_polynomial_cutoff_passes(self):
         table, _ = _cutoff_table(polynomial_spectrum(50, 2.0))
-        report = check_conditions(table)
-        assert report.ok and report.c2_hat > 0.0
+        assert check_conditions(table) > 0.0
 
     def test_exponential_cutoff_constant_near_one(self):
         table, _ = _cutoff_table(exponential_spectrum(30, 1.0))
-        report = check_conditions(table)
-        assert report.ok
-        assert 0.5 <= report.c2_hat <= 1.5
+        assert 0.5 <= check_conditions(table) <= 1.5
 
     def test_binary_smoother_first_ratio_is_one(self):
         s = polynomial_spectrum(5, 1.0)
         table = build_penalty_table(SmootherFamily("cutoff"), AlphaGrid([1.0 / 5.0]), s, 0.1)
-        report = check_conditions(table)
-        assert report.ratio_unbiased[0] == 1.0
+        # one row: its sum h^2 / lambda over half of pen_u is 1, and the
+        # reference row's second ratio is +inf
+        assert check_conditions(table) == 1.0
+
+    def test_underflowing_h_lambda_gives_zero(self):
+        # h^2 underflows, so sum h^2 / lambda is 0 on every row, and the
+        # reference row's log ratio is 0 too: 0 / 0 is not evaluated there
+        s = Spectrum([1.0, 1.0])
+        grid = AlphaGrid([1.0, 2.0])
+        family = SmootherFamily("table", alphas=grid.values, h_table=[[1e-170, 1e-170], [1e-171, 1e-171]])
+        table = build_penalty_table(family, grid, s, 0.1)
+        assert np.all(table.h_lambda_norm2 == 0.0)
+        assert check_conditions(table) == 0.0
 
 
 class TestVerifyPenaltyInequalities:

@@ -19,6 +19,7 @@ from specreg import (
     h_values,
     polynomial_spectrum,
 )
+from specreg import smoothers
 from specreg.smoothers import _row_slices
 from reference import first_violation
 
@@ -308,7 +309,7 @@ class TestCheckOrderedBlocks:
     def test_matches_whole_matrix_check(self, defects):
         family, grid, s = _defective_table(defects)
         assert len(_row_slices(len(grid), s.effective_rank)) == 3
-        violation = check_ordered(family, grid, s).violation
+        violation = check_ordered(family, grid, s)
         want = first_violation(family.h_table, grid.values)
         got = None if violation is None else (
             violation.alpha_low, violation.alpha_high, violation.k, violation.kind)
@@ -316,11 +317,11 @@ class TestCheckOrderedBlocks:
 
     def test_rising_row_in_a_later_block_beats_a_crossing(self):
         family, grid, s = _defective_table([("cross", 3), ("rise", 17)])
-        violation = check_ordered(family, grid, s).violation
+        violation = check_ordered(family, grid, s)
         assert violation.kind == "not monotone in lambda"
         assert violation.alpha_low == violation.alpha_high == grid.values[17]
         family, grid, s = _defective_table([("cross", 3)])
-        violation = check_ordered(family, grid, s).violation
+        violation = check_ordered(family, grid, s)
         assert violation.kind == "crossing" and violation.alpha_high == grid.values[3]
 
 
@@ -331,8 +332,8 @@ class TestCheckOrdered:
             s = _random_spectrum(rng)
             for family in FAMILIES:
                 grid = default_grid(family, s, points=15, floor=False)
-                report = check_ordered(family, grid, s)
-                assert report.ok, (family.kind, report.violation)
+                violation = check_ordered(family, grid, s)
+                assert violation is None, (family.kind, violation)
 
     def test_crossing_table_fails_with_witness(self):
         s = Spectrum([1.0, 0.5])
@@ -340,11 +341,10 @@ class TestCheckOrdered:
             "table", alphas=[1.0, 2.0],
             h_table=[[0.9, 0.1], [0.5, 0.5]],
         )
-        report = check_ordered(family, AlphaGrid([1.0, 2.0]), s)
-        assert not report.ok
-        assert report.violation.kind == "crossing"
-        assert report.violation.k == 2
-        assert (report.violation.alpha_low, report.violation.alpha_high) == (1.0, 2.0)
+        violation = check_ordered(family, AlphaGrid([1.0, 2.0]), s)
+        assert violation.kind == "crossing"
+        assert violation.k == 2
+        assert (violation.alpha_low, violation.alpha_high) == (1.0, 2.0)
 
     def test_reversed_direction_fails(self):
         s = Spectrum([1.0, 0.5])
@@ -352,16 +352,14 @@ class TestCheckOrdered:
             "table", alphas=[1.0, 2.0],
             h_table=[[0.2, 0.1], [0.8, 0.4]],
         )
-        report = check_ordered(family, AlphaGrid([1.0, 2.0]), s)
-        assert not report.ok
-        assert report.violation.kind == "grid direction"
+        violation = check_ordered(family, AlphaGrid([1.0, 2.0]), s)
+        assert violation.kind == "grid direction"
 
     def test_non_monotone_profile_fails(self):
         s = Spectrum([1.0, 0.5, 0.25])
         family = SmootherFamily("table", alphas=[1.0], h_table=[[0.5, 0.9, 0.1]])
-        report = check_ordered(family, AlphaGrid([1.0]), s)
-        assert not report.ok
-        assert report.violation.kind == "not monotone in lambda"
+        violation = check_ordered(family, AlphaGrid([1.0]), s)
+        assert violation.kind == "not monotone in lambda"
 
     def test_grid_monotone_smoothing(self):
         s = polynomial_spectrum(20, 1.5)
@@ -409,9 +407,14 @@ class TestDefaultGrid:
                 assert float(np.sum(resid * resid)) < need, (kind, s.effective_rank)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.kind)
-    def test_floor_row_is_the_first_of_the_whole_grid(self, family):
+    def test_floor_row_is_the_first_of_the_whole_grid(self, family, monkeypatch):
         # the blocked walk stops at the first row of the whole grid that
-        # keeps the floor dof, on grids whose floor row lies past block 1
+        # keeps the floor dof, on grids whose floor row lies past block 1;
+        # it forms the residual factors alone, never the noise weights
+        def no_noise_weights(h, lam):
+            raise AssertionError("the floor formed the noise weights")
+
+        monkeypatch.setattr(smoothers, "_row_kernels", no_noise_weights)
         for s in (polynomial_spectrum(1000, 2.0), polynomial_spectrum(333, 1.0),
                   exponential_spectrum(500, 1.0)):
             full = default_grid(family, s, points=900, floor=False).values
@@ -435,8 +438,8 @@ class TestDefaultGrid:
         assert peak <= 2e6, peak
 
     def test_floor_on_a_subnormal_eigenvalue_warns_nothing(self):
-        # the floor forms the noise weights 1 / lambda of its cutoff rows too,
-        # which overflow at lambda = 1e-310, but reads only (1 - h)^2
+        # the noise weights 1 / lambda of cutoff rows overflow at
+        # lambda = 1e-310, and the floor forms only (1 - h)^2
         s = Spectrum(np.append(polynomial_spectrum(29, 1.0).retained, 1e-310))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -79,7 +79,10 @@ Config matrix:
   - cutoff on k^-2 (p=60) in known mode on an explicit grid with a row
     that keeps every component (alpha = 0.01 <= 1/p) and two rows with one
     cutoff m = 11 (alphas 1/10.5 and 1/10.2), the edge rows of the prefix
-    and suffix sums of cutoff tables.
+    and suffix sums of cutoff tables;
+  - a table family on two unit eigenvalues whose rows (1e-170 and 1e-171)
+    build a table where sum h^2 / lambda underflows to 0, which pins the
+    verdict ``conditions: FAIL``.
 """
 
 from __future__ import annotations
@@ -265,6 +268,10 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
     configs["gen-poly60-cutoff-edgerows"] = dict(
         base, problem=_generator(spectra["poly60"]), family={"kind": "cutoff"},
         grid={"values": [0.01, 1 / 10.5, 1 / 10.2, 0.2, 0.5, 1.0]}, **_mode("known"))
+    configs["spectral-table-underflow"] = dict(
+        base, problem={"spectral_data": {"eigenvalues": [1.0, 1.0], "y": [0.0, 0.0]}},
+        family={"kind": "table", "alphas": [1.0, 2.0], "h_table": [[1e-170, 1e-170], [1e-171, 1e-171]]},
+        grid={"values": [1.0, 2.0]})
     return configs
 
 
