@@ -29,7 +29,6 @@ __all__ = [
     "PenaltyTable",
     "build_penalty_table",
     "check_conditions",
-    "PenaltyInequalityReport",
     "verify_penalty_inequalities",
 ]
 
@@ -330,28 +329,19 @@ def check_conditions(table: PenaltyTable) -> float:
     return float(min(np.min(ratio1), np.min(ratio2)))
 
 
-@dataclass(frozen=True)
-class PenaltyInequalityReport:
-    """Outcome of the structural-inequality sweep; `violations` keeps at most
-    `_MAX_REPORTED` examples, `total_violations` counts them all."""
+def verify_penalty_inequalities(table: PenaltyTable) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Check the structural inequalities of the penalty on a computed table;
+    return ``(guaranteed, auxiliary)``, one message per violating row and
+    kind, every violation listed.
 
-    ok: bool
-    violations: tuple[str, ...]
-    total_violations: int = 0
+    Guaranteed, row-wise, in this order of kinds and in row order within a
+    kind: q_plus >= d * max(sqrt(log r), log r / mu) and
+    mu >= min(sqrt(log r)/2, 1/4) with r = d/d_ref, and, for well separated
+    scales (d >= e^2 d_ref), mu*q/d_ref > 1 (acceptance criterion 2 has the
+    proof).  A violation of any is a fault in the table.
 
-
-_MAX_REPORTED = 50
-
-
-def verify_penalty_inequalities(table: PenaltyTable) -> PenaltyInequalityReport:
-    """Check the structural inequalities of the penalty on a computed table.
-
-    Guaranteed, row-wise: q_plus >= d * max(sqrt(log r), log r / mu) and
-    mu >= min(sqrt(log r)/2, 1/4) with r = d/d_ref.  A violation of either
-    is a fault in the table.
-
-    Auxiliary, which correct tables can violate (see the README): for well
-    separated scales (d >= e^2 d_ref) the log-form bound
+    Auxiliary, which correct tables can violate (see the README), in row
+    order: on the separated rows the log-form bound
     d >= mu*q / log(mu*q/d_ref), which holds only with the constant 1/2 in
     front of the right side; it is reported as found.  All comparisons
     carry the relative slack ``_INEQUALITY_RTOL``.  The pair-wise ratio
@@ -371,15 +361,11 @@ def verify_penalty_inequalities(table: PenaltyTable) -> PenaltyInequalityReport:
     degenerate = separated & (inner <= 1.0)
     log_low = separated & ~degenerate & (
         d < log_rhs - rtol * np.maximum(np.maximum(np.abs(log_rhs), np.abs(d)), 1.0))
-    total = sum(int(np.count_nonzero(mask)) for mask in (q_low, mu_low, degenerate, log_low))
-
-    # format only the reported messages, in kind order and row order within a kind
     alphas = table.alphas.tolist()  # Python floats, whose repr the messages print
-    violations: list[str] = []
-    for label, mask in (("q_plus below its lower bound", q_low),
-                        ("mu below its lower bound", mu_low),
-                        (None, degenerate | log_low)):
-        for i in np.flatnonzero(mask)[:_MAX_REPORTED - len(violations)]:
-            kind = label or ("degenerate log bound" if degenerate[i] else "noise scale below the log bound")
-            violations.append(f"{kind} at alpha={alphas[i]!r}")
-    return PenaltyInequalityReport(ok=total == 0, violations=tuple(violations), total_violations=total)
+
+    def listed(kind: str, mask: np.ndarray) -> tuple[str, ...]:
+        return tuple(f"{kind} at alpha={alphas[i]!r}" for i in np.flatnonzero(mask))
+
+    guaranteed = (listed("q_plus below its lower bound", q_low) + listed("mu below its lower bound", mu_low)
+                  + listed("degenerate log bound", degenerate))
+    return guaranteed, listed("noise scale below the log bound", log_low)

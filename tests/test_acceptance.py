@@ -99,8 +99,8 @@ def test_criterion_01_unbiasedness_identity():
     assert elapsed < 1.0
 
 
-# The auxiliary inequality of verify_penalty_inequalities, by the prefix of
-# the verifier's message.  Criterion 2 explains why it does not hold.
+# The message prefix of the auxiliary inequality of
+# verify_penalty_inequalities.  Criterion 2 explains why it does not hold.
 _AUXILIARY_KIND = "noise scale below the log bound at alpha="
 
 
@@ -165,9 +165,9 @@ def test_criterion_02_penalty_structure():
        constant repairs it, and it fails in 50-digit arithmetic
        (tests/test_penalty.py,
        TestVerifyPenaltyInequalities.test_ratio_monotonicity_fails_in_high_precision).
-    4. Every violation verify_penalty_inequalities reports is of its
-       auxiliary kind (the constant-1 log form), and its total count
-       matches the count of those rows recomputed here.
+    4. verify_penalty_inequalities lists no guaranteed-kind violation,
+       every auxiliary violation it lists is of the constant-1 log form,
+       and their count matches the count of those rows recomputed here.
     """
     from specreg import verify_penalty_inequalities
 
@@ -178,11 +178,13 @@ def test_criterion_02_penalty_structure():
     log_rows = 0
     for (p, sname, kind), (_, table) in _criterion2_tables().items():
         broken, margin, n_log = _penalty_structure(table, rtol)
-        report = verify_penalty_inequalities(table)
-        if not all(v.startswith(_AUXILIARY_KIND) for v in report.violations):
-            broken.append(f"verifier reports a non-auxiliary violation: {report.violations}")
-        if report.total_violations != n_log:
-            broken.append(f"verifier counts {report.total_violations} violations, "
+        guaranteed, auxiliary = verify_penalty_inequalities(table)
+        if guaranteed:
+            broken.append(f"verifier reports a guaranteed-kind violation: {guaranteed[:5]}")
+        if not all(v.startswith(_AUXILIARY_KIND) for v in auxiliary):
+            broken.append("verifier reports an auxiliary violation of another kind")
+        if len(auxiliary) != n_log:
+            broken.append(f"verifier lists {len(auxiliary)} auxiliary violations, "
                           f"expected {n_log} log-form")
         if broken:
             failures.append((p, sname, kind, broken))

@@ -30,7 +30,8 @@ def test_selection_and_bench_exports():
     # the scalar penalty, risk, variance and contrast formulas are test
     # references (tests/reference.py), not part of the package, and neither
     # are the wrappers growth_term and model_from_json, nor the report types
-    # of check_ordered and check_conditions, which return their findings
+    # of check_ordered, check_conditions and verify_penalty_inequalities,
+    # which return their findings
     import specreg
 
     assert set(specreg.selection.__all__) == {"SelectionResult", "select_alpha"}
@@ -38,7 +39,7 @@ def test_selection_and_bench_exports():
         "RiskProfile", "risk_profile", "risk_bound", "excess_sup_stat", "BenchReport", "mc_run"}
     for name in ("exact_risk", "penalized_risk", "sigma_hat2", "contrast_known_sigma",
                  "contrast_unknown_sigma", "pen_u", "pen_cv", "cramer_term", "growth_term",
-                 "model_from_json", "OrderingReport", "ConditionsReport"):
+                 "model_from_json", "OrderingReport", "ConditionsReport", "PenaltyInequalityReport"):
         assert not hasattr(specreg, name), name
 
 

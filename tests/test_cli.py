@@ -12,6 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specreg import (
+    SmootherFamily,
+    build_penalty_table,
+    default_grid,
+    polynomial_spectrum,
+    verify_penalty_inequalities,
+)
 from specreg.cli import main
 
 
@@ -116,6 +123,22 @@ class TestCheck:
         assert lines[1].startswith("conditions: PASS")
         assert lines[2:4] == ["penalty inequalities: FAIL", "  noise scale below the log bound at alpha=0.025"]
         assert all(line.startswith("  ") for line in lines[3:])
+
+    def test_at_most_50_violations_are_listed(self, tmp_path, capsys):
+        # the cutoff grid on k^-2 at p=100 has 69 auxiliary log-form rows,
+        # of which check prints the first 50
+        cfg = well_conditioned_config(
+            problem={"generator": {"spectrum": {"kind": "polynomial", "p": 100, "exponent": 2.0},
+                                   "signal": {"kind": "polynomial", "exponent": 1.0}, "sigma": 0.05}},
+            family={"kind": "cutoff"}, grid={"floor": "default"})
+        assert run(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "penalty inequalities: FAIL"
+        spectrum, family = polynomial_spectrum(100, 2.0), SmootherFamily("cutoff")
+        table = build_penalty_table(family, default_grid(family, spectrum), spectrum, 0.1)
+        guaranteed, auxiliary = verify_penalty_inequalities(table)
+        assert (guaranteed, len(auxiliary)) == ((), 69)
+        assert lines[3:] == [f"  {v}" for v in auxiliary[:50]]
 
     def test_underflowing_conditions_fail_without_a_warning(self, tmp_path, capsys, recwarn):
         # h^2 underflows on both rows, so c2_hat is 0 on a table that builds;
@@ -594,6 +617,32 @@ class TestExitCodes:
             path.write_text(text.replace('"NEST"', "[" * depth + "1" + "]" * depth), encoding="utf-8")
             assert run(["penalty-table", "--config", str(path)]) == 1
             assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("spectral_file", [False, True], ids=["config", "spectral-file"])
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys, spectral_file):
+        # the decode error once exited 2 as a numerical failure
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"gamma": \xff}')
+        path = str(bad)
+        if spectral_file:
+            path = write_config(tmp_path, well_conditioned_config(problem={"spectral": str(bad)}))
+        assert run(["penalty-table", "--config", path]) == 1
+        with pytest.raises(UnicodeDecodeError) as excinfo:
+            bad.read_text(encoding="utf-8")
+        assert capsys.readouterr() == ("", f"config error: invalid JSON in {bad}: {excinfo.value}\n")
+
+    @pytest.mark.parametrize("command, flag", [("penalty-table", "--out"), ("bench", "--rep-out")])
+    def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, command, flag):
+        # once a FileNotFoundError traceback out of main, for bench after
+        # the whole run and after writing its report
+        path = tmp_path / "missing" / "out.csv"
+        argv = [command, "--config", write_config(tmp_path, well_conditioned_config()), flag, str(path)]
+        if command == "bench":
+            argv += ["--out", str(tmp_path / "report.json")]
+        assert run(argv) == 1
+        with pytest.raises(OSError) as excinfo:
+            path.write_text("", encoding="utf-8")
+        assert capsys.readouterr() == ("", f"config error: cannot write {path}: {excinfo.value}\n")
 
     @pytest.mark.parametrize("override, command", [
         *(pytest.param(override, command, id=f"{command}-{override!r}")

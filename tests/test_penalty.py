@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -1096,10 +1097,7 @@ class TestVerifyPenaltyInequalities:
             family = FAMILIES[int(rng.integers(0, 3))]
             grid = default_grid(family, s, points=12, floor=False)
             table = build_penalty_table(family, grid, s, 0.1)
-            report = verify_penalty_inequalities(table)
-            for violation in report.violations:
-                assert "q_plus below" not in violation
-                assert "mu below" not in violation
+            assert verify_penalty_inequalities(table)[0] == ()
             d, mu, q = table.d, table.mu, table.q_plus
             separated = d >= math.exp(2.0) * table.d_ref
             inner = mu[separated] * q[separated] / table.d_ref
@@ -1110,36 +1108,39 @@ class TestVerifyPenaltyInequalities:
     def test_single_point_grid_vacuous(self):
         s = polynomial_spectrum(5, 1.0)
         table = build_penalty_table(SmootherFamily("cutoff"), AlphaGrid([0.5]), s, 0.1)
-        assert verify_penalty_inequalities(table).ok
+        assert verify_penalty_inequalities(table) == ((), ())
 
     def test_flat_spectrum_tikhonov_passes(self):
         s = Spectrum(np.ones(5))
         family = SmootherFamily("tikhonov")
         grid = default_grid(family, s, points=12, floor=False)
         table = build_penalty_table(family, grid, s, 0.1)
-        assert verify_penalty_inequalities(table).ok
+        assert verify_penalty_inequalities(table) == ((), ())
 
     def test_detects_log_bound_counterexample(self):
         # the verifier checks the log-form bound with constant 1, which flat
         # damping profiles violate (it reduces to log(2L) >= L, false for
-        # L >= 2); the detector must report it rather than mask it
-        table_spectrum = polynomial_spectrum(100, 2.0)
-        table, _ = _cutoff_table(table_spectrum)
-        report = verify_penalty_inequalities(table)
-        assert not report.ok
-        assert any("log bound" in v for v in report.violations)
-        # at most 50 messages, grouped by kind in a fixed order: row bounds
-        # (q_plus, then mu), then the separated rows; every third cutoff
-        # point gives fewer than 50 violations, and all of them are reported
-        kinds = ("q_plus below", "mu below", "log bound")
-        sparse = AlphaGrid(1.0 / np.arange(100.0, 0.0, -3.0))
-        sparse_report = verify_penalty_inequalities(
-            build_penalty_table(SmootherFamily("cutoff"), sparse, table_spectrum, 0.1))
-        assert report.total_violations > 50 > sparse_report.total_violations
-        for report in (report, sparse_report):
-            assert len(report.violations) == min(50, report.total_violations)
-            order = [next(k for k, kind in enumerate(kinds) if kind in v) for v in report.violations]
-            assert order == sorted(order)
+        # L >= 2); the detector must report it rather than mask it, as
+        # auxiliary: every such row, in row order, with no cap
+        table, _ = _cutoff_table(polynomial_spectrum(100, 2.0))
+        guaranteed, auxiliary = verify_penalty_inequalities(table)
+        assert guaranteed == ()
+        assert len(auxiliary) == 79
+        alphas = [float(v.removeprefix("noise scale below the log bound at alpha=")) for v in auxiliary]
+        assert alphas == sorted(set(alphas)) and set(alphas) <= set(table.alphas.tolist())
+
+    def test_guaranteed_violations_in_kind_then_row_order(self):
+        # a table whose q_plus and mu are scaled down violates all three
+        # guaranteed kinds; the degenerate rows mu*q/d_ref <= 1 are not
+        # checked against the auxiliary log form
+        table, _ = _cutoff_table(polynomial_spectrum(100, 2.0), floor=True)
+        broken = dataclasses.replace(table, q_plus=table.q_plus * 1e-6, mu=table.mu * 0.5)
+        guaranteed, auxiliary = verify_penalty_inequalities(broken)
+        assert auxiliary == ()
+        kinds = ("q_plus below its lower bound", "mu below its lower bound", "degenerate log bound")
+        found = [(kinds.index(kind), float(alpha)) for kind, alpha in (v.split(" at alpha=") for v in guaranteed)]
+        assert found == sorted(found)  # alpha increases along the grid
+        assert [sum(k == i for k, _ in found) for i in range(3)] == [89, 2, 88]
 
     def test_ratio_monotonicity_fails_in_high_precision(self):
         # the pairwise form q_i/q_j >= d_i/d_j is false for the penalty as
@@ -1184,5 +1185,6 @@ class TestVerifyPenaltyInequalities:
         got = (q[0] / d[0]) / (q[1] / d[1])
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert want < 1.0 - 1e-3
-        report = verify_penalty_inequalities(table)
-        assert all(v.startswith("noise scale below the log bound") for v in report.violations)
+        guaranteed, auxiliary = verify_penalty_inequalities(table)
+        assert guaranteed == ()
+        assert all(v.startswith("noise scale below the log bound") for v in auxiliary)
