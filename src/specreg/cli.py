@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -168,6 +169,20 @@ def _write_text(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise the ConfigError that writing ``path`` (None: stdout) would
+    raise, and leave no file behind."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -454,6 +469,8 @@ def _cmd_bench(args) -> int:
     outputs = _get(config, "outputs", default={})
     report_path = args.out or _get(outputs, "report", _path, None)
     rep_path = args.rep_out or _get(outputs, "replications_csv", _path, None)
+    for path in (report_path, rep_path):  # before the run, which writes them at its end
+        _check_writable(path)
     model = _model(config)
     table = _table(config, model.spectrum)
     report = mc_run(
@@ -528,9 +545,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at interpreter exit
+        return code
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
+    except BrokenPipeError as exc:
+        # the interpreter's exit flush of what is left then goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"config error: cannot write stdout: {exc}\n")
         return EXIT_CONFIG
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Spectrum
-from .smoothers import AlphaGrid, SmootherFamily, _row_kernels, _row_slices, check_ordered, h_values
+from .smoothers import AlphaGrid, SmootherFamily, _cutoffs, _row_kernels, _row_slices, check_ordered, h_values
 
 __all__ = [
     "PenaltyTable",
@@ -196,8 +196,8 @@ class PenaltyTable:
         applied to v of shape (p,) or to a block (p, n) with one vector per
         column; a v of another length is a dimension error.
 
-        A cutoff row i is 1/lambda up to its cutoff m_i = pen_cv / 2 and 0
-        after it, its resid2 row 0 up to m_i and 1 after it.  So there the
+        A cutoff row i is 1/lambda up to its cutoff m_i and 0 after it, its
+        resid2 row 0 up to m_i and 1 after it.  So there the
         products are the prefix sums of the products v / lambda, which the
         matrix product forms too, at m_i, and the suffix sums of v after m_i.
         They run in sequence along k, so each column of a block gives the
@@ -210,7 +210,7 @@ class PenaltyTable:
         if self.family.kind != "cutoff":
             noise_weights, resid2 = self._kernels
             return noise_weights @ v if noise else None, resid2 @ v if resid else None
-        m, products = (self.pen_cv / 2.0).astype(np.intp), [None, None]
+        m, products = _cutoffs(self.alphas, lam.size), [None, None]
         if noise:
             col, top = (slice(None),) + (None,) * (v.ndim - 1), m.max()
             prefix = (1.0 / lam[:top])[col] * v[:top]  # 1/lambda past every cutoff may overflow
@@ -236,7 +236,10 @@ def build_penalty_table(
     noise scale to be nonincreasing along the grid, which holds for every
     ordered family; user-supplied table families first go through
     :func:`check_ordered` on the grid.  The h rows are formed one row block
-    at a time, in grid order, and not kept.  Each block's mu is solved
+    at a time, in grid order, and not kept.  A cutoff table forms no h row:
+    row i is 1 up to its cutoff m_i and 0 after it, so its columns are
+    lookups at m_i in s = 1/lambda and its prefix sums, and its noise
+    weights are s up to m_i.  Each block's mu is solved
     before the checks on the whole grid run, and they still decide: the
     solve raises no error on the rows they reject (a zero or non-finite d or
     d_ref gives mu = 0 or NaN).  Raises ArithmeticError when a column is not
@@ -250,27 +253,41 @@ def build_penalty_table(
         if violation is not None:
             raise ValueError(f"invalid input: table family is not ordered ({violation})")
     lam = spectrum.retained
-    rows, alphas = len(grid), grid.values
-    # One pass over the row blocks forms each block's h, its columns, its
-    # ties between adjacent rows and its mu and q_plus.
+    rows, alphas, cutoff = len(grid), grid.values, family.kind == "cutoff"
+    # One pass over the row blocks forms each block's noise weights and its
+    # mu and q_plus; on other families than cutoff also its h, its columns
+    # and its ties between adjacent rows.
     pen_u_col, pen_cv_col, d, mu, rho_q, h_lambda, one_minus, max_h_over_lam = (
         np.empty(rows) for _ in range(8))
     tied = np.empty(rows - 1, dtype=bool)  # h row i equals h row i + 1
     # Overflow and NaN below are caught by the checks on d and on the columns.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d_ref = _unit_rows(_row_kernels(h_values(family, alphas[-1:], spectrum), lam)[0])[0][0]  # = d[-1]
+        if cutoff:
+            m, s, k = _cutoffs(alphas, lam.size), 1.0 / lam, np.arange(lam.size)
+            h_lambda[:], max_h_over_lam[:] = np.cumsum(s)[m - 1], s[m - 1]
+            pen_u_col[:], pen_cv_col[:], one_minus[:] = 2.0 * h_lambda, 2.0 * m, lam.size - m
+            tied[:] = m[1:] == m[:-1]
+            t = np.where(k < m[-1], s, 0.0)[None]
+        else:
+            t = _row_kernels(h_values(family, alphas[-1:], spectrum), lam)[0]
+        d_ref = _unit_rows(t)[0][0]  # = d[-1], from the last row alone
         for block in _row_slices(rows, lam.size):
-            h = h_values(family, alphas[block], spectrum)
-            if block.start:
-                tied[block.start - 1] = np.array_equal(last, h[0])
-            tied[block.start:block.stop - 1] = np.all(h[1:] == h[:-1], axis=1)
-            last = h[-1].copy()  # _row_kernels consumes h
-            h_lam = h / lam
-            pen_u_col[block], max_h_over_lam[block] = 2.0 * np.sum(h_lam, axis=1), np.max(h_lam, axis=1)
-            pen_cv_col[block], h_lambda[block] = 2.0 * np.sum(h, axis=1), np.sum(h * h / lam, axis=1)
-            d[block], rho = _unit_rows(_row_kernels(h, lam)[0])  # h now holds (1 - h)^2
-            one_minus[block] = np.sum(h, axis=1)
-            del h, h_lam  # not held through the mu solve
+            if cutoff:  # the noise weights h (2 - h) / lambda, with the same bits
+                t = np.where(k < m[block, None], s, 0.0)
+            else:
+                h = h_values(family, alphas[block], spectrum)
+                if block.start:
+                    tied[block.start - 1] = np.array_equal(last, h[0])
+                tied[block.start:block.stop - 1] = np.all(h[1:] == h[:-1], axis=1)
+                last = h[-1].copy()  # _row_kernels consumes h
+                h_lam = h / lam
+                pen_u_col[block], max_h_over_lam[block] = 2.0 * np.sum(h_lam, axis=1), np.max(h_lam, axis=1)
+                pen_cv_col[block], h_lambda[block] = 2.0 * np.sum(h, axis=1), np.sum(h * h / lam, axis=1)
+                t = _row_kernels(h, lam)[0]  # h now holds (1 - h)^2
+                one_minus[block] = np.sum(h, axis=1)
+                del h, h_lam
+            d[block], rho = _unit_rows(t)
+            del t  # not held through the mu solve
             mu[block], rho_q[block] = _solve_mu_rows(rho, _log_ratio(d[block], d_ref))
         if np.any(d == 0.0):
             raise ValueError("degenerate smoother: h is identically zero on a grid row")

@@ -98,6 +98,12 @@ def _iterations_from_alpha(alpha: np.ndarray) -> np.ndarray:
     return np.where(exact, nearest, np.where(q > 1.0, np.ceil(q), 1.0))
 
 
+def _cutoffs(alpha: np.ndarray, p: int) -> np.ndarray:
+    """The cutoff m = min(ceil(1/alpha), p) of each cutoff row: h is 1 for
+    k <= m and 0 after it, so 1 <= m <= p."""
+    return np.minimum(_iterations_from_alpha(alpha), p).astype(np.intp)
+
+
 def _check_family(family: SmootherFamily, spectrum: Spectrum) -> None:
     """Raise the ValueError of a family that no alpha can evaluate on the
     spectrum: a landweber step with tau * lambda(1) > 1, or table rows of
@@ -137,8 +143,7 @@ def h_values(family: SmootherFamily, alpha: float | np.ndarray, spectrum: Spectr
     lam = spectrum.retained
     column = alpha[..., None]
     if family.kind == "cutoff":
-        m = _iterations_from_alpha(column)
-        h = (np.arange(1, lam.size + 1, dtype=float) <= m).astype(float)
+        h = (np.arange(1, lam.size + 1) <= _cutoffs(column, lam.size)).astype(float)
     elif family.kind == "tikhonov":
         h = lam / (lam + column)
     elif family.kind == "landweber":
@@ -242,8 +247,8 @@ def default_grid(
     raised to the first grid point whose row keeps sum (1-h)^2 >=
     max(10, p/10) residual degrees of freedom to estimate the noise level
     from, summed as the penalty table's ``one_minus_h_norm2`` column, so the
-    table's floor row meets the bound exactly.  ``floor=False`` keeps the
-    full range.
+    table's floor row meets the bound exactly; a cutoff row keeps p - m.
+    ``floor=False`` keeps the full range.
     """
     lam = spectrum.retained
     if family.kind == "cutoff":
@@ -255,13 +260,17 @@ def default_grid(
             raise ValueError("invalid input: need points >= 2 for a geometric grid")
         values = np.geomspace(lam[-1] / 10.0, 10.0 * lam[0], int(points))
     if floor:
-        # walk the row blocks up to the first one that holds the floor row
-        for block in _row_slices(values.size, lam.size):
-            dof = np.sum(_residual_factors(h_values(family, values[block], spectrum)), axis=1)
-            keep = np.flatnonzero(dof >= max(10.0, lam.size / 10.0))
-            if keep.size:
-                values = values[block.start + keep[0]:]
-                break
+        bound = max(10.0, lam.size / 10.0)
+        if family.kind == "cutoff":
+            keep = np.flatnonzero(lam.size - _cutoffs(values, lam.size) >= bound)
         else:
+            # walk the row blocks up to the first one that holds the floor row
+            for block in _row_slices(values.size, lam.size):
+                dof = np.sum(_residual_factors(h_values(family, values[block], spectrum)), axis=1)
+                keep = block.start + np.flatnonzero(dof >= bound)
+                if keep.size:
+                    break
+        if not keep.size:
             raise ValueError("alpha floor infeasible: no grid point satisfies the floor rule")
+        values = values[keep[0]:]
     return AlphaGrid(values)

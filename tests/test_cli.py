@@ -19,6 +19,7 @@ from specreg import (
     polynomial_spectrum,
     verify_penalty_inequalities,
 )
+from specreg import cli
 from specreg.cli import main
 
 
@@ -633,8 +634,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [("penalty-table", "--out"), ("bench", "--rep-out")])
     def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, command, flag):
-        # once a FileNotFoundError traceback out of main, for bench after
-        # the whole run and after writing its report
+        # once a FileNotFoundError traceback out of main
         path = tmp_path / "missing" / "out.csv"
         argv = [command, "--config", write_config(tmp_path, well_conditioned_config()), flag, str(path)]
         if command == "bench":
@@ -643,6 +643,24 @@ class TestExitCodes:
         with pytest.raises(OSError) as excinfo:
             path.write_text("", encoding="utf-8")
         assert capsys.readouterr() == ("", f"config error: cannot write {path}: {excinfo.value}\n")
+
+    @pytest.mark.parametrize("flag", ["--out", "--rep-out"])
+    def test_unwritable_bench_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, flag):
+        # bench once ran every replication and wrote its report before it
+        # found that --rep-out could not be written; the other output, which
+        # exists, is neither truncated nor removed
+        monkeypatch.setattr(cli, "mc_run", lambda *args, **kwargs: pytest.fail("mc_run started"))
+        outputs = {"--out": tmp_path / "report.json", "--rep-out": tmp_path / "reps.csv"}
+        bad, (other,) = tmp_path / "missing" / "out", [path for f, path in outputs.items() if f != flag]
+        outputs[flag] = bad
+        other.write_text("kept\n", encoding="utf-8")
+        argv = ["bench", "--config", write_config(tmp_path, well_conditioned_config())]
+        assert run(argv + [arg for f, path in outputs.items() for arg in (f, str(path))]) == 1
+        with pytest.raises(OSError) as excinfo:
+            bad.write_text("", encoding="utf-8")
+        assert capsys.readouterr() == ("", f"config error: cannot write {bad}: {excinfo.value}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", other.name]
+        assert other.read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("override, command", [
         *(pytest.param(override, command, id=f"{command}-{override!r}")
@@ -914,6 +932,54 @@ class TestExitCodes:
         cfg = well_conditioned_config(family={"kind": "bogus", "tau": 1.0})
         assert run(["penalty-table", "--config", write_config(tmp_path, cfg)]) == 1
         assert capsys.readouterr().err == "config error: unknown family kind 'bogus'\n"
+
+
+def _specreg(argv, stdout, unbuffered: bool) -> subprocess.Popen:
+    """The CLI in a child process writing to ``stdout``, stderr piped."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "specreg.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+_BROKEN_PIPE = f"config error: cannot write stdout: {BrokenPipeError(32, os.strerror(32))}\n"
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``specreg check ... | head -2``
+    does, gets one config error line on stderr and exit 1; this once ended
+    in a BrokenPipeError traceback or an "Exception ignored" line."""
+
+    def test_reader_closes_after_two_lines(self, tmp_path):
+        # the 1730-line CSV (331 kB) fills the pipe, so the writer is still
+        # writing when the pipe closes.  (Unbuffered, Python drops the rest
+        # of a write that the closing pipe cuts short, and exits 0.)
+        cfg = write_config(tmp_path, well_conditioned_config(grid={"points": 4000}))
+        child = _specreg(["penalty-table", "--config", cfg], subprocess.PIPE, unbuffered=False)
+        head = [child.stdout.readline() for _ in range(2)]
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+        assert head[0] == b"alpha,pen_u,pen_cv,D,mu,q_plus,pen_total,h_lambda_norm2," \
+                          b"one_minus_h_norm2,max_h_over_lambda\n"
+        assert stderr == _BROKEN_PIPE
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_check_into_a_closed_pipe(self, tmp_path, unbuffered):
+        # unbuffered, the first line fails; buffered, the flush at the end
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = _specreg(["check", "--config", write_config(tmp_path, well_conditioned_config())],
+                             write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+        assert stderr == _BROKEN_PIPE
 
 
 def test_digest_is_independent_of_hash_seed(tmp_path):

@@ -31,7 +31,7 @@ from specreg import (
     simulate_observation,
     verify_penalty_inequalities,
 )
-from specreg import penalty
+from specreg import penalty, smoothers
 from specreg.penalty import (
     _cramer,
     _cramer_rowsum,
@@ -903,6 +903,83 @@ class TestBlockedBuild:
         assert len(_row_slices(len(grid), s.retained.size)) == 3
         with pytest.raises(ValueError, match="degenerate smoother: h is identically zero"):
             build_penalty_table(family, grid, s, 0.1)
+
+
+# Cutoff tables are built from prefix sums of 1/lambda, where the reference
+# sums each h row: (spectrum, grid; None for the default grid).
+_PREFIX_SUM_CASES = {
+    "k^-2": (polynomial_spectrum(1000, 2.0), None),
+    "k^-1.5": (polynomial_spectrum(1000, 1.5), None),
+    "e^-k/2": (exponential_spectrum(500, 0.5), None),
+    "flat": (polynomial_spectrum(60, 0.0), None),
+    "geomspace-1e-300": (Spectrum(np.geomspace(1.0, 1e-300, 50)), None),
+    # m = 1000 and 250 clipped to p, a repeated cutoff m = 21, and m = 1 twice
+    "ties-and-clipped": (polynomial_spectrum(100, 1.5),
+                         AlphaGrid([0.001, 0.004, 1 / 20.5, 1 / 20.2, 0.1, 0.5, 1.5, 3.0])),
+}
+
+
+def _count_h_values(monkeypatch):
+    """Count the calls of h_values under the names the library calls it by."""
+    calls, h_values_ = [], smoothers.h_values
+    for module in (smoothers, penalty):
+        monkeypatch.setattr(module, "h_values", lambda *args: calls.append(None) or h_values_(*args))
+    return calls
+
+
+class TestCutoffPrefixSums:
+    @pytest.mark.parametrize("name", _PREFIX_SUM_CASES)
+    def test_matches_the_h_row_reference(self, name):
+        # the sums of 1/lambda up to each cutoff run in sequence, the
+        # reference sums whole rows pairwise: pen_u and h_lambda_norm2 move
+        # by at most 8 ulps; d, mu and q_plus come from the same noise
+        # weights and solve, and every other column is exact
+        spectrum, grid = _PREFIX_SUM_CASES[name]
+        family = SmootherFamily("cutoff")
+        grid = grid or default_grid(family, spectrum)
+        table = build_penalty_table(family, grid, spectrum, 0.1)
+        want = penalty_columns(family, grid, spectrum, 0.1)
+        for column in ("pen_u", "h_lambda_norm2", "pen_total"):
+            got, ref = getattr(table, column), want.pop(column)
+            assert np.all(np.abs(got - ref) <= 8.0 * np.spacing(ref)), (name, column)
+        for column in ("h", "noise_weights", "resid2"):
+            del want[column]
+        for column, ref in want.items():
+            assert np.array_equal(getattr(table, column), ref), (name, column)
+        if name in ("k^-2", "flat"):  # 1/lambda = k^2 and 1 sum exactly
+            assert np.array_equal(table.pen_u, 2.0 * np.sum(table.h(slice(None)) / spectrum.retained, axis=1))
+
+    def test_ties_and_clipped_rows(self):
+        spectrum, grid = _PREFIX_SUM_CASES["ties-and-clipped"]
+        table = build_penalty_table(SmootherFamily("cutoff"), grid, spectrum, 0.1)
+        assert table.pen_cv.tolist() == [200.0, 200.0, 42.0, 42.0, 20.0, 4.0, 2.0, 2.0]
+        assert table.one_minus_h_norm2.tolist() == [0.0, 0.0, 79.0, 79.0, 90.0, 98.0, 99.0, 99.0]
+        assert table.tie_end.tolist() == [1, 1, 3, 3, 4, 5, 7, 7]
+        assert table.max_h_over_lambda[0] == 1.0 / spectrum.retained[-1]
+
+    def test_build_forms_no_h_row(self, monkeypatch):
+        # the grid floor and the build of the mc-cutoff table (k^-2,
+        # p = 1000, M = 900) once formed h rows 4 and 30 times: the floor
+        # for each row block up to its row, the build once for d_ref and once
+        # for each of 29 row blocks; a tikhonov build still forms them
+        calls = _count_h_values(monkeypatch)
+        spectrum = polynomial_spectrum(1000, 2.0)
+        family = SmootherFamily("cutoff")
+        grid = default_grid(family, spectrum)
+        build_penalty_table(family, grid, spectrum, 0.1)
+        assert len(grid) == 900 and len(calls) == 0
+        family = SmootherFamily("tikhonov")
+        grid = default_grid(family, spectrum, points=900)
+        calls.clear()
+        build_penalty_table(family, grid, spectrum, 0.1)
+        assert len(calls) == 1 + len(_row_slices(len(grid), 1000))
+
+    def test_prefix_sum_overflow_is_non_finite(self):
+        # every 1/lambda is finite (3.3e307), but their sum overflows
+        spectrum = Spectrum([1.0] + [3e-308] * 6)
+        family = SmootherFamily("cutoff")
+        with pytest.raises(ArithmeticError, match="non-finite pen_u"):
+            build_penalty_table(family, default_grid(family, spectrum, floor=False), spectrum, 0.1)
 
 
 def _kernel_table(name: str):

@@ -82,7 +82,11 @@ Config matrix:
     and suffix sums of cutoff tables;
   - a table family on two unit eigenvalues whose rows (1e-170 and 1e-171)
     build a table where sum h^2 / lambda underflows to 0, which pins the
-    verdict ``conditions: FAIL``.
+    verdict ``conditions: FAIL``;
+  - cutoff on k^-1.5 (p=100) in known mode on an explicit grid with two
+    rows clipped to m = p (alphas 0.001 and 0.004), two rows with one cutoff
+    m = 21 and two with m = 1 (alphas 1.5 and 3), which pins the ties and
+    the clipped rows of the prefix-sum table build.
 """
 
 from __future__ import annotations
@@ -272,6 +276,10 @@ def build_configs(data_dir: Path) -> dict[str, dict]:
         base, problem={"spectral_data": {"eigenvalues": [1.0, 1.0], "y": [0.0, 0.0]}},
         family={"kind": "table", "alphas": [1.0, 2.0], "h_table": [[1e-170, 1e-170], [1e-171, 1e-171]]},
         grid={"values": [1.0, 2.0]})
+    configs["gen-poly100-cutoff-tiesclipped"] = dict(
+        base, problem=_generator({"kind": "polynomial", "p": 100, "exponent": 1.5}),
+        family={"kind": "cutoff"},
+        grid={"values": [0.001, 0.004, 1 / 20.5, 1 / 20.2, 0.1, 0.5, 1.5, 3.0]}, **_mode("known"))
     return configs
 
 
