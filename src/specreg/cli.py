@@ -556,6 +556,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"config error: cannot write stdout: {exc}\n")
         return EXIT_CONFIG
+    except MemoryError as exc:  # a size in the config too large to allocate
+        sys.stderr.write(f"config error: out of memory: {exc}\n")
+        return EXIT_CONFIG
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC

@@ -10,7 +10,8 @@ through the root mu of a Cramer-type calibration equation
 
 with c(x) = log1p(-2x)/2 + x/(1-2x) increasing and convex on [0, 1/2) and
 c(0) = 0, solved per row block by a safeguarded Halley iteration to the
-rounding noise of the float row sum.  All norms are evaluated with max
+rounding noise of the float row sum, each block starting from the scale of
+the root its neighbour found.  All norms are evaluated with max
 scaling so severely ill-posed spectra (eigenvalues down to ~1e-300) do not
 overflow the squared intermediates.
 """
@@ -34,6 +35,9 @@ __all__ = [
 
 _MU_BRACKET_MARGIN = 1e-12
 _MU_RESIDUAL_TOL = 1e-10
+# A row whose relative residual is this small takes its Halley step as its
+# last: the cubic convergence leaves it far below _MU_RESIDUAL_TOL.
+_MU_LAST_STEP_TOL = 1e-6
 _HALLEY_STEPS = 30
 _EPS = np.finfo(float).eps
 # Relative slack of every comparison of verify_penalty_inequalities.
@@ -74,25 +78,33 @@ def _cramer_rowsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(terms, axis=1), q
 
 
-def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray,
+                   scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, float]:
     """Root mu of sum_k c(mu * rho(k)) = log_ratio for every row of
     rho, one block of rows, in [0, (1 - 1e-12) / (2 max rho)], with sums up
     to the block's last nonzero column (rows with log_ratio == 0 return 0),
-    and sum_k rho q at x = mu rho, from the residual check's row sum.
+    sum_k rho q at x = mu rho, from the residual check's row sum, and the
+    scale to hand the next block.
 
     Safeguarded Halley iteration (Newton's method with the second derivative)
     in u = -log1p(-2 m r), r the row maximum of rho, which moves the pole
     m = 1/(2r) to u = inf: m(u) = -expm1(-u) / (2r),
     m' = -m'' = e^-u / (2r).  With the q = x / (1 - 2x) of the row sum at
     x = m rho, f' = 2 sum q^2 / m, as c'(x) = 2x / (1 - 2x)^2, and
-    f'' = 2 sum q^2 (1 + 4q) / m^2.  The start is the geometric mean of the
-    bounds on the root that x^2 <= c(x) <= 2x^2 / (1 - 2x) give, and a step
-    that leaves the bracket of u known so far becomes the bracket midpoint.
-    A row stops once the float row sum F is within its rounding noise of
-    L = log_ratio, |F - L| <= 32 eps (L + m s1) / (1 - 2 m r) with s1 = sum rho
-    (each term's log1p is off by about eps x / (1 - 2x)), and then takes that
-    last step unless it leaves the bracket.  Every row must then pass the
-    residual check.
+    f'' = 2 sum q^2 (1 + 4q) / m^2.  The start is ``scale`` times the
+    geometric mean of the bounds on the root that
+    x^2 <= c(x) <= 2x^2 / (1 - 2x) give, capped halfway from that mean to
+    the pole; the returned scale is root / mean at the block's last row with
+    log_ratio > 0 (``scale`` itself without one), which the next block of a
+    grid, whose rows are close to these, starts from.  A step that leaves the
+    bracket of u known so far becomes the bracket midpoint.  A row whose
+    float row sum F is within 1e-6 L of L = log_ratio, and whose step stays
+    in the bracket, takes that step as its last: from there Halley's cubic
+    convergence lands within the rounding noise of the row sum.  A row
+    whose F is within that noise, |F - L| <= 32 eps (L + m s1) / (1 - 2 m r)
+    with s1 = sum rho (each term's log1p is off by about eps x / (1 - 2x)),
+    stops too, and keeps its iterate when the step leaves the bracket.
+    Every row must then pass the residual check.
     """
     used = np.flatnonzero(np.any(rho != 0.0, axis=0))
     rho = rho[:, :used[-1] + 1 if used.size else 0]
@@ -103,8 +115,10 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> tuple[np.ndarray, 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         top = (1.0 - _MU_BRACKET_MARGIN) / (2.0 * r)
         low = target / (target * r + np.sqrt((target * r) ** 2 + 2.0 * s2 * target))
-        m = np.sqrt(low * np.minimum(np.sqrt(target / s2), top))
+        start = np.sqrt(low * np.minimum(np.sqrt(target / s2), top))
+        m = np.minimum(scale * start, 0.5 * (start + top))
         u, u_lo, u_hi = -np.log1p(-2.0 * r * m), np.zeros(todo.size), -np.log1p(-2.0 * r * top)
+        last, last_start = todo[-1:], start[-1:]  # the row whose root / start is handed on
         for _ in range(_HALLEY_STEPS if todo.size else 0):
             m = -np.expm1(-u) / (2.0 * r)
             g, q = _cramer_rowsum(m[:, None] * rows)
@@ -113,23 +127,29 @@ def _solve_mu_rows(rho: np.ndarray, log_ratio: np.ndarray) -> tuple[np.ndarray, 
             q2_sum = np.sum(q2, axis=1)
             fp = 2.0 * q2_sum / m
             fpp = 2.0 * (q2_sum + 4.0 * np.einsum("ij,ij->i", q2, q)) / (m * m)
-            done = np.abs(g) <= 32.0 * _EPS * (target + m * s1) / (1.0 - 2.0 * m * r)
             u_lo, u_hi = np.where(g < 0.0, u, u_lo), np.where(g > 0.0, u, u_hi)
             dm = np.exp(-u) / (2.0 * r)
             g1, g2 = fp * dm, (fpp * dm - fp) * dm
             step = u - 2.0 * g * g1 / (2.0 * g1 * g1 - g * g2)
             inside = (step > u_lo) & (step < u_hi)
+            done = ((np.abs(g) <= 32.0 * _EPS * (target + m * s1) / (1.0 - 2.0 * m * r))
+                    | (inside & (np.abs(g) <= _MU_LAST_STEP_TOL * target)))
             u = np.where(inside, step, np.where(done, u, 0.5 * (u_lo + u_hi)))
             mu[todo] = -np.expm1(-u) / (2.0 * r)
             if done.all():
                 break
             todo, rows, target, r, s1, u, u_lo, u_hi = (
                 v[~done] for v in (todo, rows, target, r, s1, u, u_lo, u_hi))
+        # empty on a block without a positive log ratio; a NaN or infinite
+        # ratio (a non-finite d, a start that underflows to 0) is not handed on
+        ratio = mu[last] / last_start
+        if ratio.size and 0.0 < ratio[0] < np.inf:
+            scale = float(ratio[0])
     rowsum, q = _cramer_rowsum(mu[:, None] * rho)
     resid = np.abs(rowsum - np.maximum(log_ratio, 0.0))
     if np.any(resid > _MU_RESIDUAL_TOL * np.maximum(1.0, log_ratio)):
         raise ArithmeticError("mu solve did not reach the residual tolerance")
-    return mu, np.einsum("ij,ij->i", rho, q)
+    return mu, np.einsum("ij,ij->i", rho, q), scale
 
 
 def _log_ratio(d, d_ref) -> np.ndarray:
@@ -271,6 +291,7 @@ def build_penalty_table(
         else:
             t = _row_kernels(h_values(family, alphas[-1:], spectrum), lam)[0]
         d_ref = _unit_rows(t)[0][0]  # = d[-1], from the last row alone
+        scale = 1.0  # root / start of the last solved row, carried to the next block
         for block in _row_slices(rows, lam.size):
             if cutoff:  # the noise weights h (2 - h) / lambda, with the same bits
                 t = np.where(k < m[block, None], s, 0.0)
@@ -288,7 +309,7 @@ def build_penalty_table(
                 del h, h_lam
             d[block], rho = _unit_rows(t)
             del t  # not held through the mu solve
-            mu[block], rho_q[block] = _solve_mu_rows(rho, _log_ratio(d[block], d_ref))
+            mu[block], rho_q[block], scale = _solve_mu_rows(rho, _log_ratio(d[block], d_ref), scale)
         if np.any(d == 0.0):
             raise ValueError("degenerate smoother: h is identically zero on a grid row")
         if np.any(d[1:] > d[:-1] * (1.0 + 1e-12)):

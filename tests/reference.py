@@ -144,7 +144,8 @@ def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarra
     build must match bit for bit, plus the whole M x p matrix ``h`` whose
     rows the table's accessor forms.  Only mu and q_plus are formed one row
     block at a time, as the build does, since each block's row sums stop at
-    its last nonzero column."""
+    its last nonzero column and each block starts from the scale its
+    neighbour hands on."""
     lam = spectrum.retained
     h = h_values(family, grid.values, spectrum)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -156,8 +157,9 @@ def penalty_columns(family, grid, spectrum, gamma: float) -> dict[str, np.ndarra
         rho = scaled / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))[:, None]
         log_ratio = np.maximum(np.log(d) - np.log(d[-1]), 0.0)
         mu, q = np.empty(d.size), np.empty(d.size)
+        scale = 1.0  # handed from block to block as the build does
         for block in _row_slices(*rho.shape):  # the blocks the build hands the solve
-            mu[block] = _solve_mu_rows(rho[block], log_ratio[block])[0]
+            mu[block], _, scale = _solve_mu_rows(rho[block], log_ratio[block], scale)
             used = np.flatnonzero(np.any(rho[block] != 0.0, axis=0))
             rows = rho[block, :used[-1] + 1 if used.size else 0]
             x = mu[block, None] * rows

@@ -679,6 +679,14 @@ class TestExitCodes:
         assert run([command, "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_replications_too_many_to_allocate(self, tmp_path, capsys):
+        # numpy refuses the 728 TiB of losses without allocating them; the
+        # MemoryError once ended the command in a traceback
+        cfg = write_config(tmp_path, well_conditioned_config(replications=10 ** 14))
+        assert run(["bench", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: ") and err.count("\n") == 1
+
     _REAL_KEYS = ("gamma", "sigma", "sigma2", "rank_tol", "tau", "exponent", "kappa", "rate")
 
     @staticmethod

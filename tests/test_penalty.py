@@ -103,7 +103,7 @@ def _scalar_kernels(h, spectrum, log_ratio):
     through the table's row kernels."""
     t = (h * (2.0 - h) / spectrum.retained)[None, :]
     d, rho = _unit_rows(t)
-    mu, _ = penalty._solve_mu_rows(rho, np.array([log_ratio]))
+    mu = penalty._solve_mu_rows(rho, np.array([log_ratio]))[0]
     return t[0], float(d[0]), float(mu[0])
 
 
@@ -250,10 +250,10 @@ def _used_width(rows):
 
 def _solve_blocked(rho, log_ratio):
     """mu of every row of rho, solved one row block at a time, as
-    build_penalty_table hands the rows to the solve."""
-    mu = np.empty(rho.shape[0])
+    build_penalty_table hands the rows and the start scale to the solve."""
+    mu, scale = np.empty(rho.shape[0]), 1.0
     for block in _row_slices(*rho.shape):
-        mu[block] = penalty._solve_mu_rows(rho[block], log_ratio[block])[0]
+        mu[block], _, scale = penalty._solve_mu_rows(rho[block], log_ratio[block], scale)
     return mu
 
 
@@ -527,6 +527,38 @@ class TestMuBisectionReplay:
         midpoint = np.isclose(u1, 0.5 * u0, rtol=1e-12) | np.isclose(u1, 0.5 * (u0 + u_hi), rtol=1e-12)
         assert np.count_nonzero(midpoint) > log_ratio.size // 2
         _assert_within_noise(mu, rho, log_ratio)
+
+    def test_mc_cutoff_row_sums(self, monkeypatch):
+        # the mc-cutoff table (k^-2, p=1000, 900 rows in 29 blocks): rows
+        # within 1e-6 of their log ratio take their last step, and each block
+        # starts from its neighbour's root / start, 99 row sums where the
+        # stop at the noise floor and the bound-based starts took 131
+        spectrum = polynomial_spectrum(1000, 2.0)
+        family = SmootherFamily("cutoff")
+        grid = default_grid(family, spectrum)
+        calls = _count_rowsums(monkeypatch)
+        build_penalty_table(family, grid, spectrum, 0.1)
+        assert len(grid) == 900 and len(calls) <= 100
+
+    def test_carried_scale_wrong_on_every_block(self, monkeypatch):
+        # flat and k^-2 unit rows alternate by block (p=300, 10 blocks), so
+        # the root / start handed to each block comes from the other shape:
+        # the solve pays at most the row sums of bound-based starts (50) and
+        # stays within the rounding noise of the exact root, checked on
+        # every tenth row (one 50-digit root per row costs about 20 ms)
+        rng = np.random.default_rng(50)
+        p = 300
+        blocks = _row_slices(10 * (_ROW_BLOCK_ELEMS // p), p)
+        flat, decay = np.ones(p), np.arange(1.0, p + 1.0) ** -2.0
+        rho = np.vstack([np.tile(row / np.sqrt(row @ row), (block.stop - block.start, 1))
+                         for block, row in zip(blocks, [flat, decay] * 5)])
+        log_ratio = rng.uniform(0.5, 15.0, rho.shape[0])
+        assert len(_row_slices(*rho.shape)) == 10
+        calls = _count_rowsums(monkeypatch)
+        mu = _solve_blocked(rho, log_ratio)
+        assert len(calls) <= 50
+        worst = _assert_within_noise(mu[::10], rho[::10], log_ratio[::10])
+        print(f"worst error / bound: {worst}")
 
 
 class TestQPlus:
